@@ -29,7 +29,6 @@
 //! tie-breaks), which is what keeps same-seed runs byte-identical under
 //! any policy, at any `--jobs`.
 
-use specfaas_sim::hash::FxHashMap;
 use specfaas_sim::SimDuration;
 
 /// Idle containers kept per (node, function) by [`DefaultKeepAlive`].
@@ -240,10 +239,11 @@ impl PrewarmPolicy for NoPrewarm {
 /// execution instead of serializing after it.
 #[derive(Debug, Clone, Default)]
 pub struct SeqTablePrewarm {
-    /// func → successor candidates as `(successor, observations)`, in
+    /// Indexed by function id (grown on the first observation past the
+    /// end): successor candidates as `(successor, observations)`, in
     /// first-seen order (deterministic: ties break toward the earlier
     /// edge).
-    succ: FxHashMap<u32, Vec<(u32, u32)>>,
+    succ: Vec<Vec<(u32, u32)>>,
 }
 
 impl SeqTablePrewarm {
@@ -259,7 +259,7 @@ impl SeqTablePrewarm {
 
     /// The current majority successor of `func`, if confident.
     pub fn predict(&self, func: u32) -> Option<u32> {
-        let cands = self.succ.get(&func)?;
+        let cands = self.succ.get(func as usize)?;
         let &(best, count) = cands.iter().max_by_key(|&&(_, c)| c)?;
         (count >= Self::MIN_OBSERVATIONS).then_some(best)
     }
@@ -270,7 +270,11 @@ impl PrewarmPolicy for SeqTablePrewarm {
         "seq-table"
     }
     fn observe(&mut self, from: u32, to: u32) {
-        let cands = self.succ.entry(from).or_default();
+        let from = from as usize;
+        if from >= self.succ.len() {
+            self.succ.resize_with(from + 1, Vec::new);
+        }
+        let cands = &mut self.succ[from];
         match cands.iter_mut().find(|(t, _)| *t == to) {
             Some((_, c)) => *c += 1,
             None => cands.push((to, 1)),

@@ -12,10 +12,17 @@
 //!   prewarm policy starts, the idle stock never exceeds the keep-alive
 //!   policy's bound — per function on the single-node [`ContainerPool`],
 //!   and pool-wide on the fleet's [`WarmPool`].
+//!
+//! A third test pins the fleet [`WarmPool`]'s observable behaviour to a
+//! hash-map-and-B-tree reference implementation, operation by operation.
 
-use specfaas_platform::policy::{DefaultKeepAlive, FixedTtlKeepAlive, KeepAlivePolicy};
+use std::collections::BTreeSet;
+
+use specfaas_platform::policy::{
+    DefaultKeepAlive, FixedTtlKeepAlive, KeepAlivePolicy, NoKeepAlive,
+};
 use specfaas_platform::{ContainerAcquire, ContainerPool, WarmPool};
-use specfaas_sim::{SimDuration, SimRng, SimTime};
+use specfaas_sim::{FxHashMap, SimDuration, SimRng, SimTime};
 use specfaas_workflow::FuncId;
 
 /// Keep-alive with a deliberately tiny idle cap so random schedules hit
@@ -170,6 +177,219 @@ fn fleet_warm_pool_never_exceeds_capacity() {
                 "seed {seed}: idle {} exceeds capacity {CAPACITY} at {now:?}",
                 pool.idle_total()
             );
+        }
+    }
+}
+
+/// Reference model of the fleet warm pool: per-function entries in a
+/// hash map, eviction order in a B-tree of `(recency, function)` keys.
+/// [`WarmPool`] keeps the same state in function-indexed slots with an
+/// intrusive LRU list and must match this model operation by operation.
+struct HashedPool {
+    capacity: u32,
+    total_idle: u32,
+    /// function → (idle count, recency key, last release instant).
+    idle: FxHashMap<u32, (u32, u64, SimTime)>,
+    /// (recency key, function), oldest first.
+    lru: BTreeSet<(u64, u32)>,
+    seq: u64,
+    cold_starts: u64,
+    warm_starts: u64,
+    evictions: u64,
+}
+
+impl HashedPool {
+    fn new(capacity: u32) -> HashedPool {
+        HashedPool {
+            capacity: capacity.max(1),
+            total_idle: 0,
+            idle: FxHashMap::default(),
+            lru: BTreeSet::new(),
+            seq: 0,
+            cold_starts: 0,
+            warm_starts: 0,
+            evictions: 0,
+        }
+    }
+
+    fn expire_entry(&mut self, g: u32) {
+        if let Some((count, key, _)) = self.idle.remove(&g) {
+            self.lru.remove(&(key, g));
+            self.total_idle -= count;
+            self.evictions += u64::from(count);
+        }
+    }
+
+    fn acquire(&mut self, g: u32, now: SimTime, policy: &dyn KeepAlivePolicy) -> bool {
+        if let Some(ttl) = policy.ttl() {
+            if self
+                .idle
+                .get(&g)
+                .is_some_and(|&(_, _, released)| released + ttl <= now)
+            {
+                self.expire_entry(g);
+            }
+        }
+        if let Some(entry) = self.idle.get_mut(&g) {
+            entry.0 -= 1;
+            self.total_idle -= 1;
+            if entry.0 == 0 {
+                let key = entry.1;
+                self.idle.remove(&g);
+                self.lru.remove(&(key, g));
+            }
+            self.warm_starts += 1;
+            true
+        } else {
+            self.cold_starts += 1;
+            false
+        }
+    }
+
+    fn release(&mut self, g: u32, now: SimTime, policy: &dyn KeepAlivePolicy) {
+        if !policy.keep_idle() {
+            self.evictions += 1;
+            return;
+        }
+        self.seq += 1;
+        let key = self.seq;
+        match self.idle.get_mut(&g) {
+            Some(entry) => {
+                self.lru.remove(&(entry.1, g));
+                entry.0 += 1;
+                entry.1 = key;
+                entry.2 = now;
+            }
+            None => {
+                self.idle.insert(g, (1, key, now));
+            }
+        }
+        self.lru.insert((key, g));
+        self.total_idle += 1;
+        if let Some(ttl) = policy.ttl() {
+            while let Some(&(_, victim)) = self.lru.iter().next() {
+                if self.idle[&victim].2 + ttl <= now {
+                    self.expire_entry(victim);
+                } else {
+                    break;
+                }
+            }
+        }
+        while self.total_idle > self.capacity {
+            let &(vkey, victim) = self.lru.iter().next().expect("idle pool non-empty");
+            let entry = self.idle.get_mut(&victim).expect("lru entry tracked");
+            entry.0 -= 1;
+            self.total_idle -= 1;
+            self.evictions += 1;
+            if entry.0 == 0 {
+                self.idle.remove(&victim);
+                self.lru.remove(&(vkey, victim));
+            }
+        }
+    }
+
+    fn mem_bytes(&self) -> u64 {
+        (self.idle.len() * 24 + self.lru.len() * 32) as u64
+    }
+}
+
+/// Everything a caller can observe of a pool: the counters, the idle
+/// totals, the model footprint, and the idle count of each id in `ids`.
+type PoolView = (u64, u64, u64, u32, u64, Vec<u32>);
+
+fn view_dense(p: &WarmPool, ids: &[u32]) -> PoolView {
+    (
+        p.cold_starts,
+        p.warm_starts,
+        p.evictions,
+        p.idle_total(),
+        p.mem_bytes(),
+        ids.iter().map(|&g| p.idle_count(g)).collect(),
+    )
+}
+
+fn view_hashed(p: &HashedPool, ids: &[u32]) -> PoolView {
+    (
+        p.cold_starts,
+        p.warm_starts,
+        p.evictions,
+        p.total_idle,
+        p.mem_bytes(),
+        ids.iter()
+            .map(|g| p.idle.get(g).map_or(0, |e| e.0))
+            .collect(),
+    )
+}
+
+/// The dense fleet pool is observably identical to the hashed reference
+/// after every operation of random acquire/release schedules: same warm
+/// or cold answer, counters, idle totals, per-function idle counts and
+/// model footprint. Function ids are sparse and keep growing (so slots
+/// grow mid-run, across gaps), capacities are tight (so eviction order
+/// matters on most releases), and time often stands still (so TTL 0 and
+/// same-instant expiry boundaries are hit).
+#[test]
+fn dense_warm_pool_matches_hashed_reference() {
+    let policies: [(&str, &dyn KeepAlivePolicy); 4] = [
+        ("default", &DefaultKeepAlive),
+        (
+            "ttl:0",
+            &FixedTtlKeepAlive {
+                ttl: SimDuration::ZERO,
+            },
+        ),
+        (
+            "ttl:20ms",
+            &FixedTtlKeepAlive {
+                ttl: SimDuration::from_millis(20),
+            },
+        ),
+        ("none", &NoKeepAlive),
+    ];
+    for (name, policy) in policies {
+        for capacity in [1u32, 2, 3, 7] {
+            for seed in 0..6u64 {
+                let mut rng = SimRng::seed(0xDE_4000 + seed * 16 + u64::from(capacity));
+                let mut dense = WarmPool::new(capacity);
+                let mut reference = HashedPool::new(capacity);
+                // Ids seen so far, ascending, starting past 0.
+                let mut ids: Vec<u32> = vec![1 + rng.uniform_u64(1_000) as u32];
+                let mut now = SimTime::ZERO;
+                for step in 0..1_000 {
+                    if rng.uniform_u64(16) == 0 {
+                        let last = *ids.last().expect("ids non-empty");
+                        ids.push(last + 1 + rng.uniform_u64(300) as u32);
+                    }
+                    // Half the picks favour the newest few ids, so
+                    // functions recur while they are still pooled.
+                    let g = if rng.uniform_u64(2) == 0 {
+                        ids[ids.len() - 1 - rng.uniform_u64(ids.len().min(4) as u64) as usize]
+                    } else {
+                        ids[rng.uniform_u64(ids.len() as u64) as usize]
+                    };
+                    now += SimDuration::from_millis(5 * rng.uniform_u64(4));
+                    let ctx =
+                        format!("{name} capacity {capacity} seed {seed} step {step} gfunc {g}");
+                    if rng.uniform_u64(2) == 0 {
+                        assert_eq!(
+                            dense.acquire(g, now, policy),
+                            reference.acquire(g, now, policy),
+                            "acquire diverged: {ctx}"
+                        );
+                    } else {
+                        dense.release(g, now, policy);
+                        reference.release(g, now, policy);
+                    }
+                    // One id past the largest seen: never touched, so idle 0.
+                    let mut probe = ids.clone();
+                    probe.push(ids[ids.len() - 1] + 1);
+                    assert_eq!(
+                        view_dense(&dense, &probe),
+                        view_hashed(&reference, &probe),
+                        "pool state diverged: {ctx}"
+                    );
+                }
+            }
         }
     }
 }
