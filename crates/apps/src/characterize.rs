@@ -6,7 +6,6 @@
 //! application execution time in a warmed-up environment (measured by
 //! actually running each app once, warm, on the baseline engine).
 
-use serde::{Deserialize, Serialize};
 use specfaas_platform::BaselineEngine;
 use specfaas_sim::SimRng;
 use specfaas_workflow::analysis::SideEffects;
@@ -15,7 +14,7 @@ use specfaas_workflow::Stmt;
 use crate::suite::Suite;
 
 /// Table-I row for one suite.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SuiteCharacterization {
     /// Suite name.
     pub suite: String,

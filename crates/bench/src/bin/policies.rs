@@ -49,6 +49,7 @@ use std::sync::Arc;
 
 use specfaas_apps::{all_suites, AppBundle};
 use specfaas_bench::executor::{self, ExperimentCell};
+use specfaas_bench::guard::{self, TierRun};
 use specfaas_bench::report::{f2, pct, Table};
 use specfaas_bench::runner::{
     instrumented_closed, mean_record_ms, prepared_baseline_with, prepared_spec_with,
@@ -191,52 +192,6 @@ fn hotel_prom_default() -> String {
     registry.export_prometheus()
 }
 
-/// The deterministic engine fields of the scale artifact — the
-/// `scale.rs` `engine_json` minus the wall-clock-dependent rates.
-fn det_engine_json(prefix: &str, s: &ScaleStats) -> String {
-    format!(
-        "\"{prefix}_sim_secs\": {:.3}, \"{prefix}_mean_ms\": {:.3}, \
-         \"{prefix}_p50_ms\": {:.3}, \"{prefix}_p99_ms\": {:.3}, \
-         \"{prefix}_cold_rate\": {:.6}, \"{prefix}_wasted_frac\": {:.6}, \
-         \"{prefix}_peak_live\": {}, \"{prefix}_peak_mem_bytes\": {}, \
-         \"{prefix}_cores\": {}, \"{prefix}_warm_capacity\": {}",
-        s.sim_span.as_secs_f64(),
-        s.mean_ms(),
-        s.latency.quantile_ms(0.50),
-        s.latency.quantile_ms(0.99),
-        s.cold_rate(),
-        s.wasted_frac(),
-        s.peak_live,
-        s.peak_mem_bytes,
-        s.cores,
-        s.warm_capacity,
-    )
-}
-
-/// The quick scale tier stripped to its deterministic fields — the exact
-/// layout of `tests/golden/scale_quick_default.json`.
-fn scale_quick_stripped(
-    base: &ScaleStats,
-    spec: &ScaleStats,
-    tenants: u32,
-    requests: u64,
-) -> String {
-    let seed = 0xFA5C_u64; // the scale bench's default trace seed
-    format!(
-        "{{\n  \"schema\": \"{}\",\n  \"seed\": {},\n  \"requests_per_tier\": {},\n  \
-         \"tiers\": [\n    {{ \"tenants\": {}, \"requests\": {},\n      {},\n      {},\n      \
-         \"speculation_win\": {:.4} }}\n  ]\n}}\n",
-        esc("specfaas-scale-v1"),
-        seed,
-        requests,
-        tenants,
-        requests,
-        det_engine_json("baseline", base),
-        det_engine_json("spec", spec),
-        base.mean_ms() / spec.mean_ms(),
-    )
-}
-
 fn golden_path(name: &str) -> String {
     format!("{}/tests/golden/{name}", env!("CARGO_MANIFEST_DIR"))
 }
@@ -311,7 +266,18 @@ fn run_default_guard(jobs: usize) -> ! {
         }
     }
     let (prom, base, spec) = (prom.unwrap(), base.unwrap(), spec.unwrap());
-    let scale = scale_quick_stripped(&base.stats, &spec.stats, 50, 10_000);
+    let scale = guard::scale_json(
+        0xFA5C,
+        10_000,
+        None,
+        &[TierRun {
+            tenants: 50,
+            requests: 10_000,
+            baseline: &base.stats,
+            spec: &spec.stats,
+            wall_secs: None,
+        }],
+    );
     let ok_prom = guard_compare("hotel prom", &prom, &golden_path("hotel_booking_spec.prom"));
     let ok_scale = guard_compare(
         "scale quick",

@@ -29,7 +29,7 @@
 //!   in full mode; quick mode writes only when `--out` is given).
 //! * `--guard PATH` — compare this run against the committed artifact and
 //!   exit non-zero on any violated clause (see
-//!   [`specfaas_bench::scale_guard`]). CI runs
+//!   [`specfaas_bench::guard::CLAUSES`]). CI runs
 //!   `scale --tiers 1000 --out scale.json --guard BENCH_scale.json`.
 
 use std::sync::Arc;
@@ -37,8 +37,8 @@ use std::time::Instant;
 
 use specfaas_apps::all_app_specs;
 use specfaas_bench::executor::{self, ExperimentCell};
+use specfaas_bench::guard::{self, Artifact, TierRun};
 use specfaas_bench::report::{f1, f2, pct, Table};
-use specfaas_bench::scale_guard;
 use specfaas_platform::fleet::{ScaleConfig, ScaleEngine, ScaleStats, TemplateProfile};
 use specfaas_sim::tracegen::TraceConfig;
 
@@ -88,35 +88,6 @@ fn run_cell(
     }
 }
 
-/// Minimal JSON string escape (labels here are plain ASCII anyway).
-fn esc(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
-fn engine_json(prefix: &str, r: &CellResult) -> String {
-    let s = &r.stats;
-    format!(
-        "\"{prefix}_req_per_sec\": {:.1}, \"{prefix}_wall_secs\": {:.3}, \
-         \"{prefix}_sim_secs\": {:.3}, \"{prefix}_mean_ms\": {:.3}, \
-         \"{prefix}_p50_ms\": {:.3}, \"{prefix}_p99_ms\": {:.3}, \
-         \"{prefix}_cold_rate\": {:.6}, \"{prefix}_wasted_frac\": {:.6}, \
-         \"{prefix}_peak_live\": {}, \"{prefix}_peak_mem_bytes\": {}, \
-         \"{prefix}_cores\": {}, \"{prefix}_warm_capacity\": {}",
-        r.req_per_sec(),
-        r.wall_secs,
-        s.sim_span.as_secs_f64(),
-        s.mean_ms(),
-        s.latency.quantile_ms(0.50),
-        s.latency.quantile_ms(0.99),
-        s.cold_rate(),
-        s.wasted_frac(),
-        s.peak_live,
-        s.peak_mem_bytes,
-        s.cores,
-        s.warm_capacity,
-    )
-}
-
 fn usage() -> ! {
     eprintln!(
         "usage: scale [--quick] [--tiers A,B,C] [--requests N] [--seed S] \
@@ -129,7 +100,7 @@ fn main() {
     let jobs = executor::jobs_from_args();
     let quick = executor::has_flag("--quick");
     let out = executor::arg_value("out");
-    let guard = executor::arg_value("guard");
+    let guard_path = executor::arg_value("guard");
     let seed = executor::arg_value("seed")
         .map(|s| s.parse().unwrap_or_else(|_| usage()))
         .unwrap_or(SEED);
@@ -188,7 +159,7 @@ fn main() {
         "peak mem MB",
         "win",
     ]);
-    let mut tier_json = Vec::new();
+    let mut tier_runs = Vec::new();
     for pair in results.chunks(2) {
         let (base, spec) = (&pair[0], &pair[1]);
         assert_eq!(base.tenants, spec.tenants);
@@ -212,28 +183,17 @@ fn main() {
                 },
             ]);
         }
-        tier_json.push(format!(
-            "    {{ \"tenants\": {}, \"requests\": {},\n      {},\n      {},\n      \
-             \"speculation_win\": {:.4} }}",
-            base.tenants,
-            base.requests,
-            engine_json("baseline", base),
-            engine_json("spec", spec),
-            win,
-        ));
+        tier_runs.push(TierRun {
+            tenants: base.tenants,
+            requests: base.requests,
+            baseline: &base.stats,
+            spec: &spec.stats,
+            wall_secs: Some([base.wall_secs, spec.wall_secs]),
+        });
     }
     println!("\n{}", table.render());
 
-    let artifact = format!(
-        "{{\n  \"schema\": \"{}\",\n  \"seed\": {},\n  \"requests_per_tier\": {},\n  \
-         \"host_parallelism\": {},\n  \"jobs\": {},\n  \"tiers\": [\n{}\n  ]\n}}\n",
-        esc("specfaas-scale-v1"),
-        seed,
-        requests,
-        executor::host_parallelism(),
-        jobs,
-        tier_json.join(",\n"),
-    );
+    let artifact = guard::scale_json(seed, requests, Some(jobs), &tier_runs);
 
     match (&out, quick) {
         (Some(path), _) => {
@@ -247,21 +207,7 @@ fn main() {
         (None, true) => {}
     }
 
-    if let Some(path) = guard {
-        let committed_json = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("read committed artifact {path}: {e}"));
-        let committed =
-            scale_guard::parse_artifact(&committed_json).expect("parse committed artifact");
-        let current = scale_guard::parse_artifact(&artifact).expect("parse current artifact");
-        let violations = scale_guard::check(&current, &committed);
-        if violations.is_empty() {
-            println!("\nguard vs {path}: PASS");
-        } else {
-            eprintln!("\nguard vs {path}: FAIL");
-            for v in &violations {
-                eprintln!("  - {v}");
-            }
-            std::process::exit(1);
-        }
+    if let Some(path) = guard_path {
+        guard::enforce(Artifact::Scale, &artifact, &path);
     }
 }

@@ -23,20 +23,19 @@
 //! one `fetch_add`, and each result is written straight into its
 //! submission-indexed slot — no shared queue mutex, no channel, no
 //! per-result allocation. The worker pool is sized
-//! `min(jobs, cells)`, and the *default* job count comes from the
-//! host's measured parallelism ([`default_jobs`]); asking for more
-//! workers than the host can run (e.g. `--jobs 4` on a single core) is
-//! honored — the determinism tests rely on exercising the parallel path
-//! everywhere — but cannot speed anything up, which is why
-//! [`measured_parallelism`] is recorded in `BENCH_wallclock.json` next to
-//! the jobs sweep it explains.
+//! `min(jobs, cells)`, and the *default* job count is the host's
+//! parallelism ([`default_jobs`]); asking for more workers than the host
+//! can run (e.g. `--jobs 4` on a single core) is honored — the
+//! determinism tests rely on exercising the parallel path everywhere —
+//! but cannot speed anything up. That cells really run concurrently is
+//! tested structurally (two cells must be in flight at once at
+//! `jobs = 2`), not by timing a sweep.
 //!
 //! Dependency-free by construction: `std::thread::scope` + atomics +
 //! per-slot mutexes. No rayon.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
-use std::time::Instant;
+use std::sync::Mutex;
 
 /// One independent unit of experiment work, producing a `T`.
 ///
@@ -135,56 +134,6 @@ pub fn host_parallelism() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
-}
-
-/// *Measured* parallel speedup of this host at `jobs` worker threads,
-/// obtained by timing a fixed CPU-bound grid through [`run_cells`] at one
-/// worker and at `jobs` workers. ≈1.0 on a single effective core whatever
-/// the nominal CPU count (containers!), ≈`jobs` on an unloaded
-/// multi-core. Recorded in `BENCH_wallclock.json` so a jobs sweep is
-/// interpretable: a sweep cannot beat the hardware it ran on.
-///
-/// The probe is wall-clock based and deliberately cheap (~tens of ms);
-/// memoized per job count for the life of the process.
-pub fn measured_parallelism(jobs: usize) -> f64 {
-    static CACHE: OnceLock<Mutex<Vec<(usize, f64)>>> = OnceLock::new();
-    let cache = CACHE.get_or_init(|| Mutex::new(Vec::new()));
-    if let Some(&(_, s)) = cache.lock().unwrap().iter().find(|&&(j, _)| j == jobs) {
-        return s;
-    }
-
-    fn spin_grid(jobs: usize, cells: usize, iters: u64) -> f64 {
-        let grid: Vec<ExperimentCell<u64>> = (0..cells)
-            .map(|i| {
-                ExperimentCell::new(format!("spin/{i}"), move || {
-                    // Data-dependent integer mix the optimizer cannot fold.
-                    let mut x = 0x9E37_79B9_7F4A_7C15u64 ^ i as u64;
-                    for _ in 0..iters {
-                        x = x.wrapping_mul(0xD134_2543_DE82_EF95).rotate_left(17);
-                    }
-                    x
-                })
-            })
-            .collect();
-        let t0 = Instant::now();
-        std::hint::black_box(run_cells(jobs, grid));
-        t0.elapsed().as_secs_f64()
-    }
-
-    let cells = jobs.max(2) * 4;
-    let iters = 2_000_000;
-    // Warm-up pass so thread spawn / frequency ramp-up noise lands outside
-    // the measurement, then best-of-3 per job count.
-    spin_grid(jobs, cells, iters / 10);
-    let serial = (0..3)
-        .map(|_| spin_grid(1, cells, iters))
-        .fold(f64::INFINITY, f64::min);
-    let parallel = (0..3)
-        .map(|_| spin_grid(jobs, cells, iters))
-        .fold(f64::INFINITY, f64::min);
-    let speedup = serial / parallel.max(1e-9);
-    cache.lock().unwrap().push((jobs, speedup));
-    speedup
 }
 
 /// Parses `--jobs N` / `--jobs=N` from the process arguments.
@@ -304,6 +253,32 @@ mod tests {
         assert_eq!(parse_jobs(args(&["--jobs=2"])), Some(2));
         assert_eq!(parse_jobs(args(&["--jobs", "0"])), Some(1));
         assert_eq!(parse_jobs(args(&["--quick"])), None);
+    }
+
+    /// At `jobs = 2` both cells of a two-cell grid must be in flight at
+    /// once: each announces itself, then waits for the other. A serial
+    /// executor, or one that holds a lock across cell runs, leaves the
+    /// first cell waiting alone until the timeout.
+    #[test]
+    fn two_cells_run_concurrently_at_two_jobs() {
+        use std::sync::Condvar;
+        use std::time::Duration;
+        let started = (Mutex::new(0usize), Condvar::new());
+        let cells: Vec<ExperimentCell<bool>> = (0..2)
+            .map(|i| {
+                let (count, cv) = (&started.0, &started.1);
+                ExperimentCell::new(format!("rendezvous/{i}"), move || {
+                    let mut n = count.lock().expect("no cell panics holding the lock");
+                    *n += 1;
+                    cv.notify_all();
+                    let (n, _) = cv
+                        .wait_timeout_while(n, Duration::from_secs(10), |n| *n < 2)
+                        .expect("no cell panics holding the lock");
+                    *n == 2
+                })
+            })
+            .collect();
+        assert_eq!(run_cells(2, cells), vec![true, true]);
     }
 
     #[test]

@@ -20,26 +20,30 @@
 //! | `table4` | Table IV — CPU utilization of squash mechanisms |
 //! | `run_all`| everything above, in sequence |
 //!
-//! Two diagnostic binaries sit outside the paper's figure set:
+//! Diagnostic, sweep and host-speed binaries outside the paper's figure
+//! set:
 //!
-//! | Binary    | Purpose |
-//! |-----------|---------|
-//! | `faults`  | fault-injection ablation: fault-rate and retry-budget sweeps |
-//! | `trace`   | flight recorder: invariant-checked run, `--trace` exports Chrome-trace JSON |
-//! | `profile` | metrics registry + trace analytics: Prometheus/CSV export, critical paths, squash attribution |
-//! | `scale`   | trace-driven multi-tenant scale runs: 10⁶+ requests across {10², 10³, 10⁴} tenants, guarded by `BENCH_scale.json` |
+//! | Binary       | Purpose |
+//! |--------------|---------|
+//! | `ablations`  | design-decision studies (DESIGN.md D1–D5): branch confidence, stall list, memo capacity, pure-function skip, speculation depth |
+//! | `faults`     | fault-injection ablation: fault-rate and retry-budget sweeps |
+//! | `trace`      | flight recorder: invariant-checked run, `--trace` exports Chrome-trace JSON |
+//! | `profile`    | metrics registry + trace analytics: Prometheus/CSV export, critical paths, squash attribution |
+//! | `scoreboard` | speculation-health scoreboard per app, fleet-wide histogram and top-K merge |
+//! | `policies`   | platform policies × engines; `--default-guard` byte-compares the default policy against the goldens |
+//! | `scale`      | trace-driven multi-tenant scale runs: 10⁶+ requests across {10², 10³, 10⁴} tenants, written to `BENCH_scale.json` |
+//! | `wallclock`  | the simulator's own speed: event-queue ns/op at 100k pending and the instrumented-run overhead, written to `BENCH_wallclock.json` |
 //!
 //! The library half provides the shared measurement protocol
-//! ([`runner`]), plain-text table rendering ([`report`]), and post-hoc
-//! trace analytics ([`analysis`]).
+//! ([`runner`]), the parallel cell executor ([`executor`]), plain-text
+//! table rendering ([`report`]), post-hoc trace analytics ([`analysis`]),
+//! and the committed perf artifacts' format and guard ([`guard`]).
 
 pub mod analysis;
 pub mod executor;
-pub mod microbench;
+pub mod guard;
 pub mod report;
 pub mod runner;
-pub mod scale_guard;
-pub mod wallclock_guard;
 
 pub use executor::{run_cells, ExperimentCell};
 pub use runner::{

@@ -1,8 +1,6 @@
 //! Speculation policy configuration (paper §VI, "Configurability" and
 //! "Minimizing Squash Cost") and the ablation switches behind Fig. 12.
 
-use serde::{Deserialize, Serialize};
-
 // Retry/backoff knobs live next to the speculation policy: both engines
 // accept a `RetryPolicy` through `enable_faults`, and experiment configs
 // naturally pull it from the same module as `SpecConfig`.
@@ -16,7 +14,7 @@ pub use specfaas_platform::policy::{
 };
 
 /// How mis-speculated function executions are terminated (§VI).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SquashMechanism {
     /// Let the squashed handler run to natural completion in the
     /// background, never propagating its updates. Reuses containers but
@@ -35,7 +33,7 @@ pub enum SquashMechanism {
 ///
 /// The defaults are the full system as evaluated in §VIII; the boolean
 /// switches reproduce the cumulative configurations of Fig. 12.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SpecConfig {
     /// Predict control dependences and launch down the predicted path
     /// (§V-A). Off → execution never crosses an unresolved branch.

@@ -5,12 +5,11 @@
 //! Fig. 3, CPU utilization including the share attributable to squashed
 //! speculative work (Table IV), throughput, and speculation statistics.
 
-use serde::{Deserialize, Serialize};
 use specfaas_sim::stats::{HitRate, LatencyRecorder};
 use specfaas_sim::{LogHistogram, SimDuration, SimTime};
 
 /// Terminal outcome of one application request.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum RequestOutcome {
     /// The request ran to completion and its effects were committed.
     #[default]
@@ -22,7 +21,7 @@ pub enum RequestOutcome {
 
 /// Counters describing injected faults and what the engine did about
 /// them. All zeros when fault injection is disabled.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultStats {
     /// Faults injected, across all sites.
     pub injected: u64,
@@ -66,7 +65,7 @@ impl FaultStats {
 
 /// Per-invocation time attribution, mirroring the five categories of the
 /// paper's Fig. 3.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Breakdown {
     /// Creating the container and its network stack.
     pub container_creation: SimDuration,
@@ -137,7 +136,7 @@ impl Breakdown {
 }
 
 /// The record of one completed application request.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct InvocationRecord {
     /// Arrival time.
     pub arrived: SimTime,

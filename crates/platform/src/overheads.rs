@@ -10,14 +10,13 @@
 //! (Table III). Cold-start components use the values visible in Fig. 3
 //! (container creation ≈ 1500 ms dominating everything else).
 
-use serde::{Deserialize, Serialize};
 use specfaas_sim::SimDuration;
 
 /// All timing constants of the simulated platform.
 ///
 /// Defaults reproduce the paper's warmed-up OpenWhisk deployment; tests and
 /// ablation benches override individual fields.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OverheadModel {
     // ---- Cold-start components (Fig. 3) -------------------------------
     /// Creating the container, its network stack, and connecting it

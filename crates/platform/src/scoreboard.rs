@@ -8,8 +8,8 @@
 //! the harness ([`crate::Harness::scoreboard`] is the convenience
 //! constructor). Rows render as a fixed-width text table
 //! ([`render_table`]) and as hand-formatted JSONL ([`ScoreboardRow::jsonl`]
-//! — the workspace `serde` is a no-op stub, so no derive-based
-//! serialization exists), both byte-deterministic.
+//! — the workspace has no serialization dependency), both
+//! byte-deterministic.
 
 use specfaas_sim::timeseries::MetricsRegistry;
 use specfaas_sim::LogHistogram;

@@ -4,7 +4,6 @@
 //! inter-arrival times as a Poisson process, at Low / Medium / High load
 //! levels of 100 / 250 / 500 application requests per second.
 
-use serde::{Deserialize, Serialize};
 use specfaas_sim::{SimDuration, SimRng};
 
 /// Identifier of an application request (one workflow invocation).
@@ -12,7 +11,7 @@ use specfaas_sim::{SimDuration, SimRng};
 pub struct RequestId(pub u64);
 
 /// The paper's three load levels (§VII).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Load {
     /// 100 requests per second.
     Low,

@@ -37,8 +37,6 @@
 //! assert_eq!(h.quantile(1.0), 10_000); // max is exact
 //! ```
 
-use serde::{Deserialize, Serialize};
-
 use crate::time::SimDuration;
 
 /// Number of sub-buckets per power-of-two range (and the size of the
@@ -52,7 +50,7 @@ const SUB: u64 = 1 << SUB_BITS;
 ///
 /// See the [module documentation](self) for the bucket math and the
 /// determinism argument.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LogHistogram {
     /// Per-bucket counts, grown on demand up to [`LogHistogram::MAX_BUCKETS`].
     counts: Vec<u64>,

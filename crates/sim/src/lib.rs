@@ -49,7 +49,7 @@ pub mod topk;
 pub mod trace;
 pub mod tracegen;
 
-pub use event::{EventId, Simulator};
+pub use event::{EventId, QueueWork, Simulator};
 pub use fault::{FaultInjector, FaultPlan, FaultSite, RetryPolicy};
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet};
 pub use hist::LogHistogram;

@@ -6,8 +6,6 @@
 //! QoS bound (Table III), CPU-utilization CDFs (Fig. 4), and normalized CPU
 //! utilization (Table IV). This module supplies each of those measurements.
 
-use serde::{Deserialize, Serialize};
-
 use crate::time::{SimDuration, SimTime};
 
 /// Online mean / variance / min / max accumulator (Welford's algorithm).
@@ -24,7 +22,7 @@ use crate::time::{SimDuration, SimTime};
 /// assert_eq!(s.mean(), 2.0);
 /// assert_eq!(s.count(), 3);
 /// ```
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct OnlineStats {
     count: u64,
     mean: f64,
@@ -124,7 +122,7 @@ impl OnlineStats {
 /// response times, which is cheap) and computes percentiles by sorting on
 /// demand with linear interpolation between the two closest ranks — the
 /// way P99 tail latency (paper Fig. 13) is reported.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct LatencyRecorder {
     samples_ms: Vec<f64>,
     sorted: bool,
@@ -218,7 +216,7 @@ impl LatencyRecorder {
 
 /// An empirical CDF over arbitrary values, reported as (value, fraction ≤)
 /// points — the form used by the paper's Fig. 4 utilization CDFs.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Cdf {
     values: Vec<f64>,
 }
@@ -416,7 +414,7 @@ impl UtilizationTracker {
 
 /// Counts discrete occurrences (requests completed, squashes, hits/misses)
 /// and derives rates over the simulated window.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct Counter(u64);
 
 impl Counter {
@@ -451,7 +449,7 @@ impl Counter {
 }
 
 /// Ratio helper for hit-rate style metrics (branch predictor, memoization).
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct HitRate {
     hits: u64,
     total: u64,

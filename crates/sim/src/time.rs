@@ -9,8 +9,6 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
-use serde::{Deserialize, Serialize};
-
 /// An instant on the simulated clock, in microseconds since simulation start.
 ///
 /// `SimTime` is a monotone instant; the difference of two instants is a
@@ -26,9 +24,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(t1 - t0, SimDuration::from_millis(3));
 /// assert_eq!(t1.as_micros(), 3_000);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
 
 /// A span of simulated time, in microseconds.
@@ -42,9 +38,7 @@ pub struct SimTime(u64);
 /// assert_eq!(d.as_micros(), 2_500);
 /// assert_eq!(d.as_millis_f64(), 2.5);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimDuration(u64);
 
 impl SimTime {

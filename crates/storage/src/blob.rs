@@ -11,11 +11,10 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
 use specfaas_sim::{SimDuration, SimTime};
 
 /// The direction of a blob access.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AccessKind {
     /// A read of the blob.
     Read,
@@ -24,7 +23,7 @@ pub enum AccessKind {
 }
 
 /// One blob access in a trace.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BlobAccess {
     /// When the access happened.
     pub at: SimTime,
@@ -36,7 +35,7 @@ pub struct BlobAccess {
 
 /// Aggregate statistics over a blob trace — the exact quantities of
 /// Observation 4.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BlobTraceStats {
     /// Total number of accesses analyzed.
     pub accesses: u64,

@@ -7,15 +7,12 @@
 
 use specfaas_sim::hash::FxHashMap;
 
-use serde::{Deserialize, Serialize};
 use specfaas_sim::SimDuration;
 
 use crate::value::Value;
 
 /// Monotone per-key version number; bumped on every committed write.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Version(pub u64);
 
 /// Latency model for remote storage operations.
@@ -23,7 +20,7 @@ pub struct Version(pub u64);
 /// Calibrated to typical intra-datacenter Redis round trips: sub-millisecond
 /// gets, slightly costlier sets. These contribute to function execution time
 /// in both the baseline and SpecFaaS, so the comparison is fair.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StorageLatency {
     /// Round-trip time of a `get`.
     pub read: SimDuration,

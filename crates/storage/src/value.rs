@@ -9,8 +9,6 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 
-use serde::{Deserialize, Serialize};
-
 /// A JSON-like dynamically typed value.
 ///
 /// # Example
@@ -25,7 +23,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(v.get_field("user").unwrap().as_str(), Some("alice"));
 /// assert!(v.truthy());
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub enum Value {
     /// Absent / null.
     #[default]

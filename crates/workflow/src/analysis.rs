@@ -10,13 +10,11 @@
 //! The SpecFaaS controller also uses the pure-function classification to
 //! honour the `pure-function` annotation safely.
 
-use serde::{Deserialize, Serialize};
-
 use crate::function::{FunctionRegistry, FunctionSpec};
 use crate::program::{Program, Stmt};
 
 /// The side-effect profile of one function program.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SideEffects {
     /// Reads global storage (`Get`).
     pub reads_global: bool,
@@ -62,7 +60,7 @@ impl SideEffects {
 
 /// Aggregate side-effect statistics over a registry of functions — the
 /// percentages quoted in Observations 3 and 5.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct RegistryProfile {
     /// Number of functions analyzed.
     pub functions: usize,

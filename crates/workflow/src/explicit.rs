@@ -14,8 +14,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::function::{FuncId, FunctionRegistry};
 
 /// A workflow composition, mirroring OpenWhisk Composer directives.
@@ -228,7 +226,7 @@ impl std::error::Error for CompileError {}
 
 /// How execution continues after a sequence-table entry's function
 /// completes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum EntryKind {
     /// Proceed to `next` (or finish the application if `None`).
     Simple {
@@ -259,7 +257,7 @@ pub enum EntryKind {
 
 /// One entry of a compiled workflow (one row of the Sequence Table's
 /// static skeleton).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SeqEntry {
     /// The function this entry invokes.
     pub func: FuncId,
@@ -271,7 +269,7 @@ pub struct SeqEntry {
 }
 
 /// A workflow compiled to the flat, pointer-linked layout of paper Fig. 8.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CompiledWorkflow {
     /// Entries in layout order.
     pub entries: Vec<SeqEntry>,

@@ -3,8 +3,6 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::explicit::{CompiledWorkflow, Workflow};
 use crate::program::Program;
 
@@ -12,7 +10,7 @@ use crate::program::Program;
 ///
 /// Stable within one [`FunctionRegistry`]; indexes are assigned in
 /// registration order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct FuncId(pub u32);
 
 impl fmt::Display for FuncId {
@@ -23,7 +21,7 @@ impl fmt::Display for FuncId {
 
 /// Developer-supplied speculation hints (paper §VI, "Function
 /// Annotations").
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Annotations {
     /// `pure-function`: the function reads/writes no global state, so the
     /// controller may *skip* executing it entirely on a memoization hit.
