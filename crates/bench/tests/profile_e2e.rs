@@ -8,7 +8,7 @@
 //! * two same-seed runs produce byte-identical Prometheus and CSV
 //!   exports,
 //! * the Prometheus exposition for a fixed app and seed matches a
-//!   checked-in golden file (re-bless with `BLESS_GOLDEN=1`),
+//!   checked-in golden file per engine (re-bless with `BLESS_GOLDEN=1`),
 //! * squash attribution recovered from the trace reconciles exactly
 //!   with the engine's squashed-CPU ledger (Table IV), and
 //! * per-request critical-path phase buckets sum exactly to the
@@ -135,24 +135,26 @@ fn same_seed_runs_emit_byte_identical_exports() {
 #[test]
 fn prometheus_exposition_matches_golden_file() {
     let bundle = specfaas_apps::faaschain::hotel_booking();
-    let (_, registry, _) = instrumented_run(&bundle, "spec", true);
-    let got = registry.export_prometheus();
+    for engine in ["spec", "baseline"] {
+        let (_, registry, _) = instrumented_run(&bundle, engine, true);
+        let got = registry.export_prometheus();
 
-    let path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/tests/golden/hotel_booking_spec.prom"
-    );
-    if std::env::var_os("BLESS_GOLDEN").is_some() {
-        std::fs::write(path, &got).expect("failed to bless golden file");
-        return;
+        let path = format!(
+            "{}/tests/golden/hotel_booking_{engine}.prom",
+            env!("CARGO_MANIFEST_DIR")
+        );
+        if std::env::var_os("BLESS_GOLDEN").is_some() {
+            std::fs::write(&path, &got).expect("failed to bless golden file");
+            continue;
+        }
+        let want = std::fs::read_to_string(&path)
+            .expect("golden file missing; run with BLESS_GOLDEN=1 to create it");
+        assert_eq!(
+            got, want,
+            "{engine}: Prometheus exposition drifted from the golden file; \
+             re-bless with BLESS_GOLDEN=1 if the change is intentional"
+        );
     }
-    let want = std::fs::read_to_string(path)
-        .expect("golden file missing; run with BLESS_GOLDEN=1 to create it");
-    assert_eq!(
-        got, want,
-        "Prometheus exposition drifted from the golden file; \
-         re-bless with BLESS_GOLDEN=1 if the change is intentional"
-    );
 }
 
 #[test]

@@ -2,7 +2,8 @@
 //!
 //! For one representative application per suite (FaaSChain, TrainTicket,
 //! Alibaba) these tests run the speculative engine with the invariant
-//! checker armed under a survivable fault plan and assert that
+//! checker armed under a survivable fault plan, with both the default
+//! process-kill squash and LazySquash, and assert that
 //!
 //! * no invariant trips (commit order, leaked slots, core-time
 //!   conservation, memo capacity),
@@ -11,7 +12,7 @@
 //! * installing a disabled tracer leaves run metrics bit-identical.
 
 use specfaas_bench::runner::{prepared_baseline, prepared_spec, traced_closed};
-use specfaas_core::SpecConfig;
+use specfaas_core::{SpecConfig, SquashMechanism};
 use specfaas_platform::RunMetrics;
 use specfaas_sim::trace::{validate_json, Tracer};
 use specfaas_sim::{FaultPlan, RetryPolicy, SimDuration};
@@ -34,12 +35,20 @@ fn policy() -> RetryPolicy {
         .with_timeout(SimDuration::from_secs(2))
 }
 
-/// Runs one traced speculative measurement pass and returns the tracer
-/// (with any recorded violations) plus the run metrics.
-fn traced_spec_run(bundle: &specfaas_apps::AppBundle) -> (Tracer, RunMetrics) {
+/// Runs one traced speculative measurement pass under the given squash
+/// mechanism and returns the tracer (with any recorded violations) plus
+/// the run metrics.
+fn traced_spec_run(
+    bundle: &specfaas_apps::AppBundle,
+    squash: SquashMechanism,
+) -> (Tracer, RunMetrics) {
+    let config = SpecConfig {
+        squash,
+        ..SpecConfig::full()
+    };
     let gen = bundle.make_input.clone();
     traced_closed(
-        &mut prepared_spec(bundle, SpecConfig::full(), SEED, TRAIN),
+        &mut prepared_spec(bundle, config, SEED, TRAIN),
         plan(),
         policy(),
         REQUESTS,
@@ -63,12 +72,14 @@ fn assert_clean(tracer: &Tracer, label: &str) {
 
 #[test]
 fn invariants_hold_across_all_suites_under_faults() {
-    for suite in specfaas_apps::all_suites() {
-        let bundle = &suite.apps[0];
-        let label = format!("{}/{}", suite.name, bundle.app.name);
-        let (tracer, m) = traced_spec_run(bundle);
-        assert_clean(&tracer, &label);
-        assert!(m.completed > 0, "{label}: no requests completed");
+    for squash in [SquashMechanism::ProcessKill, SquashMechanism::Lazy] {
+        for suite in specfaas_apps::all_suites() {
+            let bundle = &suite.apps[0];
+            let label = format!("{}/{}/{squash:?}", suite.name, bundle.app.name);
+            let (tracer, m) = traced_spec_run(bundle, squash);
+            assert_clean(&tracer, &label);
+            assert!(m.completed > 0, "{label}: no requests completed");
+        }
     }
 }
 
@@ -77,8 +88,8 @@ fn same_seed_runs_emit_byte_identical_traces() {
     for suite in specfaas_apps::all_suites() {
         let bundle = &suite.apps[0];
         let label = format!("{}/{}", suite.name, bundle.app.name);
-        let (a, _) = traced_spec_run(bundle);
-        let (b, _) = traced_spec_run(bundle);
+        let (a, _) = traced_spec_run(bundle, SquashMechanism::ProcessKill);
+        let (b, _) = traced_spec_run(bundle, SquashMechanism::ProcessKill);
         assert_eq!(a.events(), b.events(), "{label}: event streams diverge");
         assert_eq!(
             a.export_chrome_json(),

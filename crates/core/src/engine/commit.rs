@@ -1,5 +1,5 @@
 //! Completion, branch resolution, successor validation and strictly
-//! in-order commit (Â§V, Â§V-E).
+//! in-order commit (§V, §V-E).
 use super::*;
 
 impl SpecCore {
@@ -10,42 +10,22 @@ impl SpecCore {
         id: InstanceId,
         output: Value,
     ) {
-        let now = self.rt.sim.now();
         // Release execution resources.
-        let inst = self.instances.remove(&id).expect("live");
-        self.meta.remove(&id);
-        self.release_instance_resources(&inst, true, now);
-        self.rt.metrics.breakdowns.push(inst.breakdown);
-        let core_time = inst.accumulated_core
-            + inst
-                .started_at
-                .map(|s| now - s)
-                .unwrap_or(SimDuration::ZERO);
-        if self.rt.tracer.enabled() {
-            if let Some(s) = inst.started_at {
-                self.rt.tracer.emit(
-                    s,
-                    TraceEventKind::Span {
-                        req: req_id.0,
-                        func: inst.func.0,
-                        node: inst.node.0 as u32,
-                        phase: Phase::Execution,
-                        end: now,
-                    },
-                );
-            }
-        }
+        self.slot_of.remove(&id);
+        let (inst, core_time) = self.rt.finish_instance(id);
 
         if !self.requests.contains_key(&req_id) {
             // Request already gone (defensive): the stint can no longer be
             // attributed to a slot, so count it as wasted work rather than
             // dropping it from the core-time conservation ledger.
-            self.charge_squashed(req_id, inst.func, "late_completion", 0, core_time);
+            self.rt
+                .charge_squashed(req_id, inst.func, "late_completion", 0, core_time);
             return;
         }
         if self.requests[&req_id].pipeline.slot(slot_id).is_none() {
             // Slot squashed while its completion event was in flight.
-            self.charge_squashed(req_id, inst.func, "late_completion", 0, core_time);
+            self.rt
+                .charge_squashed(req_id, inst.func, "late_completion", 0, core_time);
             return;
         }
         let req = self.requests.get_mut(&req_id).expect("live");
@@ -259,7 +239,8 @@ impl SpecCore {
                 let wasted = req.slot_cpu.remove(&callee_slot);
                 req.functions_squashed += 1;
                 if let Some(t) = wasted {
-                    self.charge_squashed(req_id, callee_func, "orphan_callee", 0, t);
+                    self.rt
+                        .charge_squashed(req_id, callee_func, "orphan_callee", 0, t);
                 }
             }
             return;
@@ -434,7 +415,7 @@ impl SpecCore {
                     .push_back(func, SlotRole::Entry { entry: b }, path);
                 let s = req.pipeline.slot_mut(id).expect("fresh");
                 s.input = Some(payload.clone());
-                s.non_speculative = self.app.registry.spec(func).annotations.non_speculative;
+                s.non_speculative = self.rt.app.registry.spec(func).annotations.non_speculative;
                 spawned.push(id);
             }
             for id in spawned {
@@ -456,7 +437,7 @@ impl SpecCore {
                     .push_back(func, SlotRole::Entry { entry: join_entry }, path);
                 let s = req.pipeline.slot_mut(id).expect("fresh");
                 s.input = Some(Value::List(inputs));
-                s.non_speculative = self.app.registry.spec(func).annotations.non_speculative;
+                s.non_speculative = self.rt.app.registry.spec(func).annotations.non_speculative;
                 // The join's input (all contributions) is real: a memo row
                 // for it lets extension speculate past the join barrier.
                 self.refresh_prediction(req_id, id);
@@ -522,7 +503,7 @@ impl SpecCore {
         if self.rt.tracer.checking() {
             // The learned-table promotion above is the only place memo
             // tables grow; re-validate capacity after every request.
-            for f in 0..self.app.registry.len() as u32 {
+            for f in 0..self.rt.app.registry.len() as u32 {
                 let t = self.memos.table(f);
                 self.rt.tracer.check_memo_capacity(f, t.len(), t.capacity());
             }

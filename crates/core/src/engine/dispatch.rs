@@ -1,5 +1,5 @@
 //! The pump: extending speculation along the predicted path,
-//! launching ready slots and prefetching callees (paper Â§V-A/Â§V-D).
+//! launching ready slots and prefetching callees (paper §V-A/§V-D).
 use super::*;
 
 impl SpecCore {
@@ -31,7 +31,7 @@ impl SpecCore {
     }
 
     /// The last slot of `anchor`'s descendant block (the anchor itself or
-    /// its最later callee-descendants), after which a program-order
+    /// its later callee-descendants), after which a program-order
     /// successor belongs.
     pub(super) fn block_end(req: &Req, anchor: SlotId) -> SlotId {
         let mut block: FxHashSet<SlotId> = FxHashSet::default();
@@ -204,7 +204,7 @@ impl SpecCore {
             SlotRole::Entry { entry: next_entry },
             new_path,
         );
-        let annotations = self.app.registry.spec(func).annotations;
+        let annotations = self.rt.app.registry.spec(func).annotations;
         let pred_iter = req
             .pipeline
             .slot(slot_id)
@@ -310,7 +310,7 @@ impl SpecCore {
         func: FuncId,
         input: &Value,
     ) -> Option<bool> {
-        let program: Program = self.app.registry.spec(func).program.clone();
+        let program: Program = self.rt.app.registry.spec(func).program.clone();
         let mut scratch: FxHashMap<String, Value> = FxHashMap::default();
         // Seed reads lazily by pre-copying every key the store holds is
         // wasteful; instead run with an empty scratch and fall back to
@@ -373,9 +373,7 @@ impl SpecCore {
             if !head && self.rt.faults.roll(FaultSite::SlotDrop, now) {
                 self.rt.metrics.faults.injected += 1;
                 self.rt.metrics.faults.slot_drops += 1;
-                self.rt
-                    .registry
-                    .inc_labeled("specfaas_faults_injected_total", "site", "slot_drop");
+                self.rt.note_fault(req_id, "slot_drop");
                 if self.rt.tracer.enabled() {
                     let func = self
                         .requests
@@ -383,13 +381,6 @@ impl SpecCore {
                         .and_then(|r| r.pipeline.slot(slot_id))
                         .map(|s| s.func.0)
                         .unwrap_or(u32::MAX);
-                    self.rt.tracer.emit(
-                        now,
-                        TraceEventKind::FaultInjected {
-                            req: req_id.0,
-                            site: "slot_drop",
-                        },
-                    );
                     self.rt.tracer.emit(
                         now,
                         TraceEventKind::RetryBackoff {
@@ -412,7 +403,7 @@ impl SpecCore {
             slot.state = SlotState::Running;
             (req.ctrl, slot.func, slot.input.clone().expect("input"))
         };
-        let annotations = self.app.registry.spec(func).annotations;
+        let annotations = self.rt.app.registry.spec(func).annotations;
         let speculative = self
             .requests
             .get(&req_id)
@@ -444,7 +435,7 @@ impl SpecCore {
                 self.rt.metrics.functions_started += 1;
                 self.rt.registry.inc("specfaas_functions_started_total");
                 self.rt
-                    .topk_by_function("specfaas_requests_by_function", &self.app, func, 1);
+                    .topk_by_function("specfaas_requests_by_function", func, 1);
                 self.rt.registry.inc("specfaas_memo_hits_total");
                 if self.rt.tracer.enabled() {
                     self.rt.tracer.emit(
@@ -462,41 +453,14 @@ impl SpecCore {
 
         // Sequence-table fast path: no conductor, just a cheap controller
         // launch operation plus the fixed wire cost.
-        let delay = self.rt.model.platform_fixed
-            + self
-                .rt
-                .cluster
-                .controller_delay(ctrl, now, self.rt.model.spec_launch_service);
-        let id = InstanceId(self.rt.next_inst);
-        self.rt.next_inst += 1;
-        let node = self.rt.cluster.pick_node(func);
-        let program = self.app.registry.spec(func).program.clone();
-        let child_rng = self.rt.rng.split();
-        let mut inst = FnInstance::new(id, func, node, &program, input, child_rng, now);
-        inst.breakdown.platform = delay;
-        self.instances.insert(id, inst);
-        self.meta.insert(
-            id,
-            InstMeta {
-                req: req_id,
-                slot: slot_id,
-                container_acquired: false,
-            },
-        );
+        let service = self.rt.model.spec_launch_service;
+        let id = self.rt.spawn_instance(req_id, ctrl, service, func, input);
+        self.slot_of.insert(id, slot_id);
         let req = self.requests.get_mut(&req_id).expect("live");
         req.slot_inst.insert(slot_id, id);
         req.functions_run += 1;
-        self.rt.metrics.functions_started += 1;
-        self.rt.registry.inc("specfaas_functions_started_total");
-        self.rt
-            .topk_by_function("specfaas_requests_by_function", &self.app, func, 1);
         if speculative && self.rt.registry.enabled() {
             self.spec_live.insert(id);
-        }
-        self.rt.sim.schedule_in(delay, Ev::Launch(id));
-        // Invocation watchdog: the only recovery path for a hung handler.
-        if let Some(t) = self.rt.retry.invocation_timeout {
-            self.rt.sim.schedule_in(t, Ev::Timeout(id));
         }
 
         // Implicit-workflow callee prefetch (§V-D): launching f with a
@@ -560,7 +524,13 @@ impl SpecCore {
                 let s = req.pipeline.slot_mut(id).expect("fresh");
                 s.input = Some(args);
                 s.input_speculative = true;
-                s.non_speculative = self.app.registry.spec(callee).annotations.non_speculative;
+                s.non_speculative = self
+                    .rt
+                    .app
+                    .registry
+                    .spec(callee)
+                    .annotations
+                    .non_speculative;
             }
             req.call_state
                 .entry(caller_slot)

@@ -1,363 +1,67 @@
-//! Instance event handling: launch, cold start, interpreter resume,
-//! KV effects with fault retries, calls and HTTP gating (Â§V-C).
+//! SpecFaaS semantics of instance effects: Data Buffer reads and writes,
+//! stalls, calls with callee prefetch matching, and HTTP gating (§V-C,
+//! §V-D, §VI).
 use super::*;
 
 impl SpecCore {
-    pub(super) fn on_launch(&mut self, id: InstanceId) {
-        if self.orphans.contains(&id) {
-            // Lazily squashed before launch resolved — treat as normal
-            // container acquisition so resources balance.
-        }
-        let Some(meta) = self.meta.get_mut(&id) else {
-            return; // killed before launch
-        };
-        meta.container_acquired = true;
-        let req_id = meta.req;
-        let inst = self.instances.get_mut(&id).expect("live instance");
-        let node = inst.node;
-        let func = inst.func;
-        let now = self.rt.sim.now();
-        match self
-            .rt
-            .cluster
-            .acquire_container(node, func, now, &self.rt.model)
-        {
-            ContainerAcquire::Warm => {
-                self.rt.registry.inc("specfaas_warm_starts_total");
-                if self.rt.tracer.enabled() {
-                    let now = self.rt.sim.now();
-                    self.rt.tracer.emit(
-                        now,
-                        TraceEventKind::ContainerAcquire {
-                            req: req_id.0,
-                            func: func.0,
-                            node: node.0 as u32,
-                            cold: false,
-                        },
-                    );
-                }
-                self.try_start(id)
-            }
-            ContainerAcquire::Cold(d) => {
-                self.rt.registry.inc("specfaas_cold_starts_total");
-                let inst = self.instances.get_mut(&id).expect("live");
-                inst.breakdown.container_creation = self.rt.model.container_creation;
-                inst.breakdown.runtime_setup = self.rt.model.runtime_setup;
-                inst.state = InstanceState::ColdStarting;
-                if self.rt.tracer.enabled() {
-                    let now = self.rt.sim.now();
-                    self.rt.tracer.emit(
-                        now,
-                        TraceEventKind::ContainerAcquire {
-                            req: req_id.0,
-                            func: func.0,
-                            node: node.0 as u32,
-                            cold: true,
-                        },
-                    );
-                    // Fig. 3 cold-start spans: container creation, then
-                    // runtime setup for whatever remains of the delay.
-                    let cc = if self.rt.model.container_creation < d {
-                        self.rt.model.container_creation
-                    } else {
-                        d
-                    };
-                    self.rt.tracer.emit(
-                        now,
-                        TraceEventKind::Span {
-                            req: req_id.0,
-                            func: func.0,
-                            node: node.0 as u32,
-                            phase: Phase::ContainerCreation,
-                            end: now + cc,
-                        },
-                    );
-                    if cc < d {
-                        self.rt.tracer.emit(
-                            now + cc,
-                            TraceEventKind::Span {
-                                req: req_id.0,
-                                func: func.0,
-                                node: node.0 as u32,
-                                phase: Phase::RuntimeSetup,
-                                end: now + d,
-                            },
-                        );
-                    }
-                }
-                self.rt.sim.schedule_in(d, Ev::ContainerReady(id));
-            }
-        }
-    }
-
-    pub(super) fn try_start(&mut self, id: InstanceId) {
-        if !self.instances.contains_key(&id) {
-            return;
-        }
-        let now = self.rt.sim.now();
-        let inst = self.instances.get_mut(&id).expect("live");
-        let node = inst.node;
-        if self.rt.cluster.node_mut(node).cores.try_acquire(now) {
-            inst.state = InstanceState::Running;
-            inst.started_at = Some(now);
-            self.rt.sim.schedule_now(Ev::Resume(id, None));
-        } else {
-            inst.state = InstanceState::WaitingCore;
-            self.rt.cluster.node_mut(node).cores.enqueue(id);
-        }
-    }
-
+    /// Resumes an instance: an attached one steps through the shared step
+    /// boundary and its effects get SpecFaaS semantics; a lazily squashed
+    /// orphan steps in the background.
     pub(super) fn on_resume(&mut self, id: InstanceId, resume: Option<Value>) {
-        if !self.instances.contains_key(&id) {
-            return; // killed
-        }
         if self.orphans.contains(&id) {
-            self.orphan_step(id, resume);
-            return;
+            let step = self.rt.step_instance(id, resume);
+            return self.orphan_effect(id, step);
         }
-        let Some(meta) = self.meta.get(&id) else {
-            return; // squashed; awaiting SquashRelease
+        let Some((req_id, slot_id)) = self.attached(id) else {
+            return; // killed, or squashed and awaiting SquashRelease
         };
-        let (req_id, slot_id) = (meta.req, meta.slot);
-        // A blocked instance must re-acquire an execution slot first.
-        let now = self.rt.sim.now();
-        if self
-            .instances
-            .get(&id)
-            .map(|i| i.state == InstanceState::Blocked)
-            .unwrap_or(false)
-        {
-            let inst = self.instances.get_mut(&id).expect("live");
-            let node = inst.node;
-            if self.rt.cluster.node_mut(node).cores.try_acquire(now) {
-                let inst = self.instances.get_mut(&id).expect("live");
-                inst.state = InstanceState::Running;
-                inst.started_at = Some(now);
-            } else {
-                let inst = self.instances.get_mut(&id).expect("live");
-                inst.pending_resume = Some(resume);
-                inst.state = InstanceState::WaitingCore;
-                self.rt.cluster.node_mut(node).cores.enqueue(id);
-                return;
-            }
-        }
-        // Fault injection at the step boundary: the handler's container
-        // crashes, or the handler wedges (hang) and stops making progress.
-        if self.rt.faults.enabled() {
-            if self.rt.faults.roll(FaultSite::ContainerCrash, now) {
-                self.rt.metrics.faults.injected += 1;
-                self.rt.metrics.faults.crashes += 1;
-                self.rt.registry.inc_labeled(
-                    "specfaas_faults_injected_total",
-                    "site",
-                    "container_crash",
-                );
-                if self.rt.tracer.enabled() {
-                    self.rt.tracer.emit(
-                        now,
-                        TraceEventKind::FaultInjected {
-                            req: req_id.0,
-                            site: "container_crash",
-                        },
-                    );
-                }
-                self.slot_fault(req_id, slot_id);
-                return;
-            }
-            if self.rt.faults.roll(FaultSite::Hang, now) {
-                self.rt.metrics.faults.injected += 1;
-                self.rt.metrics.faults.hangs += 1;
-                self.rt
-                    .registry
-                    .inc_labeled("specfaas_faults_injected_total", "site", "hang");
-                if self.rt.tracer.enabled() {
-                    self.rt.tracer.emit(
-                        now,
-                        TraceEventKind::FaultInjected {
-                            req: req_id.0,
-                            site: "hang",
-                        },
-                    );
-                }
-                // The wedged handler keeps its core and container but
-                // schedules nothing further; only the invocation
-                // watchdog (if configured) can recover it.
-                return;
-            }
-        }
-        let mut inst = self.instances.remove(&id).expect("live");
-        let effect = match inst.step(resume) {
-            Ok(e) => e,
-            Err(err) => {
-                let out = Value::map([("error", Value::str(err.to_string()))]);
-                self.instances.insert(id, inst);
-                self.complete_slot(req_id, slot_id, id, out);
-                return;
-            }
-        };
-        match effect {
-            Effect::Compute(d) => {
-                inst.breakdown.execution += d;
-                self.instances.insert(id, inst);
-                self.rt.sim.schedule_in(d, Ev::Resume(id, None));
-            }
-            Effect::Get { key } => {
-                self.instances.insert(id, inst);
-                self.handle_get(req_id, slot_id, id, key, 1);
-            }
-            Effect::Set { key, value } => {
-                self.instances.insert(id, inst);
-                self.handle_set(req_id, slot_id, id, key, value, 1);
-            }
-            Effect::Http { .. } => {
-                self.instances.insert(id, inst);
-                let req = self.requests.get(&req_id).expect("live");
+        match self.rt.resume_instance(id, resume) {
+            Step::Idle => {}
+            Step::Crashed => self.slot_fault(req_id, slot_id),
+            Step::Kv(op) => self.kv_access(id, op, 1),
+            Step::Http => {
+                let req = self.requests.get_mut(&req_id).expect("live");
                 if Self::effectively_head(req, slot_id) {
-                    self.rt
-                        .sim
-                        .schedule_in(self.rt.model.http_latency, Ev::Resume(id, None));
+                    let lat = self.rt.model.http_latency;
+                    self.rt.resume_in(lat, id, None);
                 } else {
                     // Deferred until the function turns non-speculative
                     // (§VI, "Side-effect Handling").
-                    let req = self.requests.get_mut(&req_id).expect("live");
                     req.deferred_http.insert(slot_id, id);
-                    self.block_instance(id);
+                    self.rt.block_instance(id);
                 }
             }
-            Effect::FileWrite { name, data } => {
-                inst.files.insert(name, data);
-                self.instances.insert(id, inst);
-                self.rt.sim.schedule_now(Ev::Resume(id, None));
-            }
-            Effect::FileRead { name } => {
-                let v = inst.files.get(&name).cloned().unwrap_or(Value::Null);
-                self.instances.insert(id, inst);
-                self.rt.sim.schedule_now(Ev::Resume(id, Some(v)));
-            }
-            Effect::Call { func, args } => {
-                self.instances.insert(id, inst);
-                self.handle_call(req_id, slot_id, id, &func, args);
-            }
-            Effect::Done(out) => {
-                self.instances.insert(id, inst);
-                self.complete_slot(req_id, slot_id, id, out);
-            }
+            Step::Call(func, args) => self.handle_call(req_id, slot_id, id, &func, args),
+            Step::Done(out) => self.complete_slot(req_id, slot_id, id, out),
         }
     }
 
-    /// Releases the instance's execution slot while it blocks (waiting
-    /// on a callee, a stalled read, or a deferred side effect). A blocked
-    /// handler process is descheduled by the OS; its container stays
-    /// allocated.
-    pub(super) fn block_instance(&mut self, id: InstanceId) {
-        let now = self.rt.sim.now();
-        let Some(inst) = self.instances.get_mut(&id) else {
+    /// How a faulted instance recovers: its slot is squashed and retried
+    /// after backoff. A lazily squashed orphan has no slot to retry; the
+    /// watchdog just tears it down so it cannot hold its core forever.
+    pub(super) fn fault(&mut self, id: InstanceId) {
+        match self.attached(id) {
+            Some((req_id, slot_id)) => self.slot_fault(req_id, slot_id),
+            None => self.teardown_instance(id),
+        }
+    }
+
+    /// Performs a storage operation of an attached instance after the
+    /// transient-fault roll. An instance squashed while its retry backoff
+    /// ran drops the operation.
+    pub(super) fn kv_access(&mut self, id: InstanceId, op: KvOp, attempt: u32) {
+        let Some((req_id, slot_id)) = self.attached(id) else {
             return;
         };
-        if inst.state != InstanceState::Running {
-            return;
-        }
-        if let Some(start) = inst.started_at.take() {
-            inst.accumulated_core += now - start;
-            if self.rt.tracer.enabled() {
-                if let Some(m) = self.meta.get(&id) {
-                    self.rt.tracer.emit(
-                        start,
-                        TraceEventKind::Span {
-                            req: m.req.0,
-                            func: inst.func.0,
-                            node: inst.node.0 as u32,
-                            phase: Phase::Execution,
-                            end: now,
-                        },
-                    );
-                }
+        match self.rt.kv_roll(id, op, attempt) {
+            KvRoll::Apply(KvOp::Get { key }) => self.handle_get(req_id, slot_id, id, key),
+            KvRoll::Apply(KvOp::Set { key, value }) => {
+                self.handle_set(req_id, slot_id, id, key, value)
             }
-        }
-        inst.state = InstanceState::Blocked;
-        let node = inst.node;
-        if let Some(next) = self.rt.cluster.node_mut(node).cores.release(now) {
-            self.grant_core(next, now);
-        }
-    }
-
-    /// Hands a freed slot to a queued instance and starts/resumes it.
-    pub(super) fn grant_core(&mut self, next: InstanceId, now: SimTime) {
-        if let Some(w) = self.instances.get_mut(&next) {
-            w.state = InstanceState::Running;
-            w.started_at = Some(now);
-            let resume = w.pending_resume.take().unwrap_or(None);
-            self.rt.sim.schedule_now(Ev::Resume(next, resume));
-        }
-    }
-
-    /// Rolls for a transient KV fault on behalf of `id`. Returns true if
-    /// a fault was injected and handled (retry scheduled or escalated);
-    /// the storage operation must then not proceed.
-    pub(super) fn kv_fault(
-        &mut self,
-        req_id: RequestId,
-        slot_id: SlotId,
-        id: InstanceId,
-        op: KvOp,
-        attempt: u32,
-    ) -> bool {
-        let site = match &op {
-            KvOp::Get { .. } => FaultSite::KvGet,
-            KvOp::Set { .. } => FaultSite::KvSet,
-        };
-        let now = self.rt.sim.now();
-        if !self.rt.faults.enabled() || !self.rt.faults.roll(site, now) {
-            return false;
-        }
-        self.rt.metrics.faults.injected += 1;
-        self.rt.metrics.faults.kv_errors += 1;
-        let fault_site = match &op {
-            KvOp::Get { .. } => "kv_get",
-            KvOp::Set { .. } => "kv_set",
-        };
-        self.rt
-            .registry
-            .inc_labeled("specfaas_faults_injected_total", "site", fault_site);
-        if self.rt.tracer.enabled() {
-            self.rt.tracer.emit(
-                now,
-                TraceEventKind::FaultInjected {
-                    req: req_id.0,
-                    site: fault_site,
-                },
-            );
-        }
-        if attempt >= self.rt.retry.max_attempts {
+            KvRoll::Retrying => {}
             // Storage retries exhausted: the whole execution faults.
-            self.slot_fault(req_id, slot_id);
-            return true;
+            KvRoll::Exhausted => self.slot_fault(req_id, slot_id),
         }
-        let backoff = self.rt.retry.backoff(attempt);
-        if let Some(inst) = self.instances.get_mut(&id) {
-            inst.breakdown.retry_backoff += backoff;
-        }
-        if self.rt.tracer.enabled() {
-            let func = self
-                .instances
-                .get(&id)
-                .map(|i| i.func.0)
-                .unwrap_or(u32::MAX);
-            self.rt.tracer.emit(
-                now,
-                TraceEventKind::RetryBackoff {
-                    req: req_id.0,
-                    func,
-                    attempt: attempt + 1,
-                    backoff,
-                },
-            );
-        }
-        self.rt.metrics.faults.retried += 1;
-        self.rt
-            .sim
-            .schedule_in(backoff, Ev::KvRetry(id, op, attempt + 1));
-        true
     }
 
     /// Storage read through the Data Buffer (§V-C).
@@ -367,11 +71,7 @@ impl SpecCore {
         slot_id: SlotId,
         id: InstanceId,
         key: String,
-        attempt: u32,
     ) {
-        if self.kv_fault(req_id, slot_id, id, KvOp::Get { key: key.clone() }, attempt) {
-            return;
-        }
         let lat = self.rt.kv.latency().read + self.rt.model.data_buffer_hop;
         let Some(req) = self.requests.get_mut(&req_id) else {
             return;
@@ -403,7 +103,7 @@ impl SpecCore {
                         producer,
                     });
                     self.stall_list.record_stall();
-                    self.block_instance(id);
+                    self.rt.block_instance(id);
                     return;
                 }
             }
@@ -412,14 +112,8 @@ impl SpecCore {
             ReadResult::Forwarded(v) => v,
             ReadResult::Global => self.rt.kv.get(&key).cloned().unwrap_or(Value::Null),
         };
-        if let Some(inst) = self.instances.get_mut(&id) {
-            inst.breakdown.execution += lat;
-        }
-        self.rt.registry.inc("specfaas_kv_reads_total");
-        if self.rt.registry.enabled() {
-            self.rt.kv_pending.push(Reverse(self.rt.sim.now() + lat));
-        }
-        self.rt.sim.schedule_in(lat, Ev::Resume(id, Some(value)));
+        self.rt
+            .finish_kv(id, lat, "specfaas_kv_reads_total", Some(value));
     }
 
     /// Storage write through the Data Buffer: buffered, with out-of-order
@@ -431,15 +125,7 @@ impl SpecCore {
         id: InstanceId,
         key: String,
         value: Value,
-        attempt: u32,
     ) {
-        let op = KvOp::Set {
-            key: key.clone(),
-            value: value.clone(),
-        };
-        if self.kv_fault(req_id, slot_id, id, op, attempt) {
-            return;
-        }
         let lat = self.rt.kv.latency().write + self.rt.model.data_buffer_hop;
         let Some(req) = self.requests.get_mut(&req_id) else {
             return;
@@ -464,14 +150,7 @@ impl SpecCore {
         // Release any stalled reads waiting for this producer+key.
         self.release_stalls(req_id, Some((slot_id, key)));
 
-        if let Some(inst) = self.instances.get_mut(&id) {
-            inst.breakdown.execution += lat;
-        }
-        self.rt.registry.inc("specfaas_kv_writes_total");
-        if self.rt.registry.enabled() {
-            self.rt.kv_pending.push(Reverse(self.rt.sim.now() + lat));
-        }
-        self.rt.sim.schedule_in(lat, Ev::Resume(id, None));
+        self.rt.finish_kv(id, lat, "specfaas_kv_writes_total", None);
     }
 
     /// Re-resolves stalled reads whose producer wrote the record,
@@ -494,16 +173,16 @@ impl SpecCore {
                     .map(|(p, k)| *p == sr.producer && *k == sr.key)
                     .unwrap_or(false);
             if !producer_live || producer_done || produced {
-                released.push((sr.slot, sr.inst, sr.key.clone()));
+                released.push((sr.inst, sr.key.clone()));
                 false
             } else {
                 true
             }
         });
-        for (slot, inst, key) in released {
+        for (inst, key) in released {
             // Re-issue the read, now past the stall window.
-            if self.instances.contains_key(&inst) {
-                self.handle_get(req_id, slot, inst, key, 1);
+            if self.rt.instances.contains_key(&inst) {
+                self.kv_access(inst, KvOp::Get { key }, 1);
             }
         }
     }
@@ -518,12 +197,10 @@ impl SpecCore {
         func_name: &str,
         args: Value,
     ) {
-        let Some(callee_func) = self.app.registry.lookup(func_name) else {
+        let Some(callee_func) = self.rt.app.registry.lookup(func_name) else {
             // Unknown callee: resolve as Null after an RPC hop.
-            self.rt.sim.schedule_in(
-                self.rt.model.transfer_fixed,
-                Ev::Resume(caller_inst, Some(Value::Null)),
-            );
+            let hop = self.rt.model.transfer_fixed;
+            self.rt.resume_in(hop, caller_inst, Some(Value::Null));
             return;
         };
         let Some(req) = self.requests.get_mut(&req_id) else {
@@ -567,7 +244,7 @@ impl SpecCore {
                     // the blocked caller yields its execution slot.
                     req.waiting_callers.insert(cslot, caller_slot);
                     req.waiting_args.insert(caller_slot, args);
-                    self.block_instance(caller_inst);
+                    self.rt.block_instance(caller_inst);
                     // The callee may just have become the non-speculative
                     // execution point: release its deferred side effects.
                     self.release_deferred_http(req_id);
@@ -597,6 +274,7 @@ impl SpecCore {
             let s = req.pipeline.slot_mut(cslot).expect("fresh");
             s.input = Some(args.clone());
             s.non_speculative = self
+                .rt
                 .app
                 .registry
                 .spec(callee_func)
@@ -610,7 +288,7 @@ impl SpecCore {
             let slot = req.pipeline.slot(cslot).expect("live");
             !slot.non_speculative || req.pipeline.is_head(cslot)
         };
-        self.block_instance(caller_inst);
+        self.rt.block_instance(caller_inst);
         if launchable {
             self.launch_slot(req_id, cslot);
         }
@@ -669,9 +347,7 @@ impl SpecCore {
         let req = self.requests.get_mut(&req_id).expect("live");
         for (slot, inst) in ready {
             req.deferred_http.remove(&slot);
-            self.rt
-                .sim
-                .schedule_in(self.rt.model.http_latency, Ev::Resume(inst, None));
+            self.rt.resume_in(self.rt.model.http_latency, inst, None);
         }
     }
 
@@ -721,9 +397,7 @@ impl SpecCore {
         if let Some(t) = req.slot_cpu.remove(&callee_slot) {
             *req.slot_cpu.entry(caller_slot).or_insert(SimDuration::ZERO) += t;
         }
-        self.rt.sim.schedule_in(
-            self.rt.model.data_buffer_hop,
-            Ev::Resume(caller_inst, Some(output)),
-        );
+        let hop = self.rt.model.data_buffer_hop;
+        self.rt.resume_in(hop, caller_inst, Some(output));
     }
 }

@@ -10,22 +10,23 @@
 //! strictly in order. Persistent structures (sequence table, branch
 //! predictor, memoization tables, stall list) live across invocations and
 //! are only ever updated with committed, non-speculative data (§V-E).
-
-use std::cmp::Reverse;
+//!
+//! Beneath the controller, instances live in the shared runtime's table
+//! and follow its lifecycle ([`specfaas_platform::exec`]); this core maps
+//! each one to the pipeline slot it executes.
 
 use specfaas_sim::hash::{FxHashMap, FxHashSet};
 use std::sync::Arc;
 
 use specfaas_platform::cluster::NodeId;
-use specfaas_platform::container::ContainerAcquire;
-use specfaas_platform::exec::{FnInstance, InstanceId, InstanceState};
+use specfaas_platform::exec::{InstEv, InstanceId, InstanceState, KvOp, KvRoll, Step};
 use specfaas_platform::metrics::{InvocationRecord, RequestOutcome, RunMetrics};
 use specfaas_platform::workload::RequestId;
 use specfaas_sim::trace::{Phase, SquashCause, TraceEventKind};
 use specfaas_sim::FaultSite;
 use specfaas_sim::{GaugeHandle, SimDuration, SimTime};
 use specfaas_storage::Value;
-use specfaas_workflow::{AppSpec, Effect, EntryKind, FuncId, Interp, Program};
+use specfaas_workflow::{AppSpec, EntryKind, FuncId, Interp, Program};
 
 use crate::config::{SpecConfig, SquashMechanism};
 use crate::databuffer::{DataBuffer, ReadResult};
@@ -42,32 +43,22 @@ use specfaas_platform::harness::{self, EngineCore, Harness, Runtime};
 #[derive(Debug)]
 pub enum Ev {
     Arrival,
-    /// Spec-launch overhead paid; acquire container + core.
-    Launch(InstanceId),
-    /// Cold start finished.
-    ContainerReady(InstanceId),
-    /// The instance's pending effect completed; step the interpreter.
-    Resume(InstanceId, Option<Value>),
+    /// An instance-lifecycle event of the shared runtime.
+    Inst(InstEv),
     /// Commit controller service finished; apply the commit.
     CommitApply(RequestId, SlotId),
     /// Process-kill / container-kill squash finished; release resources.
     SquashRelease(InstanceId, bool),
-    /// Backoff after a transient KV fault elapsed; retry the operation.
-    KvRetry(InstanceId, KvOp, u32),
     /// Backoff after a slot fault elapsed; the slot may relaunch.
     RetrySlot(RequestId, SlotId),
-    /// Invocation watchdog fired for the instance.
-    Timeout(InstanceId),
     /// Final response delivered.
     Complete(RequestId),
 }
 
-/// A storage operation being retried across transient KV faults.
-#[doc(hidden)]
-#[derive(Debug, Clone)]
-pub enum KvOp {
-    Get { key: String },
-    Set { key: String, value: Value },
+impl From<InstEv> for Ev {
+    fn from(ev: InstEv) -> Self {
+        Ev::Inst(ev)
+    }
 }
 
 /// Why a squash happens (drives reset-vs-remove semantics).
@@ -176,12 +167,6 @@ struct Req {
     completed: bool,
 }
 
-struct InstMeta {
-    req: RequestId,
-    slot: SlotId,
-    container_acquired: bool,
-}
-
 /// The SpecFaaS speculative execution engine for one application: a
 /// generic [`Harness`] wrapped around the speculative [`SpecCore`].
 ///
@@ -228,9 +213,9 @@ impl std::ops::DerefMut for SpecEngine {
 /// over the shared [`Runtime`]. Drive it through [`SpecEngine`] or any
 /// [`Harness`]; on its own it only implements [`EngineCore`].
 pub struct SpecCore {
-    app: Arc<AppSpec>,
-    /// Engine-agnostic runtime substrate (clock, RNG, cluster, storage,
-    /// faults, tracer, registry, run bookkeeping).
+    /// Engine-agnostic runtime substrate (application, clock, RNG,
+    /// cluster, storage, faults, tracer, registry, run bookkeeping,
+    /// instance table).
     rt: Runtime<Ev>,
     /// Speculation policy.
     pub config: SpecConfig,
@@ -254,8 +239,8 @@ pub struct SpecCore {
     predictor: BranchPredictor,
     memos: MemoTables,
     stall_list: StallList,
-    instances: FxHashMap<InstanceId, FnInstance>,
-    meta: FxHashMap<InstanceId, InstMeta>,
+    /// The slot each live, unsquashed instance executes.
+    slot_of: FxHashMap<InstanceId, SlotId>,
     /// Lazily squashed instances still running in the background.
     orphans: FxHashSet<InstanceId>,
     requests: FxHashMap<RequestId, Req>,
@@ -291,10 +276,6 @@ impl EngineCore for SpecCore {
         &mut self.rt
     }
 
-    fn app(&self) -> &AppSpec {
-        &self.app
-    }
-
     fn arrival() -> Ev {
         Ev::Arrival
     }
@@ -319,10 +300,6 @@ impl EngineCore for SpecCore {
 
     fn abort(&mut self, req: RequestId) {
         self.abort_request(req);
-    }
-
-    fn live_instances(&self) -> usize {
-        self.instances.len()
     }
 
     fn stuck_requests(&self) -> Vec<String> {
@@ -383,8 +360,7 @@ impl SpecCore {
         let functions = app.registry.len();
         let seqtable = SequenceTable::new(app.compiled.clone());
         SpecCore {
-            app,
-            rt: Runtime::new(seed),
+            rt: Runtime::new(app, seed),
             predictor: BranchPredictor::new(config.branch_confidence_window),
             memos: MemoTables::new(functions, config.memo_capacity),
             stall_list: StallList::new(config.stall_after_squashes),
@@ -394,16 +370,10 @@ impl SpecCore {
             spec_live: FxHashSet::default(),
             spec_gauge_h: (None, None),
             seqtable,
-            instances: FxHashMap::default(),
-            meta: FxHashMap::default(),
+            slot_of: FxHashMap::default(),
             orphans: FxHashSet::default(),
             requests: FxHashMap::default(),
         }
-    }
-
-    /// The application under test.
-    pub fn app(&self) -> &AppSpec {
-        &self.app
     }
 
     /// The branch predictor (for hit-rate reporting).
@@ -431,7 +401,8 @@ impl SpecCore {
         }
         let now = self.rt.sim.now();
         self.rt.sample_cluster_gauges(now);
-        self.spec_live.retain(|id| self.instances.contains_key(id));
+        self.spec_live
+            .retain(|id| self.rt.instances.contains_key(id));
         self.rt.registry.sample_interned(
             &mut self.spec_gauge_h.0,
             now,
@@ -449,30 +420,6 @@ impl SpecCore {
             self.memos.total_entries() as u64,
         );
         self.rt.sample_kv_gauge(now);
-    }
-
-    /// Charges `amount` to the Table-IV squashed-CPU ledger and mirrors
-    /// the charge into the flight recorder ([`TraceEventKind::SquashCharge`])
-    /// and registry, so post-hoc attribution reconciles exactly with
-    /// [`RunMetrics::squashed_core_time`]. Zero-amount charges are
-    /// ledger no-ops and emit nothing.
-    fn charge_squashed(
-        &mut self,
-        req: RequestId,
-        func: FuncId,
-        site: &'static str,
-        cascade: u32,
-        amount: SimDuration,
-    ) {
-        self.rt.charge_squashed(req.0, func, site, cascade, amount);
-        if amount > SimDuration::ZERO {
-            self.rt.topk_by_function(
-                "specfaas_wasted_core_us_by_function",
-                &self.app,
-                func,
-                amount.as_micros(),
-            );
-        }
     }
 
     // ------------------------------------------------------------------
@@ -517,7 +464,7 @@ impl SpecCore {
         {
             let s = req.pipeline.slot_mut(slot).expect("fresh slot");
             s.input = Some(input);
-            s.non_speculative = self.app.registry.spec(func).annotations.non_speculative;
+            s.non_speculative = self.rt.app.registry.spec(func).annotations.non_speculative;
         }
         self.requests.insert(id, req);
         self.rt.metrics.submitted += 1;
@@ -541,33 +488,29 @@ impl SpecCore {
     fn handle(&mut self, ev: Ev) {
         match ev {
             Ev::Arrival => harness::handle_arrival(self),
-            Ev::Launch(id) => self.on_launch(id),
-            Ev::ContainerReady(id) => self.try_start(id),
-            Ev::Resume(id, v) => self.on_resume(id, v),
+            Ev::Inst(InstEv::Launch(id)) => self.rt.on_launch(id),
+            Ev::Inst(InstEv::ContainerReady(id)) => self.rt.try_start(id),
+            Ev::Inst(InstEv::Resume(id, v)) => self.on_resume(id, v),
+            Ev::Inst(InstEv::KvRetry(id, op, attempt)) => self.kv_access(id, op, attempt),
+            Ev::Inst(InstEv::Timeout(id)) => {
+                if self.rt.watchdog(id) {
+                    self.fault(id);
+                }
+            }
             Ev::CommitApply(req, slot) => self.on_commit_apply(req, slot),
             Ev::SquashRelease(id, reusable) => self.on_squash_release(id, reusable),
             Ev::Complete(req) => self.on_complete(req),
-            Ev::KvRetry(id, op, attempt) => self.on_kv_retry(id, op, attempt),
             Ev::RetrySlot(req, slot) => self.on_retry_slot(req, slot),
-            Ev::Timeout(id) => self.on_timeout(id),
         }
         // Gauges observe post-event state; a disabled registry makes this
         // a single branch.
         self.sample_gauges();
     }
 
-    /// Re-issues a KV operation after its storage backoff. The
-    /// instance may have been squashed in the meantime, in which case
-    /// the retry is dropped.
-    fn on_kv_retry(&mut self, id: InstanceId, op: KvOp, attempt: u32) {
-        let Some(meta) = self.meta.get(&id) else {
-            return;
-        };
-        let (req_id, slot_id) = (meta.req, meta.slot);
-        match op {
-            KvOp::Get { key } => self.handle_get(req_id, slot_id, id, key, attempt),
-            KvOp::Set { key, value } => self.handle_set(req_id, slot_id, id, key, value, attempt),
-        }
+    /// The request and slot a live, unsquashed instance works for.
+    fn attached(&self, id: InstanceId) -> Option<(RequestId, SlotId)> {
+        let slot = *self.slot_of.get(&id)?;
+        Some((self.rt.instances[&id].req, slot))
     }
 }
 

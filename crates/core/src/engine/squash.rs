@@ -1,5 +1,5 @@
-//! Squashing (Â§VI, "Minimizing Squash Cost"), instance teardown,
-//! slot-fault retries, watchdog timeouts and request aborts.
+//! Squashing (§VI, "Minimizing Squash Cost"), lazily squashed orphans,
+//! slot-fault retries and request aborts.
 use super::*;
 
 impl SpecCore {
@@ -113,7 +113,7 @@ impl SpecCore {
         let inst = req.slot_inst.remove(&slot_id);
         // CPU spent on a now-squashed execution is wasted work.
         if let Some(t) = wasted {
-            self.charge_squashed(req_id, func, site, cascade, t);
+            self.rt.charge_squashed(req_id, func, site, cascade, t);
         }
         // Kill the running instance per the configured mechanism.
         if let Some(inst_id) = inst {
@@ -144,142 +144,68 @@ impl SpecCore {
         cascade: u32,
     ) {
         let now = self.rt.sim.now();
-        let Some(inst) = self.instances.get(&id) else {
+        let Some(inst) = self.rt.instances.get(&id) else {
             return;
         };
-        let (inst_state, inst_node, inst_func, inst_started, inst_acc) = (
-            inst.state,
-            inst.node,
-            inst.func,
-            inst.started_at,
-            inst.accumulated_core,
-        );
-        let meta_acquired = self
-            .meta
-            .get(&id)
-            .map(|m| m.container_acquired)
-            .unwrap_or(false);
-        match self.config.squash {
-            SquashMechanism::Lazy => {
-                // Let it run to completion in the background; outputs are
-                // never propagated. Blocked instances wait on callees
-                // that are themselves being squashed — they cannot make
-                // progress and terminate instead (their container frees).
-                self.meta.remove(&id);
-                if matches!(
-                    inst_state,
-                    InstanceState::Running
-                        | InstanceState::ColdStarting
-                        | InstanceState::WaitingCore
-                ) {
-                    self.orphans.insert(id);
-                } else {
-                    if inst_state == InstanceState::Blocked {
-                        self.charge_squashed(req_id, inst_func, site, cascade, inst_acc);
-                        if meta_acquired {
-                            self.rt
-                                .cluster
-                                .release_container(inst_node, inst_func, now, true);
-                        }
-                    }
-                    self.instances.remove(&id);
-                }
+        let (state, node, func) = (inst.state, inst.node, inst.func);
+        let (started, acc, container) = (inst.started_at, inst.accumulated_core, inst.container);
+        let core_time = inst.core_time(now);
+        self.slot_of.remove(&id);
+        let lazy = self.config.squash == SquashMechanism::Lazy;
+        let reusable = self.config.squash != SquashMechanism::ContainerKill;
+        match state {
+            // LazySquash lets a handler that holds (or is creating) its
+            // container run to completion in the background; its outputs
+            // are never propagated.
+            InstanceState::Running | InstanceState::WaitingCore if lazy => {
+                self.orphans.insert(id);
             }
-            SquashMechanism::ProcessKill | SquashMechanism::ContainerKill => {
-                let reusable = self.config.squash == SquashMechanism::ProcessKill;
-                match inst_state {
-                    InstanceState::Running => {
-                        // The handler dies after the kill latency; the core
-                        // frees then. Wasted-CPU attribution happens now
-                        // (matching the paper's squash-cost accounting);
-                        // the kill-latency window itself goes into
-                        // `squash_kill_busy` at SquashRelease.
-                        if let Some(s) = inst_started {
-                            self.charge_squashed(
-                                req_id,
-                                inst_func,
-                                site,
-                                cascade,
-                                (now - s) + inst_acc,
-                            );
-                        }
-                        if self.rt.tracer.enabled() {
-                            if let (Some(s), Some(m)) = (inst_started, self.meta.get(&id)) {
-                                self.rt.tracer.emit(
-                                    s,
-                                    TraceEventKind::Span {
-                                        req: m.req.0,
-                                        func: inst_func.0,
-                                        node: inst_node.0 as u32,
-                                        phase: Phase::Execution,
-                                        end: now + self.rt.model.process_kill,
-                                    },
-                                );
-                            }
-                        }
-                        self.rt.sim.schedule_in(
-                            self.rt.model.process_kill,
-                            Ev::SquashRelease(id, reusable),
-                        );
-                        // Remove from maps now so stale Resume events are
-                        // ignored; keep the instance for resource release.
-                        self.meta.remove(&id);
-                        if let Some(i) = self.instances.get_mut(&id) {
-                            i.state = InstanceState::Squashed;
-                        }
-                    }
-                    InstanceState::WaitingCore => {
-                        // Past blocked stints are wasted work even though
-                        // the instance holds no core right now.
-                        self.charge_squashed(req_id, inst_func, site, cascade, inst_acc);
-                        self.rt
-                            .cluster
-                            .node_mut(inst_node)
-                            .cores
-                            .remove_waiter(|w| *w == id);
-                        if meta_acquired {
-                            self.rt
-                                .cluster
-                                .release_container(inst_node, inst_func, now, reusable);
-                        }
-                        self.meta.remove(&id);
-                        self.instances.remove(&id);
-                    }
-                    InstanceState::Blocked => {
-                        // Holds no core; count its past stints as wasted
-                        // and free the container after the kill latency.
-                        self.charge_squashed(req_id, inst_func, site, cascade, inst_acc);
-                        self.meta.remove(&id);
-                        self.instances.remove(&id);
-                        if meta_acquired {
-                            self.rt
-                                .cluster
-                                .release_container(inst_node, inst_func, now, reusable);
-                        }
-                    }
-                    InstanceState::ColdStarting => {
-                        // Container creation already ran to completion in
-                        // the model's accounting; return it to the pool.
-                        self.meta.remove(&id);
-                        self.instances.remove(&id);
-                        if meta_acquired {
-                            self.rt
-                                .cluster
-                                .release_container(inst_node, inst_func, now, true);
-                        }
-                    }
-                    _ => {
-                        self.meta.remove(&id);
-                        self.instances.remove(&id);
-                    }
+            InstanceState::ColdStarting if lazy && container => {
+                self.orphans.insert(id);
+            }
+            InstanceState::Running => {
+                // The handler dies after the kill latency; the core frees
+                // then. Wasted-CPU attribution happens now (matching the
+                // paper's squash-cost accounting); the kill-latency window
+                // itself goes into `squash_kill_busy` at SquashRelease.
+                let kill = self.rt.model.process_kill;
+                if let Some(s) = started {
+                    self.rt
+                        .charge_squashed(req_id, func, site, cascade, core_time);
+                    let inst = &self.rt.instances[&id];
+                    inst.trace_span(&mut self.rt.tracer, Phase::Execution, s, now + kill);
                 }
+                self.rt
+                    .sim
+                    .schedule_in(kill, Ev::SquashRelease(id, reusable));
+                // Stale Resume events are ignored from here on; the
+                // instance stays for resource release.
+                let inst = self.rt.instances.get_mut(&id).expect("live");
+                inst.state = InstanceState::Squashed;
+            }
+            _ => {
+                // Dies on the spot: a blocked handler waits on callees that
+                // are squashed too, so even lazy squashing cannot let it
+                // finish, and a never-launched one holds nothing yet. Past
+                // blocked stints are wasted work even though no core is
+                // held now. A cold start already ran to completion in the
+                // model's accounting, so its container returns to the pool.
+                self.rt.charge_squashed(req_id, func, site, cascade, acc);
+                if state == InstanceState::WaitingCore {
+                    let cores = &mut self.rt.cluster.node_mut(node).cores;
+                    cores.remove_waiter(|w| *w == id);
+                }
+                if container {
+                    let reusable = reusable || state == InstanceState::ColdStarting;
+                    self.rt.cluster.release_container(node, func, now, reusable);
+                }
+                self.rt.instances.remove(&id);
             }
         }
     }
 
     pub(super) fn on_squash_release(&mut self, id: InstanceId, reusable: bool) {
-        let now = self.rt.sim.now();
-        let Some(inst) = self.instances.remove(&id) else {
+        let Some(inst) = self.rt.instances.remove(&id) else {
             return;
         };
         // The stint up to the kill was already charged to
@@ -289,101 +215,45 @@ impl SpecCore {
         if inst.started_at.is_some() {
             self.squash_kill_busy += self.rt.model.process_kill;
         }
-        self.release_instance_resources(&inst, reusable, now);
+        self.rt.release(&inst, reusable);
     }
 
-    pub(super) fn release_instance_resources(
-        &mut self,
-        inst: &FnInstance,
-        reusable: bool,
-        now: SimTime,
-    ) {
-        if inst.started_at.is_some() {
-            if let Some(next) = self.rt.cluster.node_mut(inst.node).cores.release(now) {
-                self.grant_core(next, now);
-            }
-        }
-        self.rt
-            .cluster
-            .release_container(inst.node, inst.func, now, reusable);
-    }
-
-    /// Steps a lazily-squashed orphan instance: effects proceed against
-    /// committed global state, writes are dropped, calls resolve to Null.
-    pub(super) fn orphan_step(&mut self, id: InstanceId, resume: Option<Value>) {
-        let now = self.rt.sim.now();
-        let mut inst = self.instances.remove(&id).expect("orphan live");
-        let effect = match inst.step(resume) {
-            Ok(e) => e,
-            Err(_) => Effect::Done(Value::Null),
-        };
-        match effect {
-            Effect::Compute(d) => {
-                self.instances.insert(id, inst);
-                self.rt.sim.schedule_in(d, Ev::Resume(id, None));
-            }
-            Effect::Get { key } => {
+    /// Carries out an effect of a lazily squashed orphan: effects proceed
+    /// against committed global state, writes are dropped, HTTP requests
+    /// are skipped and calls resolve to Null.
+    pub(super) fn orphan_effect(&mut self, id: InstanceId, step: Step) {
+        let latency = self.rt.kv.latency();
+        match step {
+            Step::Idle | Step::Crashed => {}
+            Step::Kv(KvOp::Get { key }) => {
                 let v = self.rt.kv.get(&key).cloned().unwrap_or(Value::Null);
-                self.instances.insert(id, inst);
-                self.rt.registry.inc("specfaas_kv_reads_total");
-                if self.rt.registry.enabled() {
-                    self.rt
-                        .kv_pending
-                        .push(Reverse(now + self.rt.kv.latency().read));
-                }
                 self.rt
-                    .sim
-                    .schedule_in(self.rt.kv.latency().read, Ev::Resume(id, Some(v)));
+                    .finish_kv(id, latency.read, "specfaas_kv_reads_total", Some(v));
             }
-            Effect::Set { .. } => {
-                // Dropped: squashed state never propagates — but the
-                // handler still waits out the write latency.
-                self.instances.insert(id, inst);
-                self.rt.registry.inc("specfaas_kv_writes_total");
-                if self.rt.registry.enabled() {
-                    self.rt
-                        .kv_pending
-                        .push(Reverse(now + self.rt.kv.latency().write));
-                }
+            // Dropped: squashed state never propagates — but the handler
+            // still waits out the write latency.
+            Step::Kv(KvOp::Set { .. }) => {
                 self.rt
-                    .sim
-                    .schedule_in(self.rt.kv.latency().write, Ev::Resume(id, None));
+                    .finish_kv(id, latency.write, "specfaas_kv_writes_total", None);
             }
-            Effect::Http { .. } => {
-                // Never performed for squashed functions.
-                self.instances.insert(id, inst);
-                self.rt.sim.schedule_now(Ev::Resume(id, None));
+            Step::Http => self.rt.resume_in(SimDuration::ZERO, id, None),
+            Step::Call(..) => {
+                let hop = self.rt.model.transfer_fixed;
+                self.rt.resume_in(hop, id, Some(Value::Null));
             }
-            Effect::FileWrite { name, data } => {
-                inst.files.insert(name, data);
-                self.instances.insert(id, inst);
-                self.rt.sim.schedule_now(Ev::Resume(id, None));
-            }
-            Effect::FileRead { name } => {
-                let v = inst.files.get(&name).cloned().unwrap_or(Value::Null);
-                self.instances.insert(id, inst);
-                self.rt.sim.schedule_now(Ev::Resume(id, Some(v)));
-            }
-            Effect::Call { .. } => {
-                self.instances.insert(id, inst);
-                self.rt.sim.schedule_in(
-                    self.rt.model.transfer_fixed,
-                    Ev::Resume(id, Some(Value::Null)),
-                );
-            }
-            Effect::Done(_) => {
+            Step::Done(_) => {
+                let now = self.rt.sim.now();
                 self.orphans.remove(&id);
+                let inst = self.rt.instances.remove(&id).expect("orphan live");
                 // Everything this orphan ever ran was wasted: its final
                 // stint plus any stints accumulated while it was blocked
-                // before being squashed. The owning request is unknown by
-                // now (lazy squash drops the metadata at kill time).
-                let wasted = inst.accumulated_core
-                    + inst
-                        .started_at
-                        .map(|s| now - s)
-                        .unwrap_or(SimDuration::ZERO);
-                self.charge_squashed(RequestId(u64::MAX), inst.func, "orphan_done", 0, wasted);
-                self.release_instance_resources(&inst, true, now);
+                // before being squashed. It is charged to no request: lazy
+                // squash detached it from its slot at kill time.
+                let wasted = inst.core_time(now);
+                let detached = RequestId(u64::MAX);
+                self.rt
+                    .charge_squashed(detached, inst.func, "orphan_done", 0, wasted);
+                self.rt.release(&inst, true);
             }
         }
     }
@@ -392,70 +262,14 @@ impl SpecCore {
     // Fault handling: slot retries with backoff, request aborts
     // ------------------------------------------------------------------
 
-    /// Force-removes an instance that died (crash, hang timeout,
-    /// exhausted KV retries, or request abort), releasing whatever core
-    /// slot, queue position and container it holds. Unlike
-    /// `kill_instance` this ignores the configured squash mechanism: the
-    /// handler is already dead, so even lazy squashing cannot keep it
-    /// running. Its container is not reusable.
+    /// Force-removes a dead instance through the runtime's teardown.
+    /// Unlike `kill_instance` this ignores the configured squash
+    /// mechanism: the handler is already dead, so even lazy squashing
+    /// cannot keep it running.
     pub(super) fn teardown_instance(&mut self, id: InstanceId) {
-        let now = self.rt.sim.now();
-        let meta = self.meta.remove(&id);
-        let acquired = meta.as_ref().map(|m| m.container_acquired).unwrap_or(false);
-        let meta_req = meta.map(|m| m.req);
+        self.slot_of.remove(&id);
         self.orphans.remove(&id);
-        let Some(inst) = self.instances.remove(&id) else {
-            return;
-        };
-        let charge_req = meta_req.unwrap_or(RequestId(u64::MAX));
-        match inst.state {
-            InstanceState::Running => {
-                let wasted = inst.accumulated_core
-                    + inst
-                        .started_at
-                        .map(|s| now - s)
-                        .unwrap_or(SimDuration::ZERO);
-                self.charge_squashed(charge_req, inst.func, "teardown", 0, wasted);
-                if self.rt.tracer.enabled() {
-                    if let (Some(s), Some(req)) = (inst.started_at, meta_req) {
-                        self.rt.tracer.emit(
-                            s,
-                            TraceEventKind::Span {
-                                req: req.0,
-                                func: inst.func.0,
-                                node: inst.node.0 as u32,
-                                phase: Phase::Execution,
-                                end: now,
-                            },
-                        );
-                    }
-                }
-                if inst.started_at.is_some() {
-                    if let Some(next) = self.rt.cluster.node_mut(inst.node).cores.release(now) {
-                        self.grant_core(next, now);
-                    }
-                }
-            }
-            InstanceState::Blocked => {
-                self.charge_squashed(charge_req, inst.func, "teardown", 0, inst.accumulated_core);
-            }
-            InstanceState::WaitingCore => {
-                // Past blocked stints count as wasted work even though no
-                // core is held at teardown time.
-                self.charge_squashed(charge_req, inst.func, "teardown", 0, inst.accumulated_core);
-                self.rt
-                    .cluster
-                    .node_mut(inst.node)
-                    .cores
-                    .remove_waiter(|w| *w == id);
-            }
-            _ => {}
-        }
-        if acquired {
-            self.rt
-                .cluster
-                .release_container(inst.node, inst.func, now, false);
-        }
+        self.rt.teardown_instance(id);
     }
 
     /// The instance executing `slot_id` suffered an unrecoverable-in-
@@ -534,48 +348,6 @@ impl SpecCore {
         self.pump(req_id);
     }
 
-    /// Invocation watchdog: a handler still live past the timeout is
-    /// treated as hung and goes through the slot fault path. A blocked
-    /// handler (legitimately waiting on a callee, stall, or deferred
-    /// side effect) gets its watchdog re-armed instead of killed.
-    pub(super) fn on_timeout(&mut self, id: InstanceId) {
-        if self.orphans.contains(&id) {
-            return;
-        }
-        let Some(meta) = self.meta.get(&id) else {
-            return;
-        };
-        let (req_id, slot_id) = (meta.req, meta.slot);
-        let Some(inst) = self.instances.get(&id) else {
-            return;
-        };
-        match inst.state {
-            InstanceState::Done | InstanceState::Squashed => {}
-            InstanceState::Blocked => {
-                if let Some(t) = self.rt.retry.invocation_timeout {
-                    self.rt.sim.schedule_in(t, Ev::Timeout(id));
-                }
-            }
-            _ => {
-                self.rt.metrics.faults.timeouts += 1;
-                self.rt
-                    .registry
-                    .inc_labeled("specfaas_faults_injected_total", "site", "timeout");
-                if self.rt.tracer.enabled() {
-                    let now = self.rt.sim.now();
-                    self.rt.tracer.emit(
-                        now,
-                        TraceEventKind::FaultInjected {
-                            req: req_id.0,
-                            site: "timeout",
-                        },
-                    );
-                }
-                self.slot_fault(req_id, slot_id);
-            }
-        }
-    }
-
     /// Terminally fails a request: tears down every instance still
     /// working for it, discards its speculative state, and records a
     /// [`RequestOutcome::Failed`]. Committed work (already flushed to
@@ -600,7 +372,7 @@ impl SpecCore {
                 .slot(slot)
                 .map(|s| s.func)
                 .unwrap_or(FuncId(u32::MAX));
-            self.charge_squashed(req_id, func, "abort", 0, t);
+            self.rt.charge_squashed(req_id, func, "abort", 0, t);
         }
         if self.rt.tracer.enabled() {
             self.rt.tracer.emit(

@@ -14,21 +14,21 @@
 //!   callee runs (Fig. 10(d)).
 //! * Cold containers pay container creation + runtime setup; warm
 //!   containers fork a handler instantly.
+//!
+//! The instance lifecycle beneath the controller (containers, cores,
+//! faults, watchdog) is the shared one in [`crate::exec`]; this core adds
+//! the conductor's cursors, eager storage writes and relaunch-on-fault.
 
-use std::cmp::Reverse;
-
-use specfaas_sim::hash::{FxHashMap, FxHashSet};
+use specfaas_sim::hash::FxHashMap;
 use std::sync::Arc;
 
 use specfaas_sim::trace::{Phase, TraceEventKind};
-use specfaas_sim::FaultSite;
-use specfaas_sim::{SimDuration, SimTime};
+use specfaas_sim::SimTime;
 use specfaas_storage::Value;
-use specfaas_workflow::{AppSpec, Effect, EntryKind, FuncId};
+use specfaas_workflow::{AppSpec, EntryKind, FuncId};
 
 use crate::cluster::NodeId;
-use crate::container::ContainerAcquire;
-use crate::exec::{FnInstance, InstanceId, InstanceState};
+use crate::exec::{InstEv, InstanceId, KvOp, KvRoll, Step};
 use crate::harness::{self, EngineCore, Harness, Runtime};
 use crate::metrics::{InvocationRecord, RequestOutcome};
 use crate::workload::RequestId;
@@ -40,12 +40,8 @@ use crate::workload::RequestId;
 pub enum Ev {
     /// A new application request arrives (the generator re-arms itself).
     Arrival,
-    /// Platform overhead paid; acquire container + core for the instance.
-    Launch(InstanceId),
-    /// Cold start finished; acquire a core.
-    ContainerReady(InstanceId),
-    /// The instance's pending effect completed; step the interpreter.
-    Resume(InstanceId, Option<Value>),
+    /// An instance-lifecycle event of the shared runtime.
+    Inst(InstEv),
     /// Transfer overhead paid; launch workflow entry `entry` of `req` with
     /// the given payload. `from` is the entry that produced the payload:
     /// parallel joins use it to merge branch outputs in declaration order
@@ -58,8 +54,6 @@ pub enum Ev {
         entry: usize,
         payload: Value,
     },
-    /// Backoff after a transient KV fault elapsed; retry the operation.
-    KvRetry(InstanceId, KvOp, u32),
     /// Backoff after an instance fault elapsed; relaunch the function.
     Retry {
         /// The request being retried.
@@ -69,36 +63,24 @@ pub enum Ev {
         input: Value,
         attempt: u32,
     },
-    /// Invocation watchdog fired for the instance.
-    Timeout(InstanceId),
     /// Final response delivered to the client.
     Complete(RequestId),
 }
 
-/// A storage operation being retried across transient KV faults.
-#[doc(hidden)]
-#[derive(Debug, Clone)]
-pub enum KvOp {
-    Get { key: String },
-    Set { key: String, value: Value },
+impl From<InstEv> for Ev {
+    fn from(ev: InstEv) -> Self {
+        Ev::Inst(ev)
+    }
 }
 
 /// Why an instance exists: a workflow-entry cursor or an implicit callee.
 #[doc(hidden)]
 #[derive(Debug, Clone)]
 pub enum InstCtx {
-    /// Executes workflow entry `entry` of request `req`.
-    Entry { req: RequestId, entry: usize },
-    /// Executes a subroutine call on behalf of `caller`.
-    Callee { req: RequestId, caller: InstanceId },
-}
-
-#[derive(Debug)]
-struct JoinState {
-    need: u32,
-    /// `(source entry, payload)` pairs; sorted by source entry at merge
-    /// time so the joined list follows branch declaration order.
-    outputs: Vec<(usize, Value)>,
+    /// Executes this workflow entry.
+    Entry(usize),
+    /// Executes a subroutine call on behalf of this caller instance.
+    Callee(InstanceId),
 }
 
 #[derive(Debug)]
@@ -107,11 +89,12 @@ struct ReqState {
     ctrl: NodeId,
     /// Number of workflow cursors in flight (forks add, joins subtract).
     cursors: u32,
-    joins: FxHashMap<usize, JoinState>,
+    /// Join entry → `(source entry, payload)` pairs arrived so far; sorted
+    /// by source entry at merge time so the joined list follows branch
+    /// declaration order.
+    joins: FxHashMap<usize, Vec<(usize, Value)>>,
     functions_run: u32,
     sequence: Vec<u32>,
-    /// Output of the last cursor to finish (the response payload).
-    last_output: Value,
     /// Counted toward metrics (arrived inside the measurement window)?
     measured: bool,
 }
@@ -157,18 +140,16 @@ impl std::ops::DerefMut for BaselineEngine {
 
 /// The baseline engine core: strictly sequential function scheduling on
 /// top of the shared [`Runtime`]. Load drivers and instrument attachment
-/// live in the [`Harness`]; only baseline-specific policy state lives
-/// here.
+/// live in the [`Harness`], the instance table and lifecycle in the
+/// runtime; only baseline-specific policy state lives here.
 pub struct BaselineCore {
-    app: Arc<AppSpec>,
-    /// Engine-agnostic runtime state (clock, RNG, cluster, KV, faults,
-    /// tracer, registry, metrics, generation state).
+    /// Engine-agnostic runtime state (application, clock, RNG, cluster,
+    /// KV, faults, tracer, registry, metrics, generation state, instance
+    /// table).
     rt: Runtime<Ev>,
     /// Retry attempt the instance is executing (absent = first attempt).
     attempt_of: FxHashMap<InstanceId, u32>,
-    /// Instances that have acquired a container (released on teardown).
-    has_container: FxHashSet<InstanceId>,
-    instances: FxHashMap<InstanceId, FnInstance>,
+    /// Why each live instance runs.
     ctxs: FxHashMap<InstanceId, InstCtx>,
     requests: FxHashMap<RequestId, ReqState>,
 }
@@ -201,10 +182,6 @@ impl EngineCore for BaselineCore {
         &mut self.rt
     }
 
-    fn app(&self) -> &AppSpec {
-        &self.app
-    }
-
     fn arrival() -> Ev {
         Ev::Arrival
     }
@@ -231,34 +208,17 @@ impl EngineCore for BaselineCore {
         self.abort_request(req);
     }
 
-    fn live_instances(&self) -> usize {
-        self.instances.len()
-    }
-
     fn stuck_requests(&self) -> Vec<String> {
-        let mut ids: Vec<RequestId> = self.requests.keys().copied().collect();
-        ids.sort(); // HashMap order is not deterministic
-        ids.into_iter()
+        self.live_requests()
+            .into_iter()
             .map(|rid| {
                 let req = &self.requests[&rid];
-                let mut insts: Vec<InstanceId> = self
-                    .ctxs
-                    .iter()
-                    .filter(|(_, c)| {
-                        matches!(
-                            c,
-                            InstCtx::Entry { req: r, .. } | InstCtx::Callee { req: r, .. }
-                                if *r == rid
-                        )
-                    })
-                    .map(|(id, _)| *id)
-                    .collect();
-                insts.sort();
-                let insts: Vec<String> = insts
+                let insts: Vec<String> = self
+                    .instances_of(rid)
                     .into_iter()
-                    .map(|id| match self.instances.get(&id) {
-                        Some(i) => format!("{}:{:?}:{:?}", id.0, i.func, i.state),
-                        None => format!("{}:<pending>", id.0),
+                    .map(|id| {
+                        let i = &self.rt.instances[&id];
+                        format!("{}:{:?}:{:?}", id.0, i.func, i.state)
                     })
                     .collect();
                 format!(
@@ -278,11 +238,8 @@ impl BaselineCore {
     /// Creates the baseline core for `app`, seeded with `seed`.
     pub fn new(app: Arc<AppSpec>, seed: u64) -> Self {
         BaselineCore {
-            app,
-            rt: Runtime::new(seed),
+            rt: Runtime::new(app, seed),
             attempt_of: FxHashMap::default(),
-            has_container: FxHashSet::default(),
-            instances: FxHashMap::default(),
             ctxs: FxHashMap::default(),
             requests: FxHashMap::default(),
         }
@@ -299,27 +256,18 @@ impl BaselineCore {
         self.rt.sample_kv_gauge(now);
     }
 
-    /// Adds `amount` to the shared squashed-CPU ledger (baseline charges
-    /// never cascade).
-    fn charge_squashed(&mut self, req: u64, func: FuncId, site: &'static str, amount: SimDuration) {
-        self.rt.charge_squashed(req, func, site, 0, amount);
-        if amount > SimDuration::ZERO {
-            self.rt.topk_by_function(
-                "specfaas_wasted_core_us_by_function",
-                &self.app,
-                func,
-                amount.as_micros(),
-            );
-        }
-    }
-
-    /// Request the instance works for, for trace labelling (`u64::MAX`
-    /// when the context is already gone).
-    fn req_of(&self, id: InstanceId) -> u64 {
-        match self.ctxs.get(&id) {
-            Some(InstCtx::Entry { req, .. }) | Some(InstCtx::Callee { req, .. }) => req.0,
-            None => u64::MAX,
-        }
+    /// The live instances working for `req`, in id order (HashMap order
+    /// is not deterministic).
+    fn instances_of(&self, req: RequestId) -> Vec<InstanceId> {
+        let mut ids: Vec<InstanceId> = self
+            .rt
+            .instances
+            .values()
+            .filter(|i| i.req == req)
+            .map(|i| i.id)
+            .collect();
+        ids.sort();
+        ids
     }
 
     /// Submits one request at the current simulated time.
@@ -336,7 +284,6 @@ impl BaselineCore {
                 joins: FxHashMap::default(),
                 functions_run: 0,
                 sequence: Vec::new(),
-                last_output: Value::Null,
                 measured: now >= self.rt.measure_from,
             },
         );
@@ -347,7 +294,7 @@ impl BaselineCore {
                 .tracer
                 .emit(now, TraceEventKind::RequestArrival { req: id.0 });
         }
-        let start = self.app.compiled.start;
+        let start = self.rt.app.compiled.start;
         // The workflow start is never a join target, so `from` is moot.
         self.launch_entry(id, start, usize::MAX, input);
         id
@@ -356,43 +303,32 @@ impl BaselineCore {
     /// Starts the platform-overhead phase for a workflow entry. `from` is
     /// the entry whose output `payload` is (joins merge by it).
     fn launch_entry(&mut self, req: RequestId, entry: usize, from: usize, payload: Value) {
+        let e = &self.rt.app.compiled.entries[entry];
+        let (arity, func) = (e.join_arity, e.func);
+        let mut input = payload;
         // Parallel join entries only run once all branches arrive.
-        let arity = self.app.compiled.entries[entry].join_arity;
         if arity > 1 {
             let state = self.requests.get_mut(&req).expect("live request");
-            let join = state.joins.entry(entry).or_insert(JoinState {
-                need: arity,
-                outputs: Vec::new(),
-            });
-            join.outputs.push((from, payload));
-            if (join.outputs.len() as u32) < join.need {
+            let arrived = state.joins.entry(entry).or_default();
+            arrived.push((from, input));
+            if (arrived.len() as u32) < arity {
                 // This cursor merges into the join.
                 state.cursors -= 1;
                 return;
             }
-            let mut outputs = state.joins.remove(&entry).expect("join present").outputs;
+            let mut outputs = state.joins.remove(&entry).expect("join present");
             // Declaration order, not arrival order: branch entries are
             // compiled in declaration order, so sorting by source entry
             // makes the merge independent of branch completion timing.
             outputs.sort_by_key(|(from, _)| *from);
-            let merged = Value::List(outputs.into_iter().map(|(_, v)| v).collect());
             // Earlier arrivals already merged their cursors; the final
             // arrival continues as the single join cursor.
-            self.spawn_function(req, InstCtx::Entry { req, entry }, merged);
-            return;
+            input = Value::List(outputs.into_iter().map(|(_, v)| v).collect());
         }
-        self.spawn_function(req, InstCtx::Entry { req, entry }, payload);
+        self.spawn_named(req, InstCtx::Entry(entry), func, input);
     }
 
     /// Creates the instance and charges platform overhead.
-    fn spawn_function(&mut self, req: RequestId, ctx: InstCtx, input: Value) {
-        let func = match &ctx {
-            InstCtx::Entry { entry, .. } => self.app.compiled.entries[*entry].func,
-            InstCtx::Callee { .. } => unreachable!("callee spawns go through spawn_callee"),
-        };
-        self.spawn_named(req, ctx, func, input);
-    }
-
     fn spawn_named(
         &mut self,
         req: RequestId,
@@ -402,23 +338,9 @@ impl BaselineCore {
     ) -> InstanceId {
         let now = self.rt.sim.now();
         let ctrl = self.requests[&req].ctrl;
-        let delay = self.rt.model.platform_fixed
-            + self
-                .rt
-                .cluster
-                .controller_delay(ctrl, now, self.rt.model.controller_service);
-        let id = self.alloc_inst();
-        let node = self.rt.cluster.pick_node(func);
-        let program = self.app.registry.spec(func).program.clone();
-        let child_rng = self.rt.rng.split();
-        let mut inst = FnInstance::new(id, func, node, &program, input, child_rng, now);
-        inst.breakdown.platform = delay;
-        self.instances.insert(id, inst);
+        let service = self.rt.model.controller_service;
+        let id = self.rt.spawn_instance(req, ctrl, service, func, input);
         self.ctxs.insert(id, ctx);
-        self.rt.metrics.functions_started += 1;
-        self.rt.registry.inc("specfaas_functions_started_total");
-        self.rt
-            .topk_by_function("specfaas_requests_by_function", &self.app, func, 1);
         if let Some(r) = self.requests.get_mut(&req) {
             r.functions_run += 1;
         }
@@ -432,458 +354,118 @@ impl BaselineCore {
                     speculative: false,
                 },
             );
-            self.rt.tracer.emit(
-                now,
-                TraceEventKind::Span {
-                    req: req.0,
-                    func: func.0,
-                    node: node.0 as u32,
-                    phase: Phase::Platform,
-                    end: now + delay,
-                },
-            );
-        }
-        self.rt.sim.schedule_in(delay, Ev::Launch(id));
-        // Invocation watchdog: the only recovery path for a hung handler.
-        if let Some(t) = self.rt.retry.invocation_timeout {
-            self.rt.sim.schedule_in(t, Ev::Timeout(id));
+            let inst = &self.rt.instances[&id];
+            let end = now + inst.breakdown.platform;
+            inst.trace_span(&mut self.rt.tracer, Phase::Platform, now, end);
         }
         id
     }
 
-    /// Handles container acquisition after platform overhead.
-    fn on_launch(&mut self, id: InstanceId) {
-        // The instance may have been torn down by a fault while the
-        // launch overhead was in flight.
-        let Some(inst) = self.instances.get_mut(&id) else {
-            return;
-        };
-        let node = inst.node;
-        let func = inst.func;
-        self.has_container.insert(id);
-        let now = self.rt.sim.now();
-        match self
-            .rt
-            .cluster
-            .acquire_container(node, func, now, &self.rt.model)
-        {
-            ContainerAcquire::Warm => {
-                self.rt.registry.inc("specfaas_warm_starts_total");
-                if self.rt.tracer.enabled() {
-                    let now = self.rt.sim.now();
-                    let req = self.req_of(id);
-                    self.rt.tracer.emit(
-                        now,
-                        TraceEventKind::ContainerAcquire {
-                            req,
-                            func: func.0,
-                            node: node.0 as u32,
-                            cold: false,
-                        },
-                    );
-                }
-                self.try_start(id)
-            }
-            ContainerAcquire::Cold(d) => {
-                self.rt.registry.inc("specfaas_cold_starts_total");
-                let inst = self.instances.get_mut(&id).expect("live instance");
-                inst.breakdown.container_creation = self.rt.model.container_creation;
-                inst.breakdown.runtime_setup = self.rt.model.runtime_setup;
-                inst.state = InstanceState::ColdStarting;
-                if self.rt.tracer.enabled() {
-                    let now = self.rt.sim.now();
-                    let req = self.req_of(id);
-                    self.rt.tracer.emit(
-                        now,
-                        TraceEventKind::ContainerAcquire {
-                            req,
-                            func: func.0,
-                            node: node.0 as u32,
-                            cold: true,
-                        },
-                    );
-                    let cc = if self.rt.model.container_creation < d {
-                        self.rt.model.container_creation
-                    } else {
-                        d
-                    };
-                    self.rt.tracer.emit(
-                        now,
-                        TraceEventKind::Span {
-                            req,
-                            func: func.0,
-                            node: node.0 as u32,
-                            phase: Phase::ContainerCreation,
-                            end: now + cc,
-                        },
-                    );
-                    if cc < d {
-                        self.rt.tracer.emit(
-                            now + cc,
-                            TraceEventKind::Span {
-                                req,
-                                func: func.0,
-                                node: node.0 as u32,
-                                phase: Phase::RuntimeSetup,
-                                end: now + d,
-                            },
-                        );
-                    }
-                }
-                self.rt.sim.schedule_in(d, Ev::ContainerReady(id));
-            }
-        }
-    }
-
-    /// Acquires a core or queues for one.
-    fn try_start(&mut self, id: InstanceId) {
-        let now = self.rt.sim.now();
-        let Some(inst) = self.instances.get_mut(&id) else {
-            return;
-        };
-        let node = inst.node;
-        if self.rt.cluster.node_mut(node).cores.try_acquire(now) {
-            inst.state = InstanceState::Running;
-            inst.started_at = Some(now);
-            self.rt.sim.schedule_now(Ev::Resume(id, None));
-        } else {
-            inst.state = InstanceState::WaitingCore;
-            self.rt.cluster.node_mut(node).cores.enqueue(id);
-        }
-    }
-
-    /// Releases the caller's execution slot while it blocks.
-    fn block_instance(&mut self, id: InstanceId) {
-        let now = self.rt.sim.now();
-        let Some(inst) = self.instances.get_mut(&id) else {
-            return;
-        };
-        if inst.state != InstanceState::Running {
-            return;
-        }
-        if let Some(start) = inst.started_at.take() {
-            inst.accumulated_core += now - start;
-            if self.rt.tracer.enabled() {
-                let (func, node) = (inst.func.0, inst.node.0 as u32);
-                self.rt.tracer.emit(
-                    start,
-                    TraceEventKind::Span {
-                        req: match self.ctxs.get(&id) {
-                            Some(InstCtx::Entry { req, .. })
-                            | Some(InstCtx::Callee { req, .. }) => req.0,
-                            None => u64::MAX,
-                        },
-                        func,
-                        node,
-                        phase: Phase::Execution,
-                        end: now,
-                    },
-                );
-            }
-        }
-        inst.state = InstanceState::Blocked;
-        let node = inst.node;
-        if let Some(next) = self.rt.cluster.node_mut(node).cores.release(now) {
-            self.grant_core(next, now);
-        }
-    }
-
-    /// Hands a freed slot to a queued instance and starts/resumes it.
-    fn grant_core(&mut self, next: InstanceId, now: SimTime) {
-        if let Some(w) = self.instances.get_mut(&next) {
-            w.state = InstanceState::Running;
-            w.started_at = Some(now);
-            let resume = w.pending_resume.take().unwrap_or(None);
-            self.rt.sim.schedule_now(Ev::Resume(next, resume));
-        }
-    }
-
-    /// Steps the interpreter and schedules the effect's completion.
+    /// Steps a resumed instance and carries out the effect it yields.
     fn on_resume(&mut self, id: InstanceId, resume: Option<Value>) {
-        // A blocked instance must re-acquire an execution slot first.
-        let now = self.rt.sim.now();
-        if self
-            .instances
-            .get(&id)
-            .map(|i| i.state == InstanceState::Blocked)
-            .unwrap_or(false)
-        {
-            let inst = self.instances.get_mut(&id).expect("live");
-            let node = inst.node;
-            if self.rt.cluster.node_mut(node).cores.try_acquire(now) {
-                let inst = self.instances.get_mut(&id).expect("live");
-                inst.state = InstanceState::Running;
-                inst.started_at = Some(now);
-                // fall through and step with the resume value
-            } else {
-                let inst = self.instances.get_mut(&id).expect("live");
-                inst.pending_resume = Some(resume);
-                inst.state = InstanceState::WaitingCore;
-                self.rt.cluster.node_mut(node).cores.enqueue(id);
-                return;
-            }
-        }
-        // Fault injection at the step boundary: the handler's container
-        // crashes, or the handler wedges (hang) and stops making progress.
-        // Only before the handler externalizes a write: the baseline
-        // applies writes eagerly, so a retry of a partially externalized
-        // handler would double-apply non-idempotent effects. We model
-        // crashes as fail-stop before the point of no return (real
-        // platforms demand idempotent handlers for at-least-once retry).
-        if self.rt.faults.enabled()
-            && self
-                .instances
-                .get(&id)
-                .map(|i| !i.externalized)
-                .unwrap_or(false)
-        {
-            if self.rt.faults.roll(FaultSite::ContainerCrash, now) {
-                self.rt.metrics.faults.injected += 1;
-                self.rt.metrics.faults.crashes += 1;
-                self.rt.registry.inc_labeled(
-                    "specfaas_faults_injected_total",
-                    "site",
-                    "container_crash",
-                );
-                if self.rt.tracer.enabled() {
-                    let req = self.req_of(id);
-                    self.rt.tracer.emit(
-                        now,
-                        TraceEventKind::FaultInjected {
-                            req,
-                            site: "container_crash",
-                        },
-                    );
-                }
-                self.fault_instance(id);
-                return;
-            }
-            if self.rt.faults.roll(FaultSite::Hang, now) {
-                self.rt.metrics.faults.injected += 1;
-                self.rt.metrics.faults.hangs += 1;
-                self.rt
-                    .registry
-                    .inc_labeled("specfaas_faults_injected_total", "site", "hang");
-                if self.rt.tracer.enabled() {
-                    let req = self.req_of(id);
-                    self.rt
-                        .tracer
-                        .emit(now, TraceEventKind::FaultInjected { req, site: "hang" });
-                }
-                // The wedged handler keeps its core and container but
-                // schedules nothing further; only the invocation
-                // watchdog (if configured) can recover it.
-                return;
-            }
-        }
-        let mut inst = match self.instances.remove(&id) {
-            Some(i) => i,
-            None => return, // squashed / stale event
-        };
-        let effect = match inst.step(resume) {
-            Ok(e) => e,
-            Err(err) => {
-                // A failed invocation: treat as completing with an error
-                // document so the workflow can proceed deterministically.
-                let out = Value::map([("error", Value::str(err.to_string()))]);
-                self.instances.insert(id, inst);
-                self.finish_instance(id, out);
-                return;
-            }
-        };
-        match effect {
-            Effect::Compute(d) => {
-                inst.breakdown.execution += d;
-                self.instances.insert(id, inst);
-                self.rt.sim.schedule_in(d, Ev::Resume(id, None));
-            }
-            Effect::Get { key } => {
-                self.instances.insert(id, inst);
-                self.kv_access(id, KvOp::Get { key }, 1);
-            }
-            Effect::Set { key, value } => {
-                self.instances.insert(id, inst);
-                self.kv_access(id, KvOp::Set { key, value }, 1);
-            }
-            Effect::Http { .. } => {
+        match self.rt.resume_instance(id, resume) {
+            Step::Idle => {}
+            Step::Crashed => self.fault_instance(id),
+            Step::Kv(op) => self.kv_access(id, op, 1),
+            Step::Http => {
                 let lat = self.rt.model.http_latency;
-                inst.breakdown.execution += lat;
-                self.instances.insert(id, inst);
-                self.rt.sim.schedule_in(lat, Ev::Resume(id, None));
+                if let Some(inst) = self.rt.instances.get_mut(&id) {
+                    inst.breakdown.execution += lat;
+                }
+                self.rt.resume_in(lat, id, None);
             }
-            Effect::FileWrite { name, data } => {
-                inst.files.insert(name, data);
-                self.instances.insert(id, inst);
-                self.rt.sim.schedule_now(Ev::Resume(id, None));
-            }
-            Effect::FileRead { name } => {
-                let v = inst.files.get(&name).cloned().unwrap_or(Value::Null);
-                self.instances.insert(id, inst);
-                self.rt.sim.schedule_now(Ev::Resume(id, Some(v)));
-            }
-            Effect::Call { func, args } => {
-                // Implicit workflow: spawn the callee; the caller blocks
-                // holding its core (Fig. 10(d)).
-                let req = match self.ctxs[&id].clone() {
-                    InstCtx::Entry { req, .. } | InstCtx::Callee { req, .. } => req,
-                };
-                self.instances.insert(id, inst);
-                // The caller's handler blocks on the RPC; the OS yields
+            Step::Call(func, args) => {
+                // Implicit workflow: the caller's handler blocks on the
+                // RPC while the callee runs (Fig. 10(d)); the OS yields
                 // its hardware thread (the container slot stays held).
-                self.block_instance(id);
-                match self.app.registry.lookup(&func) {
+                let req = self.rt.instances[&id].req;
+                self.rt.block_instance(id);
+                match self.rt.app.registry.lookup(&func) {
                     Some(callee) => {
-                        self.spawn_named(req, InstCtx::Callee { req, caller: id }, callee, args);
+                        self.spawn_named(req, InstCtx::Callee(id), callee, args);
                     }
+                    // Unknown callee: resolve to Null after an RPC hop.
                     None => {
-                        // Unknown callee: resolve to Null after an RPC hop.
-                        self.rt.sim.schedule_in(
-                            self.rt.model.transfer_fixed,
-                            Ev::Resume(id, Some(Value::Null)),
-                        );
+                        let hop = self.rt.model.transfer_fixed;
+                        self.rt.resume_in(hop, id, Some(Value::Null));
                     }
                 }
             }
-            Effect::Done(out) => {
-                inst.state = InstanceState::Done;
-                inst.output = Some(out.clone());
-                self.instances.insert(id, inst);
-                self.finish_instance(id, out);
-            }
+            Step::Done(out) => self.finish_instance(id, out),
         }
     }
 
-    /// Releases resources and routes the output onward.
+    /// Credits the finished instance's core time and routes its output
+    /// onward.
     fn finish_instance(&mut self, id: InstanceId, output: Value) {
         let now = self.rt.sim.now();
-        let inst = self.instances.remove(&id).expect("live instance");
         let ctx = self.ctxs.remove(&id).expect("instance context");
         self.attempt_of.remove(&id);
-        self.has_container.remove(&id);
-        // Account useful core time and release the slot.
-        if let Some(start) = inst.started_at {
-            self.rt.metrics.useful_core_time += inst.accumulated_core + (now - start);
-            if self.rt.tracer.enabled() {
-                let req = match &ctx {
-                    InstCtx::Entry { req, .. } | InstCtx::Callee { req, .. } => req.0,
-                };
-                self.rt.tracer.emit(
-                    start,
-                    TraceEventKind::Span {
-                        req,
-                        func: inst.func.0,
-                        node: inst.node.0 as u32,
-                        phase: Phase::Execution,
-                        end: now,
-                    },
-                );
-            }
-            if let Some(next) = self.rt.cluster.node_mut(inst.node).cores.release(now) {
-                self.grant_core(next, now);
-            }
-        }
-        self.rt
-            .cluster
-            .release_container(inst.node, inst.func, now, true);
-        self.rt.metrics.breakdowns.push(inst.breakdown);
-
-        match ctx {
-            InstCtx::Entry { req, entry } => {
-                let Some(state) = self.requests.get_mut(&req) else {
-                    return;
-                };
-                state.sequence.push(inst.func.0);
-                state.last_output = output.clone();
-                let ctrl = state.ctrl;
-                // Conductor / transfer overhead for the next transition.
-                let transfer = self.rt.model.transfer_fixed
-                    + self
-                        .rt
-                        .cluster
-                        .controller_delay(ctrl, now, self.rt.model.conductor_service);
-                match self.app.compiled.entries[entry].kind.clone() {
-                    EntryKind::Simple { next } => match next {
-                        Some(n) => {
-                            self.charge_transfer(id, transfer);
-                            self.rt.sim.schedule_in(
-                                transfer,
-                                Ev::Transfer {
-                                    req,
-                                    from: entry,
-                                    entry: n,
-                                    payload: output,
-                                },
-                            );
-                        }
-                        None => self.cursor_done(req),
-                    },
-                    EntryKind::Branch {
-                        field,
-                        taken,
-                        not_taken,
-                    } => {
-                        let cond = match &field {
-                            Some(f) => output.get_field(f).cloned().unwrap_or(Value::Null),
-                            None => output.clone(),
-                        };
-                        let target = if cond.truthy() { taken } else { not_taken };
-                        match target {
-                            Some(n) => {
-                                // Branch functions route: the selected
-                                // target receives the branch's *input*
-                                // payload (§VIII-B: successors of a branch
-                                // take the same input as the branch).
-                                let payload = inst.interp.input().clone();
-                                self.charge_transfer(id, transfer);
-                                self.rt.sim.schedule_in(
-                                    transfer,
-                                    Ev::Transfer {
-                                        req,
-                                        from: entry,
-                                        entry: n,
-                                        payload,
-                                    },
-                                );
-                            }
-                            None => self.cursor_done(req),
-                        }
-                    }
-                    EntryKind::Fork { branches, join: _ } => {
-                        let state = self.requests.get_mut(&req).expect("live request");
-                        state.cursors += branches.len() as u32 - 1;
-                        self.charge_transfer(id, transfer);
-                        for b in branches {
-                            self.rt.sim.schedule_in(
-                                transfer,
-                                Ev::Transfer {
-                                    req,
-                                    from: entry,
-                                    entry: b,
-                                    payload: output.clone(),
-                                },
-                            );
-                        }
-                    }
-                }
-            }
-            InstCtx::Callee { req, caller } => {
-                if let Some(state) = self.requests.get_mut(&req) {
+        let (inst, core_time) = self.rt.finish_instance(id);
+        self.rt.metrics.useful_core_time += core_time;
+        let req = inst.req;
+        let state = self.requests.get_mut(&req);
+        let entry = match ctx {
+            InstCtx::Entry(entry) => entry,
+            InstCtx::Callee(caller) => {
+                if let Some(state) = state {
                     state.sequence.push(inst.func.0);
                 }
                 // RPC return hop, then resume the blocked caller.
-                self.rt.sim.schedule_in(
-                    self.rt.model.transfer_fixed,
-                    Ev::Resume(caller, Some(output)),
-                );
+                let hop = self.rt.model.transfer_fixed;
+                self.rt.resume_in(hop, caller, Some(output));
+                return;
             }
+        };
+        let Some(state) = state else {
+            return;
+        };
+        state.sequence.push(inst.func.0);
+        let ctrl = state.ctrl;
+        // Conductor / transfer overhead for the next transition.
+        let transfer = self.rt.model.transfer_fixed
+            + self
+                .rt
+                .cluster
+                .controller_delay(ctrl, now, self.rt.model.conductor_service);
+        let (targets, payload) = match self.rt.app.compiled.entries[entry].kind.clone() {
+            EntryKind::Simple { next } => (next.into_iter().collect(), output),
+            EntryKind::Branch {
+                field,
+                taken,
+                not_taken,
+            } => {
+                let cond = match &field {
+                    Some(f) => output.get_field(f).cloned().unwrap_or(Value::Null),
+                    None => output,
+                };
+                let target = if cond.truthy() { taken } else { not_taken };
+                // Branch functions route: the selected target receives the
+                // branch's *input* payload (§VIII-B: successors of a branch
+                // take the same input as the branch).
+                (target.into_iter().collect(), inst.interp.input().clone())
+            }
+            EntryKind::Fork { branches, join: _ } => {
+                state.cursors += branches.len() as u32 - 1;
+                (branches, output)
+            }
+        };
+        if targets.is_empty() {
+            return self.cursor_done(req);
         }
-    }
-
-    fn charge_transfer(&mut self, _id: InstanceId, transfer: SimDuration) {
-        // Transfer time is attributed at the request level via breakdowns
-        // of subsequent launches; record it on the last pushed breakdown.
+        // Transfer time is attributed at the request level: record it on
+        // the breakdown just filed for the finished instance.
         if let Some(b) = self.rt.metrics.breakdowns.last_mut() {
             b.transfer += transfer;
+        }
+        for n in targets {
+            let ev = Ev::Transfer {
+                req,
+                from: entry,
+                entry: n,
+                payload: payload.clone(),
+            };
+            self.rt.sim.schedule_in(transfer, ev);
         }
     }
 
@@ -891,182 +473,54 @@ impl BaselineCore {
     // Fault handling: transient KV retries, instance retries, aborts
     // ------------------------------------------------------------------
 
-    /// Performs a storage operation, rolling for a transient KV fault
-    /// first. A faulted operation retries after exponential backoff;
-    /// exhausting the retry budget escalates to an instance fault.
+    /// Performs a storage operation after the transient-fault roll. Writes
+    /// apply eagerly, which puts the handler past the point of no return
+    /// for crash and hang injection ([`crate::exec::FnInstance::externalized`]).
     fn kv_access(&mut self, id: InstanceId, op: KvOp, attempt: u32) {
-        if !self.instances.contains_key(&id) {
+        if !self.rt.instances.contains_key(&id) {
             return; // instance torn down while a retry was pending
         }
-        let now = self.rt.sim.now();
-        let site = match &op {
-            KvOp::Get { .. } => FaultSite::KvGet,
-            KvOp::Set { .. } => FaultSite::KvSet,
-        };
-        if self.rt.faults.enabled() && self.rt.faults.roll(site, now) {
-            self.rt.metrics.faults.injected += 1;
-            self.rt.metrics.faults.kv_errors += 1;
-            let fault_site = match &op {
-                KvOp::Get { .. } => "kv_get",
-                KvOp::Set { .. } => "kv_set",
-            };
-            self.rt
-                .registry
-                .inc_labeled("specfaas_faults_injected_total", "site", fault_site);
-            if self.rt.tracer.enabled() {
-                let req = self.req_of(id);
-                self.rt.tracer.emit(
-                    now,
-                    TraceEventKind::FaultInjected {
-                        req,
-                        site: fault_site,
-                    },
-                );
-            }
-            if attempt >= self.rt.retry.max_attempts {
-                self.fault_instance(id);
-                return;
-            }
-            let backoff = self.rt.retry.backoff(attempt);
-            if let Some(inst) = self.instances.get_mut(&id) {
-                inst.breakdown.retry_backoff += backoff;
-            }
-            if self.rt.tracer.enabled() {
-                let req = self.req_of(id);
-                let func = self
-                    .instances
-                    .get(&id)
-                    .map(|i| i.func.0)
-                    .unwrap_or(u32::MAX);
-                self.rt.tracer.emit(
-                    now,
-                    TraceEventKind::RetryBackoff {
-                        req,
-                        func,
-                        attempt: attempt + 1,
-                        backoff,
-                    },
-                );
-            }
-            self.rt.metrics.faults.retried += 1;
-            self.rt
-                .sim
-                .schedule_in(backoff, Ev::KvRetry(id, op, attempt + 1));
-            return;
-        }
-        match op {
-            KvOp::Get { key } => {
-                let lat = self.rt.kv.latency().read;
+        match self.rt.kv_roll(id, op, attempt) {
+            KvRoll::Apply(KvOp::Get { key }) => {
                 let val = self.rt.kv.get(&key).cloned().unwrap_or(Value::Null);
-                if let Some(inst) = self.instances.get_mut(&id) {
-                    inst.breakdown.execution += lat;
-                }
-                self.rt.registry.inc("specfaas_kv_reads_total");
-                if self.rt.registry.enabled() {
-                    self.rt.kv_pending.push(Reverse(now + lat));
-                }
-                self.rt.sim.schedule_in(lat, Ev::Resume(id, Some(val)));
+                let lat = self.rt.kv.latency().read;
+                self.rt
+                    .finish_kv(id, lat, "specfaas_kv_reads_total", Some(val));
             }
-            KvOp::Set { key, value } => {
-                let lat = self.rt.kv.latency().write;
+            KvRoll::Apply(KvOp::Set { key, value }) => {
                 self.rt.kv.set(key, value);
-                if let Some(inst) = self.instances.get_mut(&id) {
-                    inst.breakdown.execution += lat;
-                    inst.externalized = true;
-                }
-                self.rt.registry.inc("specfaas_kv_writes_total");
-                if self.rt.registry.enabled() {
-                    self.rt.kv_pending.push(Reverse(now + lat));
-                }
                 // Retrying a caller replays its whole call subtree, so a
                 // callee's write externalizes every transitive caller too.
-                let mut cur = id;
-                while let Some(InstCtx::Callee { caller, .. }) = self.ctxs.get(&cur) {
-                    let caller = *caller;
-                    if let Some(ci) = self.instances.get_mut(&caller) {
-                        ci.externalized = true;
+                let mut cur = Some(id);
+                while let Some(i) = cur {
+                    if let Some(inst) = self.rt.instances.get_mut(&i) {
+                        inst.externalized = true;
                     }
-                    cur = caller;
+                    cur = match self.ctxs.get(&i) {
+                        Some(InstCtx::Callee(caller)) => Some(*caller),
+                        _ => None,
+                    };
                 }
-                self.rt.sim.schedule_in(lat, Ev::Resume(id, None));
+                let lat = self.rt.kv.latency().write;
+                self.rt.finish_kv(id, lat, "specfaas_kv_writes_total", None);
             }
+            KvRoll::Retrying => {}
+            KvRoll::Exhausted => self.fault_instance(id),
         }
-    }
-
-    /// Force-removes an instance that died (crash, hang timeout,
-    /// exhausted KV retries, or request abort), releasing whatever core
-    /// slot, queue position and container it holds. Its container is not
-    /// reusable: the handler did not exit cleanly.
-    fn teardown_instance(&mut self, id: InstanceId) -> Option<FnInstance> {
-        let now = self.rt.sim.now();
-        let inst = self.instances.remove(&id)?;
-        let charge_req = self.req_of(id);
-        match inst.state {
-            InstanceState::Running => {
-                let wasted = inst.accumulated_core
-                    + inst
-                        .started_at
-                        .map(|s| now - s)
-                        .unwrap_or(SimDuration::ZERO);
-                self.charge_squashed(charge_req, inst.func, "teardown", wasted);
-                if self.rt.tracer.enabled() {
-                    if let Some(s) = inst.started_at {
-                        let req = self.req_of(id);
-                        self.rt.tracer.emit(
-                            s,
-                            TraceEventKind::Span {
-                                req,
-                                func: inst.func.0,
-                                node: inst.node.0 as u32,
-                                phase: Phase::Execution,
-                                end: now,
-                            },
-                        );
-                    }
-                }
-                if inst.started_at.is_some() {
-                    if let Some(next) = self.rt.cluster.node_mut(inst.node).cores.release(now) {
-                        self.grant_core(next, now);
-                    }
-                }
-            }
-            InstanceState::Blocked => {
-                self.charge_squashed(charge_req, inst.func, "teardown", inst.accumulated_core);
-            }
-            InstanceState::WaitingCore => {
-                // Past blocked stints count as wasted work even though no
-                // core is held at teardown time.
-                self.charge_squashed(charge_req, inst.func, "teardown", inst.accumulated_core);
-                self.rt
-                    .cluster
-                    .node_mut(inst.node)
-                    .cores
-                    .remove_waiter(|w| *w == id);
-            }
-            _ => {}
-        }
-        if self.has_container.remove(&id) {
-            self.rt
-                .cluster
-                .release_container(inst.node, inst.func, now, false);
-        }
-        Some(inst)
     }
 
     /// An instance suffered an unrecoverable-in-place fault: tear it
     /// down, then relaunch the same function after backoff — or abort
     /// the whole request once the retry budget is exhausted.
     fn fault_instance(&mut self, id: InstanceId) {
-        let Some(inst) = self.teardown_instance(id) else {
+        let Some(inst) = self.rt.teardown_instance(id) else {
             return;
         };
         let Some(ctx) = self.ctxs.remove(&id) else {
             return;
         };
         let attempt = self.attempt_of.remove(&id).unwrap_or(1);
-        let req = match &ctx {
-            InstCtx::Entry { req, .. } | InstCtx::Callee { req, .. } => *req,
-        };
+        let req = inst.req;
         if !self.requests.contains_key(&req) {
             return; // request already aborted
         }
@@ -1075,7 +529,7 @@ impl BaselineCore {
             return;
         }
         self.rt.metrics.faults.retried += 1;
-        let input = inst.interp.input().clone();
+        let backoff = self.rt.retry.backoff(attempt);
         if self.rt.tracer.enabled() {
             let now = self.rt.sim.now();
             self.rt.tracer.emit(
@@ -1084,59 +538,18 @@ impl BaselineCore {
                     req: req.0,
                     func: inst.func.0,
                     attempt: attempt + 1,
-                    backoff: self.rt.retry.backoff(attempt),
+                    backoff,
                 },
             );
         }
-        self.rt.sim.schedule_in(
-            self.rt.retry.backoff(attempt),
-            Ev::Retry {
-                req,
-                ctx,
-                func: inst.func,
-                input,
-                attempt: attempt + 1,
-            },
-        );
-    }
-
-    /// Invocation watchdog: a handler still live past the timeout is
-    /// treated as hung and goes through the instance fault path. A
-    /// blocked caller (legitimately waiting on a live callee) gets its
-    /// watchdog re-armed instead of killed.
-    fn on_timeout(&mut self, id: InstanceId) {
-        let Some(inst) = self.instances.get(&id) else {
-            return;
+        let retry = Ev::Retry {
+            req,
+            ctx,
+            func: inst.func,
+            input: inst.interp.input().clone(),
+            attempt: attempt + 1,
         };
-        if !self.ctxs.contains_key(&id) {
-            return;
-        }
-        match inst.state {
-            InstanceState::Done => {}
-            InstanceState::Blocked => {
-                if let Some(t) = self.rt.retry.invocation_timeout {
-                    self.rt.sim.schedule_in(t, Ev::Timeout(id));
-                }
-            }
-            _ => {
-                self.rt.metrics.faults.timeouts += 1;
-                self.rt
-                    .registry
-                    .inc_labeled("specfaas_faults_injected_total", "site", "timeout");
-                if self.rt.tracer.enabled() {
-                    let now = self.rt.sim.now();
-                    let req = self.req_of(id);
-                    self.rt.tracer.emit(
-                        now,
-                        TraceEventKind::FaultInjected {
-                            req,
-                            site: "timeout",
-                        },
-                    );
-                }
-                self.fault_instance(id);
-            }
-        }
+        self.rt.sim.schedule_in(backoff, retry);
     }
 
     /// Terminally fails a request after its retry budget is exhausted
@@ -1147,18 +560,8 @@ impl BaselineCore {
         let Some(state) = self.requests.remove(&req) else {
             return;
         };
-        let mut victims: Vec<InstanceId> = self
-            .ctxs
-            .iter()
-            .filter(|(_, c)| {
-                matches!(c, InstCtx::Entry { req: r, .. } | InstCtx::Callee { req: r, .. } if *r == req)
-            })
-            .map(|(id, _)| *id)
-            .collect();
-        victims.sort(); // HashMap order is not deterministic
-        for id in victims {
-            // Teardown first so trace spans can still resolve the request.
-            self.teardown_instance(id);
+        for id in self.instances_of(req) {
+            self.rt.teardown_instance(id);
             self.ctxs.remove(&id);
             self.attempt_of.remove(&id);
         }
@@ -1234,9 +637,15 @@ impl BaselineCore {
     fn handle(&mut self, ev: Ev) {
         match ev {
             Ev::Arrival => harness::handle_arrival(self),
-            Ev::Launch(id) => self.on_launch(id),
-            Ev::ContainerReady(id) => self.try_start(id),
-            Ev::Resume(id, v) => self.on_resume(id, v),
+            Ev::Inst(InstEv::Launch(id)) => self.rt.on_launch(id),
+            Ev::Inst(InstEv::ContainerReady(id)) => self.rt.try_start(id),
+            Ev::Inst(InstEv::Resume(id, v)) => self.on_resume(id, v),
+            Ev::Inst(InstEv::KvRetry(id, op, attempt)) => self.kv_access(id, op, attempt),
+            Ev::Inst(InstEv::Timeout(id)) => {
+                if self.rt.watchdog(id) {
+                    self.fault_instance(id);
+                }
+            }
             Ev::Transfer {
                 req,
                 from,
@@ -1247,7 +656,6 @@ impl BaselineCore {
                     self.launch_entry(req, entry, from, payload);
                 }
             }
-            Ev::KvRetry(id, op, attempt) => self.kv_access(id, op, attempt),
             Ev::Retry {
                 req,
                 ctx,
@@ -1270,7 +678,6 @@ impl BaselineCore {
                     }
                 }
             }
-            Ev::Timeout(id) => self.on_timeout(id),
             Ev::Complete(req) => self.on_complete(req),
         }
         // Gauges observe post-event state; a disabled registry makes this
@@ -1282,7 +689,7 @@ impl BaselineCore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use specfaas_sim::{FaultPlan, RetryPolicy};
+    use specfaas_sim::{FaultPlan, RetryPolicy, SimDuration};
     use specfaas_workflow::expr::*;
     use specfaas_workflow::{FunctionRegistry, FunctionSpec, Program, Workflow};
 

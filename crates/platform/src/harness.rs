@@ -5,12 +5,15 @@
 //! part once, so the speculative engine ([`SpecEngine`]) and the
 //! conventional engine ([`BaselineEngine`]) are reduced to policy cores:
 //!
-//! * [`Runtime`] — the state both engines share: simulated clock + event
-//!   queue, workload RNG, cluster (warm-container pools, cores,
-//!   controllers), KV store, fault injector + retry policy, flight
-//!   recorder, time-series registry, run metrics and open/closed-loop
-//!   generation state. It is embedded *inside* each core so engine code
-//!   accesses it as plain fields — no virtual dispatch on hot paths.
+//! * [`Runtime`] — the state both engines share: the application,
+//!   simulated clock + event queue, workload RNG, cluster (warm-container
+//!   pools, cores, controllers), KV store, fault injector + retry policy,
+//!   flight recorder, time-series registry, run metrics, open/closed-loop
+//!   generation state, and the function-instance table. It is embedded
+//!   *inside* each core so engine code accesses it as plain fields — no
+//!   virtual dispatch on hot paths. The instance lifecycle beneath the
+//!   control plane (container, core, faults, watchdog) is implemented on
+//!   it once, in [`crate::exec`].
 //! * [`EngineCore`] — the per-request admit/dispatch/drain semantics a
 //!   concrete engine must provide: admit one request, dispatch one event,
 //!   report/abort live requests.
@@ -30,7 +33,9 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::sync::Arc;
 
+use specfaas_sim::hash::FxHashMap;
 use specfaas_sim::timeseries::{GaugeHandle, MetricsRegistry, SnapshotLog};
 use specfaas_sim::trace::{TraceEventKind, Tracer};
 use specfaas_sim::{FaultInjector, FaultPlan, RetryPolicy};
@@ -39,7 +44,7 @@ use specfaas_storage::{KvStore, Value};
 use specfaas_workflow::{AppSpec, FuncId};
 
 use crate::cluster::Cluster;
-use crate::exec::InstanceId;
+use crate::exec::{FnInstance, InstanceId};
 use crate::metrics::{InvocationRecord, RunMetrics};
 use crate::overheads::OverheadModel;
 use crate::policy::PolicyConfig;
@@ -57,6 +62,10 @@ pub type InputGen = Box<dyn FnMut(&mut SimRng) -> Value>;
 /// it as `self.rt.…`; the [`Harness`] reaches it through
 /// [`EngineCore::rt`]/[`EngineCore::rt_mut`].
 pub struct Runtime<Ev> {
+    /// The application under test.
+    pub app: Arc<AppSpec>,
+    /// Live function instances, whichever engine launched them.
+    pub instances: FxHashMap<InstanceId, FnInstance>,
     /// The discrete-event simulator: clock + event queue.
     pub sim: Simulator<Ev>,
     /// Workload randomness (request inputs, arrival gaps, interpreter
@@ -126,10 +135,12 @@ pub struct Runtime<Ev> {
 }
 
 impl<Ev> Runtime<Ev> {
-    /// Fresh runtime on the paper's 5-node testbed, seeded with `seed`;
-    /// faults, tracer and registry all start disabled.
-    pub fn new(seed: u64) -> Self {
+    /// Fresh runtime for `app` on the paper's 5-node testbed, seeded with
+    /// `seed`; faults, tracer and registry all start disabled.
+    pub fn new(app: Arc<AppSpec>, seed: u64) -> Self {
         Runtime {
+            app,
+            instances: FxHashMap::default(),
             sim: Simulator::new(),
             rng: SimRng::seed(seed),
             cluster: Cluster::paper_testbed(),
@@ -174,12 +185,14 @@ impl<Ev> Runtime<Ev> {
         id
     }
 
-    /// Adds `amount` to the squashed-CPU ledger, mirroring the charge in
-    /// the trace (as a [`TraceEventKind::SquashCharge`]) and the metrics
-    /// registry so both reconcile exactly with [`RunMetrics`].
+    /// Adds `amount` to the squashed-CPU ledger (Table IV), mirroring the
+    /// charge in the trace (as a [`TraceEventKind::SquashCharge`]) and the
+    /// metrics registry, including its per-function heavy hitters, so
+    /// both reconcile exactly with [`RunMetrics`]. Zero-amount charges are
+    /// ledger no-ops and emit nothing.
     pub fn charge_squashed(
         &mut self,
-        req: u64,
+        req: RequestId,
         func: FuncId,
         site: &'static str,
         cascade: u32,
@@ -194,7 +207,7 @@ impl<Ev> Runtime<Ev> {
             self.tracer.emit(
                 now,
                 TraceEventKind::SquashCharge {
-                    req,
+                    req: req.0,
                     func: func.0,
                     site,
                     cascade,
@@ -204,6 +217,11 @@ impl<Ev> Runtime<Ev> {
         }
         self.registry
             .inc_by("specfaas_squashed_core_us_total", amount.as_micros());
+        self.topk_by_function(
+            "specfaas_wasted_core_us_by_function",
+            func,
+            amount.as_micros(),
+        );
     }
 
     /// Records a completed request into [`RunMetrics`] *and* the
@@ -229,17 +247,11 @@ impl<Ev> Runtime<Ev> {
         self.metrics.record_completion(rec);
     }
 
-    /// Adds `weight` for function `func` of `app` to the registry
-    /// heavy-hitter sketch `name`, keyed `"<app>/<function>"`. No-op —
-    /// and allocation-free — when the registry is disabled or the
-    /// function id is the `u32::MAX` sentinel some abort paths carry.
-    pub fn topk_by_function(
-        &mut self,
-        name: &'static str,
-        app: &AppSpec,
-        func: FuncId,
-        weight: u64,
-    ) {
+    /// Adds `weight` for function `func` to the registry heavy-hitter
+    /// sketch `name`, keyed `"<app>/<function>"`. No-op — and
+    /// allocation-free — when the registry is disabled or the function id
+    /// is the `u32::MAX` sentinel some abort paths carry.
+    pub fn topk_by_function(&mut self, name: &'static str, func: FuncId, weight: u64) {
         if !self.registry.enabled() || func.0 == u32::MAX {
             return;
         }
@@ -248,6 +260,7 @@ impl<Ev> Runtime<Ev> {
             self.topk_keys.resize(idx + 1, String::new());
         }
         if self.topk_keys[idx].is_empty() {
+            let app = &self.app;
             self.topk_keys[idx] = format!("{}/{}", app.name, app.registry.name(func));
         }
         self.registry.topk_add(name, &self.topk_keys[idx], weight);
@@ -316,8 +329,10 @@ impl<Ev> Runtime<Ev> {
 /// The per-request admit/dispatch/drain semantics of one execution
 /// engine, driven generically by a [`Harness`].
 ///
-/// A core owns its policy state (pipelines, predictors, instance tables)
-/// plus an embedded [`Runtime`]; the harness owns load generation and
+/// A core owns only its control-plane policy state (pipelines,
+/// predictors, workflow cursors, which slot or entry each instance runs)
+/// plus an embedded [`Runtime`], which holds the instance table and the
+/// shared instance lifecycle; the harness owns load generation and
 /// instrument attachment. The split is the same one open-source platforms
 /// draw between gateway/driver and executor.
 pub trait EngineCore {
@@ -335,9 +350,6 @@ pub trait EngineCore {
 
     /// Shared runtime state (mutable).
     fn rt_mut(&mut self) -> &mut Runtime<Self::Ev>;
-
-    /// The application under test.
-    fn app(&self) -> &AppSpec;
 
     /// The engine's open-loop arrival event (scheduled by the harness to
     /// start generation, re-armed by [`handle_arrival`]).
@@ -362,9 +374,6 @@ pub trait EngineCore {
 
     /// Terminally fails a wedged request, releasing its resources.
     fn abort(&mut self, req: RequestId);
-
-    /// Number of live function instances (end-of-run leak invariant).
-    fn live_instances(&self) -> usize;
 
     /// Diagnostic lines describing each live (possibly stuck) request —
     /// see [`Harness::stuck_report`].
@@ -465,13 +474,13 @@ impl<E: EngineCore> Harness<E> {
 
     /// The application under test.
     pub fn app(&self) -> &AppSpec {
-        self.core.app()
+        &self.core.rt().app
     }
 
     /// Pre-warms containers for every function of the app on every node
     /// (the default warmed-up environment, §IV).
     pub fn prewarm(&mut self) {
-        let funcs: Vec<FuncId> = self.core.app().registry.iter().map(|(id, _)| id).collect();
+        let funcs: Vec<FuncId> = self.app().registry.iter().map(|(id, _)| id).collect();
         // §IV: the paper assumes function start-up overheads have been
         // removed by prior cold-start work, so the warm pool must cover
         // the offered concurrency even under speculative fan-out.
@@ -580,8 +589,8 @@ impl<E: EngineCore> Harness<E> {
     /// perturb the Prometheus export). Call after a load driver returns
     /// and before [`Harness::take_registry`].
     pub fn scoreboard(&self, engine: &'static str, metrics: &RunMetrics) -> ScoreboardRow {
-        let app = self.core.app();
         let rt = self.core.rt();
+        let app = &rt.app;
         let mut row = ScoreboardRow::build(&app.name, engine, metrics, &rt.registry);
         row.evictions = rt.cluster.evictions();
         row.func_containers = rt
@@ -599,9 +608,9 @@ impl<E: EngineCore> Harness<E> {
         if !self.core.rt().tracer.checking() {
             return;
         }
-        let live = self.core.live_instances();
         let extra = self.core.take_unattributed_squash_busy();
         let rt = self.core.rt_mut();
+        let live = rt.instances.len();
         let now = rt.sim.now();
         let busy = rt.cluster.busy_core_time_total(now);
         let (base_u, base_s) = rt.attributed_base;

@@ -19,8 +19,10 @@
 //! * [`container`] — container lifecycle: cold start, warm pools, and the
 //!   initializer/handler process model that makes SpecFaaS squashes cheap
 //!   (§VI, "Minimizing Squash Cost").
-//! * [`exec`] — function instances: a running interpreter bound to a node,
-//!   core slot, container and private temp-file namespace.
+//! * [`exec`] — function instances (a running interpreter bound to a
+//!   request, node, core slot, container and private temp-file namespace)
+//!   and their lifecycle beneath the control plane, implemented once on
+//!   the shared [`Runtime`] for both engines.
 //! * [`harness`] — the shared engine-runtime layer: a [`Runtime`] of
 //!   engine-agnostic state embedded in each engine core, the
 //!   [`EngineCore`] trait, and the generic [`Harness`] driver that owns
