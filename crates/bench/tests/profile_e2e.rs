@@ -4,7 +4,8 @@
 //! For one representative application per suite these tests assert that
 //!
 //! * arming the metrics registry leaves `RunMetrics` bit-identical for
-//!   both engines (sampling never touches the RNG or the event queue),
+//!   both engines, the spec engine also under lazy squashing (sampling
+//!   never touches the RNG or the event queue),
 //! * two same-seed runs produce byte-identical Prometheus and CSV
 //!   exports,
 //! * the Prometheus exposition for a fixed app and seed matches a
@@ -16,7 +17,7 @@
 
 use specfaas_bench::analysis::{analyze, check_paths_exact};
 use specfaas_bench::runner::{instrumented_closed, prepared_baseline, prepared_spec};
-use specfaas_core::SpecConfig;
+use specfaas_core::{SpecConfig, SquashMechanism};
 use specfaas_platform::RunMetrics;
 use specfaas_sim::timeseries::MetricsRegistry;
 use specfaas_sim::trace::Tracer;
@@ -40,7 +41,8 @@ fn policy() -> RetryPolicy {
         .with_timeout(SimDuration::from_secs(2))
 }
 
-/// One instrumented measurement pass. `engine` is `"spec"` or
+/// One instrumented measurement pass. `engine` is `"spec"`,
+/// `"spec-lazy"` (the spec engine with lazily squashed orphans) or
 /// `"baseline"`; `record` arms the registry (a disabled registry is
 /// installed otherwise, which must be a no-op).
 fn instrumented_run(
@@ -54,15 +56,21 @@ fn instrumented_run(
         MetricsRegistry::disabled()
     };
     let gen = bundle.make_input.clone();
+    let mut config = SpecConfig::full();
     match engine {
-        "spec" => instrumented_closed(
-            &mut prepared_spec(bundle, SpecConfig::full(), SEED, TRAIN),
-            plan(),
-            policy(),
-            registry,
-            REQUESTS,
-            move |r| gen(r),
-        ),
+        "spec" | "spec-lazy" => {
+            if engine == "spec-lazy" {
+                config.squash = SquashMechanism::Lazy;
+            }
+            instrumented_closed(
+                &mut prepared_spec(bundle, config, SEED, TRAIN),
+                plan(),
+                policy(),
+                registry,
+                REQUESTS,
+                move |r| gen(r),
+            )
+        }
         "baseline" => instrumented_closed(
             &mut prepared_baseline(bundle, SEED),
             plan(),
@@ -102,7 +110,7 @@ fn assert_metrics_eq(a: &RunMetrics, b: &RunMetrics, label: &str) {
 fn registry_is_invisible_to_run_metrics_on_both_engines() {
     for suite in specfaas_apps::all_suites() {
         let bundle = &suite.apps[0];
-        for engine in ["spec", "baseline"] {
+        for engine in ["spec", "spec-lazy", "baseline"] {
             let label = format!("{}/{}/{engine}", suite.name, bundle.app.name);
             let (_, _, plain) = instrumented_run(bundle, engine, false);
             let (_, registry, recorded) = instrumented_run(bundle, engine, true);

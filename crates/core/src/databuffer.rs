@@ -25,8 +25,7 @@
 //! * **Merge (call return)** — the callee's cells fold into the caller's
 //!   (§V-D): callee writes become caller writes.
 
-use std::collections::HashMap;
-
+use specfaas_sim::hash::FxHashMap;
 use specfaas_storage::Value;
 
 use crate::pipeline::{Pipeline, SlotId};
@@ -56,6 +55,10 @@ struct Cell {
     written: bool,
     value: Option<Value>,
 }
+
+/// Records by key; each row holds the cells of the functions that
+/// touched the record.
+type Rows = FxHashMap<String, FxHashMap<SlotId, Cell>>;
 
 /// Result of a buffered read.
 #[derive(Debug, Clone, PartialEq)]
@@ -89,7 +92,7 @@ pub enum ReadResult {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct DataBuffer {
-    rows: HashMap<String, HashMap<SlotId, Cell>>,
+    rows: Rows,
     forwards: u64,
     violations: u64,
 }
@@ -98,6 +101,15 @@ impl DataBuffer {
     /// Creates an empty buffer.
     pub fn new() -> Self {
         DataBuffer::default()
+    }
+
+    /// The row of `key` in `rows`, created empty on first access. Only a
+    /// new row allocates its key.
+    fn row_mut<'a>(rows: &'a mut Rows, key: &str) -> &'a mut FxHashMap<SlotId, Cell> {
+        if !rows.contains_key(key) {
+            rows.insert(key.to_owned(), FxHashMap::default());
+        }
+        rows.get_mut(key).expect("row present")
     }
 
     /// Records a write of `key` by `slot` and returns the slots that must
@@ -114,7 +126,7 @@ impl DataBuffer {
         let my_pos = order
             .order_of(slot)
             .expect("writer must be an in-progress function");
-        let row = self.rows.entry(key.to_owned()).or_default();
+        let row = Self::row_mut(&mut self.rows, key);
 
         // Successors in program order.
         let mut successors: Vec<(usize, SlotId)> = row
@@ -150,7 +162,7 @@ impl DataBuffer {
         let my_pos = order
             .order_of(slot)
             .expect("reader must be an in-progress function");
-        let row = self.rows.entry(key.to_owned()).or_default();
+        let row = Self::row_mut(&mut self.rows, key);
 
         // Predecessors in reverse program order.
         let mut preds: Vec<(usize, SlotId)> = row

@@ -1,5 +1,7 @@
 //! Completion, branch resolution, successor validation and strictly
 //! in-order commit (§V, §V-E).
+use std::collections::hash_map::Entry;
+
 use super::*;
 
 impl SpecCore {
@@ -12,6 +14,7 @@ impl SpecCore {
     ) {
         // Release execution resources.
         self.slot_of.remove(&id);
+        self.spec_live.remove(&id);
         let (inst, core_time) = self.rt.finish_instance(id);
 
         if !self.requests.contains_key(&req_id) {
@@ -65,7 +68,7 @@ impl SpecCore {
                 if req.pipeline.slot(head).is_none() {
                     continue;
                 }
-                let end = Self::block_end(req, head);
+                let end = req.pipeline.block_end(head);
                 let start = req.pipeline.position(head).expect("live");
                 let stop = req.pipeline.position(end).expect("live");
                 req.pipeline
@@ -116,23 +119,24 @@ impl SpecCore {
     }
 
     pub(super) fn resolve_branch(&mut self, req_id: RequestId, slot_id: SlotId) {
-        let Some(req) = self.requests.get(&req_id) else {
+        let Some(req) = self.requests.get_mut(&req_id) else {
             return;
         };
-        let Some(slot) = req.pipeline.slot(slot_id) else {
+        let Some(slot) = req.pipeline.slot_mut(slot_id) else {
             return;
         };
         let SlotRole::Entry { entry } = slot.role else {
             return;
         };
-        let EntryKind::Branch { field, .. } = self.seqtable.kind_at(entry).clone() else {
+        let EntryKind::Branch { field, .. } = self.seqtable.kind_at(entry) else {
             return;
         };
         let Some(predicted) = slot.predicted_taken else {
             return; // never speculated past
         };
-        let output = slot.output.clone().expect("completed");
-        let actual = Self::branch_outcome(&output, field.as_deref());
+        let output = slot.output.as_ref().expect("completed");
+        let actual = Self::branch_outcome(output, field.as_deref());
+        slot.predicted_taken = None; // resolved
         self.predictor.record_outcome(predicted == actual);
         if self.rt.tracer.enabled() {
             let now = self.rt.sim.now();
@@ -144,11 +148,6 @@ impl SpecCore {
                     actual,
                 },
             );
-        }
-        {
-            let req = self.requests.get_mut(&req_id).expect("live");
-            let slot = req.pipeline.slot_mut(slot_id).expect("live");
-            slot.predicted_taken = None; // resolved
         }
         if predicted != actual {
             // Squash the wrong path: everything after the branch.
@@ -166,7 +165,7 @@ impl SpecCore {
     /// Validates the memo-predicted input of this slot's program-order
     /// successor against the actual output (§V-B).
     pub(super) fn validate_successor(&mut self, req_id: RequestId, slot_id: SlotId) {
-        let Some(req) = self.requests.get(&req_id) else {
+        let Some(req) = self.requests.get_mut(&req_id) else {
             return;
         };
         let Some(slot) = req.pipeline.slot(slot_id) else {
@@ -175,48 +174,40 @@ impl SpecCore {
         let SlotRole::Entry { entry } = slot.role else {
             return;
         };
-        let output = slot.output.clone().expect("completed");
         let expected = match self.seqtable.kind_at(entry) {
-            EntryKind::Simple { .. } => output,
+            EntryKind::Simple { .. } => slot.output.as_ref().expect("completed"),
             // Branch entries route their own input through; forks are
             // spawned at commit with actual outputs.
-            EntryKind::Branch { .. } => slot.input.clone().expect("input"),
+            EntryKind::Branch { .. } => slot.input.as_ref().expect("input"),
             EntryKind::Fork { .. } => return,
         };
         // The successor is the first Entry-role slot after this slot's
         // descendant block.
-        let anchor = Self::block_end(req, slot_id);
+        let anchor = req.pipeline.block_end(slot_id);
         let pos = req.pipeline.position(anchor).expect("live");
-        let order: Vec<SlotId> = req.pipeline.iter_order().collect();
-        let Some(&succ) = order.get(pos + 1) else {
+        let Some(succ) = req.pipeline.iter_order().nth(pos + 1) else {
             return;
         };
         let s = req.pipeline.slot(succ).expect("live");
-        if !matches!(s.role, SlotRole::Entry { .. }) {
+        if !matches!(s.role, SlotRole::Entry { .. }) || !s.input_speculative {
             return;
         }
-        if s.input_speculative {
-            if s.input.as_ref() == Some(&expected) {
-                // Validated: the prediction was right.
-                let req = self.requests.get_mut(&req_id).expect("live");
-                req.pipeline.slot_mut(succ).expect("live").input_speculative = false;
-            } else {
-                // Correct the input BEFORE squashing: squash_from ends
-                // with a pump that may relaunch the reset slot on the
-                // spot, and that instance must capture the validated
-                // input — relaunching with the stale one would recompute
-                // the stale output, self-validate the stale speculation
-                // downstream, and learn a wrong memo row at commit.
-                {
-                    let req = self.requests.get_mut(&req_id).expect("live");
-                    if let Some(s) = req.pipeline.slot_mut(succ) {
-                        s.input = Some(expected);
-                        s.input_speculative = false;
-                    }
-                }
-                self.squash_from(req_id, succ, SquashKind::WrongInput);
-                self.refresh_prediction(req_id, succ);
-            }
+        if s.input.as_ref() == Some(expected) {
+            // Validated: the prediction was right.
+            req.pipeline.slot_mut(succ).expect("live").input_speculative = false;
+        } else {
+            // Correct the input BEFORE squashing: squash_from ends with a
+            // pump that may relaunch the reset slot on the spot, and that
+            // instance must capture the validated input — relaunching
+            // with the stale one would recompute the stale output,
+            // self-validate the stale speculation downstream, and learn a
+            // wrong memo row at commit.
+            let expected = expected.clone();
+            let s = req.pipeline.slot_mut(succ).expect("live");
+            s.input = Some(expected);
+            s.input_speculative = false;
+            self.squash_from(req_id, succ, SquashKind::WrongInput);
+            self.refresh_prediction(req_id, succ);
         }
     }
 
@@ -232,7 +223,6 @@ impl SpecCore {
             // re-issue the call against fresh state, so this completed
             // callee is an orphan — drop it (buffered writes included).
             req.buffer.squash(callee_slot);
-            req.waiting_args.remove(&caller_slot);
             if let Some(callee_func) = req.pipeline.slot(callee_slot).map(|s| s.func) {
                 req.pipeline.remove(callee_slot);
                 req.extended.remove(&callee_slot);
@@ -314,19 +304,53 @@ impl SpecCore {
             );
         }
 
+        // Where the commit leads: a branch outcome to learn, a fork to
+        // spawn, a join contribution or the workflow end.
+        let input = slot.input.expect("committed slot has input");
+        let output = slot.output.expect("committed slot has output");
+        let mut branch_taken: Option<bool> = None;
+        let mut fork_spawn: Option<(Vec<usize>, Value)> = None;
+        let mut join_target: Option<(usize, Value)> = None;
+        let mut reached_end = false;
+        if let SlotRole::Entry { entry } = slot.role {
+            let joins_at = |n: usize| self.seqtable.compiled().entries[n].join_arity > 1;
+            match self.seqtable.kind_at(entry) {
+                EntryKind::Fork { branches, .. } => {
+                    fork_spawn = Some((branches.clone(), output.clone()));
+                }
+                EntryKind::Simple { next } => match *next {
+                    Some(n) if joins_at(n) => join_target = Some((n, output.clone())),
+                    Some(_) => {}
+                    None => reached_end = true,
+                },
+                EntryKind::Branch {
+                    field,
+                    taken,
+                    not_taken,
+                } => {
+                    let dir = Self::branch_outcome(&output, field.as_deref());
+                    branch_taken = Some(dir);
+                    match if dir { *taken } else { *not_taken } {
+                        Some(n) if joins_at(n) => join_target = Some((n, input.clone())),
+                        Some(_) => {}
+                        None => reached_end = true,
+                    }
+                }
+            }
+        }
+
         // Record committed knowledge for end-of-invocation table updates.
-        let input = slot.input.clone().expect("committed slot has input");
-        let output = slot.output.clone().expect("committed slot has output");
-        let callee_inputs: Vec<Value> = slot
+        // The row takes the slot's documents; only the successors' inputs
+        // above are copies.
+        let (callees, callee_inputs): (Vec<FuncId>, Vec<Value>) = slot
             .learned_calls
-            .iter()
-            .map(|(_, i, _)| i.clone())
-            .collect();
-        let callees: Vec<FuncId> = slot.learned_calls.iter().map(|(f, _, _)| *f).collect();
+            .into_iter()
+            .map(|(f, i, _)| (f, i))
+            .unzip();
         req.learned.push(Learned::Memo {
             func: slot.func,
-            input: input.clone(),
-            output: output.clone(),
+            input,
+            output,
             callee_inputs,
         });
         // Promote the call observations bubbled up from consumed callees:
@@ -345,8 +369,7 @@ impl SpecCore {
             });
         }
         if let SlotRole::Entry { entry } = slot.role {
-            if let EntryKind::Branch { field, .. } = self.seqtable.kind_at(entry).clone() {
-                let taken = Self::branch_outcome(&output, field.as_deref());
+            if let Some(taken) = branch_taken {
                 req.learned.push(Learned::Branch {
                     entry,
                     path: slot.path,
@@ -358,45 +381,6 @@ impl SpecCore {
                 callees,
             });
         }
-
-        // Useful core time accounting.
-        // (complete_slot already put it into slot_cpu → metrics)
-        // Note: metrics.useful_core_time is credited here.
-        // Fork spawn or end detection.
-        let mut fork_spawn: Option<(Vec<usize>, Option<usize>, Value)> = None;
-        let mut join_target: Option<(usize, Value)> = None;
-        let mut reached_end = false;
-        if let SlotRole::Entry { entry } = slot.role {
-            match self.seqtable.kind_at(entry).clone() {
-                EntryKind::Fork { branches, join } => {
-                    fork_spawn = Some((branches, join, output.clone()));
-                }
-                EntryKind::Simple { next } => match next {
-                    Some(n) if self.seqtable.compiled().entries[n].join_arity > 1 => {
-                        join_target = Some((n, output.clone()));
-                    }
-                    Some(_) => {}
-                    None => reached_end = true,
-                },
-                EntryKind::Branch {
-                    field,
-                    taken,
-                    not_taken,
-                } => {
-                    let dir = Self::branch_outcome(&output, field.as_deref());
-                    let target = if dir { taken } else { not_taken };
-                    match target {
-                        Some(n) if self.seqtable.compiled().entries[n].join_arity > 1 => {
-                            join_target = Some((n, slot.input.clone().expect("input")));
-                        }
-                        Some(_) => {}
-                        None => reached_end = true,
-                    }
-                }
-            }
-        }
-
-        let req = self.requests.get_mut(&req_id).expect("live");
         if reached_end {
             req.end_committed = true;
         }
@@ -404,7 +388,7 @@ impl SpecCore {
         // Fork: spawn branch heads now, with actual outputs. Their inputs
         // are real, so memo rows can immediately predict their outputs and
         // let extension speculate down each branch.
-        if let Some((branches, _join, payload)) = fork_spawn {
+        if let Some((branches, payload)) = fork_spawn {
             let mut spawned = Vec::new();
             for b in branches {
                 let func = self.seqtable.func_at(b);
@@ -459,30 +443,33 @@ impl SpecCore {
         // Apply committed knowledge to the persistent tables (§V-E: never
         // updated with speculative data — the whole invocation validated).
         // Group memo knowledge by (func, input): the callee inputs come
-        // from the commit record of the caller.
+        // from the commit record of the caller. The map's iteration order
+        // sets the rows' LRU ticks, hence later evictions.
         let mut memo_rows: FxHashMap<(u32, Value), (Value, Vec<Value>)> = FxHashMap::default();
-        for l in &req.learned {
+        for l in req.learned {
             match l {
                 Learned::Memo {
                     func,
                     input,
                     output,
                     callee_inputs,
-                } => {
-                    let e = memo_rows
-                        .entry((func.0, input.clone()))
-                        .or_insert((output.clone(), Vec::new()));
-                    e.0 = output.clone();
-                    if !callee_inputs.is_empty() {
-                        e.1 = callee_inputs.clone();
+                } => match memo_rows.entry((func.0, input)) {
+                    Entry::Occupied(mut e) => {
+                        let row = e.get_mut();
+                        row.0 = output;
+                        if !callee_inputs.is_empty() {
+                            row.1 = callee_inputs;
+                        }
                     }
-                }
+                    Entry::Vacant(e) => {
+                        e.insert((output, callee_inputs));
+                    }
+                },
                 Learned::Branch { entry, path, taken } => {
-                    self.predictor
-                        .update(BranchSite::Entry(*entry), *path, *taken);
+                    self.predictor.update(BranchSite::Entry(entry), path, taken);
                 }
                 Learned::Calls { caller, callees } => {
-                    self.seqtable.learn_calls(*caller, callees);
+                    self.seqtable.learn_calls(caller, &callees);
                 }
             }
         }

@@ -30,28 +30,6 @@ impl SpecCore {
         }
     }
 
-    /// The last slot of `anchor`'s descendant block (the anchor itself or
-    /// its later callee-descendants), after which a program-order
-    /// successor belongs.
-    pub(super) fn block_end(req: &Req, anchor: SlotId) -> SlotId {
-        let mut block: FxHashSet<SlotId> = FxHashSet::default();
-        block.insert(anchor);
-        let mut last = anchor;
-        let order: Vec<SlotId> = req.pipeline.iter_order().collect();
-        let start = req.pipeline.position(anchor).expect("anchor live");
-        for &s in &order[start + 1..] {
-            let slot = req.pipeline.slot(s).expect("slot live");
-            match slot.role {
-                SlotRole::Callee { caller, .. } if block.contains(&caller) => {
-                    block.insert(s);
-                    last = s;
-                }
-                _ => break,
-            }
-        }
-        last
-    }
-
     /// Creates program-order successors for every unextended entry slot
     /// whose successor payload is (actually or speculatively) known.
     pub(super) fn extend(&mut self, req_id: RequestId) {
@@ -94,22 +72,19 @@ impl SpecCore {
 
     /// Attempts to create the successor of one entry slot. Returns true
     /// if extension made progress (successor created or slot marked
-    /// terminally extended).
+    /// terminally extended). Only the forwarded payload is copied.
     pub(super) fn extend_one(&mut self, req_id: RequestId, slot_id: SlotId, entry: usize) -> bool {
-        let kind = self.seqtable.kind_at(entry).clone();
-        let req = self.requests.get(&req_id).expect("live request");
-        let slot = req.pipeline.slot(slot_id).expect("live slot");
+        let slot = self.requests[&req_id]
+            .pipeline
+            .slot(slot_id)
+            .expect("live slot");
         let completed = slot.state == SlotState::Completed;
-        let slot_input = slot.input.clone();
-        let slot_output = slot.output.clone();
-        let slot_path = slot.path;
-        let slot_func = slot.func;
+        let (slot_path, slot_func) = (slot.path, slot.func);
         let slot_input_spec = slot.input_speculative;
-        let slot_pred_out = slot.predicted_output.clone();
 
-        let (next_entry, payload, payload_spec, predicted_dir) = match kind {
+        let (next_entry, payload, payload_spec) = match self.seqtable.kind_at(entry) {
             EntryKind::Simple { next } => {
-                let Some(n) = next else {
+                let Some(n) = *next else {
                     self.mark_extended(req_id, slot_id);
                     return true;
                 };
@@ -119,10 +94,10 @@ impl SpecCore {
                     return true;
                 }
                 if completed {
-                    (n, slot_output.expect("completed has output"), false, None)
+                    (n, slot.output.clone().expect("completed has output"), false)
                 } else if self.config.memoization {
-                    match slot_pred_out {
-                        Some(p) => (n, p, true, None),
+                    match &slot.predicted_output {
+                        Some(p) => (n, p.clone(), true),
                         None => return false, // stuck until completion
                     }
                 } else {
@@ -130,19 +105,25 @@ impl SpecCore {
                 }
             }
             EntryKind::Branch {
-                ref field,
+                field,
                 taken,
                 not_taken,
             } => {
+                let (taken, not_taken) = (*taken, *not_taken);
                 let outcome = if completed {
                     Some(Self::branch_outcome(
-                        slot_output.as_ref().expect("completed"),
+                        slot.output.as_ref().expect("completed"),
                         field.as_deref(),
                     ))
                 } else if !self.config.branch_prediction {
                     None
                 } else {
-                    self.predict_branch(entry, slot_path, slot_func, slot_input.as_ref())
+                    // Only the forced-accuracy oracle reads the input.
+                    let oracle_input = self
+                        .config
+                        .forced_branch_accuracy
+                        .and_then(|_| slot.input.clone());
+                    self.predict_branch(entry, slot_path, slot_func, oracle_input)
                 };
                 let Some(dir) = outcome else { return false };
                 let target = if dir { taken } else { not_taken };
@@ -177,13 +158,9 @@ impl SpecCore {
                     return true;
                 }
                 // Branch functions route, passing their input through.
-                let payload = slot_input.clone().expect("slot has input");
-                (
-                    n,
-                    payload,
-                    slot_input_spec || !completed,
-                    (!completed).then_some(dir),
-                )
+                let slot = self.requests[&req_id].pipeline.slot(slot_id);
+                let payload = slot.and_then(|s| s.input.clone()).expect("slot has input");
+                (n, payload, slot_input_spec || !completed)
             }
             EntryKind::Fork { .. } => {
                 // Conservative: parallel fan-out happens at commit.
@@ -191,36 +168,22 @@ impl SpecCore {
                 return true;
             }
         };
-        let _ = predicted_dir;
 
         // Create the successor slot after this slot's descendant block.
-        let req = self.requests.get_mut(&req_id).expect("live request");
-        let anchor = Self::block_end(req, slot_id);
         let func = self.seqtable.func_at(next_entry);
-        let new_path = slot_path.extend(slot_func.0);
+        let non_speculative = self.rt.app.registry.spec(func).annotations.non_speculative;
+        let req = self.requests.get_mut(&req_id).expect("live request");
+        let anchor = req.pipeline.block_end(slot_id);
         let new_id = req.pipeline.insert_after(
             anchor,
             func,
             SlotRole::Entry { entry: next_entry },
-            new_path,
+            slot_path.extend(slot_func.0),
         );
-        let annotations = self.rt.app.registry.spec(func).annotations;
-        let pred_iter = req
-            .pipeline
-            .slot(slot_id)
-            .map(|p| p.iteration + 1)
-            .unwrap_or(0);
-        {
-            let s = req.pipeline.slot_mut(new_id).expect("fresh slot");
-            s.input = Some(payload);
-            s.input_speculative = payload_spec;
-            s.non_speculative = annotations.non_speculative;
-            if let SlotRole::Entry { entry: e } = s.role {
-                if e <= entry {
-                    s.iteration = pred_iter;
-                }
-            }
-        }
+        let s = req.pipeline.slot_mut(new_id).expect("fresh slot");
+        s.input = Some(payload);
+        s.input_speculative = payload_spec;
+        s.non_speculative = non_speculative;
         req.extended.insert(slot_id);
         // Memo-predict the new slot's own output so extension can continue.
         self.refresh_prediction(req_id, new_id);
@@ -245,11 +208,11 @@ impl SpecCore {
         let Some(slot) = req.pipeline.slot_mut(slot_id) else {
             return;
         };
-        let Some(input) = slot.input.clone() else {
+        let Some(input) = &slot.input else {
             return;
         };
         let func = slot.func.0;
-        let hit = if let Some(entry) = self.memos.table_mut(func).lookup(&input) {
+        let hit = if let Some(entry) = self.memos.table_mut(func).lookup(input) {
             slot.predicted_output = Some(entry.output.clone());
             true
         } else {
@@ -283,7 +246,7 @@ impl SpecCore {
         entry: usize,
         path: PathHistory,
         func: FuncId,
-        input: Option<&Value>,
+        input: Option<Value>,
     ) -> Option<bool> {
         let site = BranchSite::Entry(entry);
         let pred = if let Some(acc) = self.config.forced_branch_accuracy {
@@ -308,7 +271,7 @@ impl SpecCore {
         &mut self,
         entry: usize,
         func: FuncId,
-        input: &Value,
+        input: Value,
     ) -> Option<bool> {
         let program: Program = self.rt.app.registry.spec(func).program.clone();
         let mut scratch: FxHashMap<String, Value> = FxHashMap::default();
@@ -322,7 +285,7 @@ impl SpecCore {
         let mut rng = self.rt.rng.split();
         let out = Interp::run_functional(
             &program,
-            input.clone(),
+            input,
             &mut scratch,
             &mut |_, _, _, _| Ok(Value::Null),
             &mut rng,
@@ -476,34 +439,27 @@ impl SpecCore {
             return;
         }
         let depth = self.config.effective_depth(self.rt.cluster.occupancy());
-        let (caller_func, caller_input, caller_path) = {
-            let req = self.requests.get(&req_id).expect("live");
-            let slot = req.pipeline.slot(caller_slot).expect("live");
-            (slot.func, slot.input.clone(), slot.path)
-        };
-        let Some(input) = caller_input else { return };
+        let caller = self.requests[&req_id]
+            .pipeline
+            .slot(caller_slot)
+            .expect("live");
+        let (caller_func, caller_path) = (caller.func, caller.path);
         if !self.seqtable.knows_caller(caller_func) {
             return;
         }
-        let Some(row) = self.memos.table(caller_func.0).peek(&input) else {
+        let Some(input) = &caller.input else { return };
+        let Some(row) = self.memos.table(caller_func.0).peek(input) else {
             return;
         };
-        let callee_inputs = row.callee_inputs.clone();
-        let edges: Vec<(usize, FuncId, f64)> = self
-            .seqtable
-            .callees_of(caller_func)
-            .iter()
-            .enumerate()
-            .map(|(i, e)| (i, e.callee, self.seqtable.call_probability(caller_func, i)))
-            .collect();
 
         let mut anchor = caller_slot;
         let mut created = Vec::new();
-        for (site, callee, prob) in edges {
+        for (site, edge) in self.seqtable.callees_of(caller_func).iter().enumerate() {
+            let prob = self.seqtable.call_probability(caller_func, site);
             if prob < 0.5 + self.config.branch_confidence_window {
                 break; // stop prefetching at the first unlikely call
             }
-            let Some(args) = callee_inputs.get(site).cloned() else {
+            let Some(args) = row.callee_inputs.get(site) else {
                 break;
             };
             let req = self.requests.get_mut(&req_id).expect("live");
@@ -513,7 +469,7 @@ impl SpecCore {
             let path = caller_path.extend(caller_func.0);
             let id = req.pipeline.insert_after(
                 anchor,
-                callee,
+                edge.callee,
                 SlotRole::Callee {
                     caller: caller_slot,
                     site,
@@ -522,13 +478,13 @@ impl SpecCore {
             );
             {
                 let s = req.pipeline.slot_mut(id).expect("fresh");
-                s.input = Some(args);
+                s.input = Some(args.clone());
                 s.input_speculative = true;
                 s.non_speculative = self
                     .rt
                     .app
                     .registry
-                    .spec(callee)
+                    .spec(edge.callee)
                     .annotations
                     .non_speculative;
             }
@@ -537,7 +493,7 @@ impl SpecCore {
                 .or_default()
                 .prefetched
                 .push(id);
-            anchor = Self::block_end(req, id);
+            anchor = req.pipeline.block_end(id);
             created.push(id);
         }
         for id in created {

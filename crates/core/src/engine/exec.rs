@@ -243,7 +243,6 @@ impl SpecCore {
                     // Stall the caller until the callee completes (§V-D);
                     // the blocked caller yields its execution slot.
                     req.waiting_callers.insert(cslot, caller_slot);
-                    req.waiting_args.insert(caller_slot, args);
                     self.rt.block_instance(caller_inst);
                     // The callee may just have become the non-speculative
                     // execution point: release its deferred side effects.
@@ -260,7 +259,7 @@ impl SpecCore {
         // Spawn the callee on demand (non-speculative input).
         let req = self.requests.get_mut(&req_id).expect("live");
         let caller_path = req.pipeline.slot(caller_slot).expect("live").path;
-        let anchor = Self::block_end(req, caller_slot);
+        let anchor = req.pipeline.block_end(caller_slot);
         let cslot = req.pipeline.insert_after(
             anchor,
             callee_func,
@@ -272,7 +271,7 @@ impl SpecCore {
         );
         {
             let s = req.pipeline.slot_mut(cslot).expect("fresh");
-            s.input = Some(args.clone());
+            s.input = Some(args);
             s.non_speculative = self
                 .rt
                 .app
@@ -282,7 +281,6 @@ impl SpecCore {
                 .non_speculative;
         }
         req.waiting_callers.insert(cslot, caller_slot);
-        req.waiting_args.insert(caller_slot, args);
         let launchable = {
             let req = self.requests.get(&req_id).expect("live");
             let slot = req.pipeline.slot(cslot).expect("live");
@@ -366,30 +364,29 @@ impl SpecCore {
         let callee = req.pipeline.remove(callee_slot);
         req.extended.remove(&callee_slot);
         req.waiting_callers.remove(&callee_slot);
-        req.waiting_args.remove(&caller_slot);
-        let output = callee.output.clone().expect("completed callee");
+        let input = callee.input.expect("callee input");
+        let output = callee.output.expect("completed callee");
         req.committed_sequence.push(callee.func.0);
         // The caller's memo row records its *direct* calls only.
         if let Some(caller) = req.pipeline.slot_mut(caller_slot) {
-            caller.learned_calls.push((
-                callee.func,
-                callee.input.clone().expect("callee input"),
-                output.clone(),
-            ));
+            caller
+                .learned_calls
+                .push((callee.func, input.clone(), output.clone()));
         }
         // Bubble the callee's own observation (with its direct callee
         // list) to the owning entry slot for commit-time promotion.
         if let Some(entry) = Self::entry_ancestor(req, caller_slot) {
+            let (callee_funcs, callee_inputs) = callee
+                .learned_calls
+                .into_iter()
+                .map(|(f, i, _)| (f, i))
+                .unzip();
             req.call_records.entry(entry).or_default().push(CallRecord {
                 func: callee.func,
-                input: callee.input.clone().expect("callee input"),
+                input,
                 output: output.clone(),
-                callee_funcs: callee.learned_calls.iter().map(|(f, _, _)| *f).collect(),
-                callee_inputs: callee
-                    .learned_calls
-                    .iter()
-                    .map(|(_, i, _)| i.clone())
-                    .collect(),
+                callee_funcs,
+                callee_inputs,
             });
         }
         req.call_state.remove(&callee_slot);

@@ -139,9 +139,6 @@ struct Req {
     call_state: FxHashMap<SlotId, CallState>,
     /// Callee slot → caller slot blocked waiting for it.
     waiting_callers: FxHashMap<SlotId, SlotId>,
-    /// Caller slot → callee args it is waiting to consume (revalidated on
-    /// callee completion).
-    waiting_args: FxHashMap<SlotId, Value>,
     stalled_reads: Vec<StalledRead>,
     /// Slots whose HTTP request is deferred until they are head.
     deferred_http: FxHashMap<SlotId, InstanceId>,
@@ -227,9 +224,10 @@ pub struct SpecCore {
     squash_kill_busy: SimDuration,
     /// `squash_kill_busy` value at tracer install / last end-of-run check.
     kill_busy_base: SimDuration,
-    /// Live instances whose launch was speculative (registry-gated;
-    /// pruned lazily at sample time). Feeds the in-flight-speculation
-    /// gauge without touching the unconditional instance bookkeeping.
+    /// Live instances whose launch was speculative (registry-gated).
+    /// Every site that removes an instance from `rt.instances` drops it
+    /// here too. Feeds the in-flight-speculation gauge without touching
+    /// the unconditional instance bookkeeping.
     spec_live: FxHashSet<InstanceId>,
     /// Cached `(inflight_spec_slots, memo_entries)` gauge instruments
     /// ([`specfaas_sim::MetricsRegistry::sample_interned`]): per-event
@@ -323,7 +321,7 @@ impl EngineCore for SpecCore {
                     })
                     .collect();
                 format!(
-                    "req {:?}: committing={:?} end={} slots=[{}] waiting={:?} stalls={} defhttp={} waitargs={:?}",
+                    "req {:?}: committing={:?} end={} slots=[{}] waiting={:?} stalls={} defhttp={}",
                     rid.0,
                     req.committing,
                     req.end_committed,
@@ -331,7 +329,6 @@ impl EngineCore for SpecCore {
                     req.waiting_callers,
                     req.stalled_reads.len(),
                     req.deferred_http.len(),
-                    req.waiting_args.keys().collect::<Vec<_>>(),
                 )
             })
             .collect()
@@ -401,8 +398,12 @@ impl SpecCore {
         }
         let now = self.rt.sim.now();
         self.rt.sample_cluster_gauges(now);
-        self.spec_live
-            .retain(|id| self.rt.instances.contains_key(id));
+        debug_assert!(
+            self.spec_live
+                .iter()
+                .all(|id| self.rt.instances.contains_key(id)),
+            "an instance left the runtime without leaving spec_live"
+        );
         self.rt.registry.sample_interned(
             &mut self.spec_gauge_h.0,
             now,
@@ -439,7 +440,6 @@ impl SpecCore {
             slot_inst: FxHashMap::default(),
             call_state: FxHashMap::default(),
             waiting_callers: FxHashMap::default(),
-            waiting_args: FxHashMap::default(),
             stalled_reads: Vec::new(),
             deferred_http: FxHashMap::default(),
             extended: FxHashSet::default(),

@@ -200,6 +200,7 @@ impl SpecCore {
                     self.rt.cluster.release_container(node, func, now, reusable);
                 }
                 self.rt.instances.remove(&id);
+                self.spec_live.remove(&id);
             }
         }
     }
@@ -208,6 +209,7 @@ impl SpecCore {
         let Some(inst) = self.rt.instances.remove(&id) else {
             return;
         };
+        self.spec_live.remove(&id);
         // The stint up to the kill was already charged to
         // squashed_core_time by `kill_instance`; the core stayed busy for
         // the kill latency since then, which only the conservation ledger
@@ -245,6 +247,7 @@ impl SpecCore {
                 let now = self.rt.sim.now();
                 self.orphans.remove(&id);
                 let inst = self.rt.instances.remove(&id).expect("orphan live");
+                self.spec_live.remove(&id);
                 // Everything this orphan ever ran was wasted: its final
                 // stint plus any stints accumulated while it was blocked
                 // before being squashed. It is charged to no request: lazy
@@ -269,6 +272,7 @@ impl SpecCore {
     pub(super) fn teardown_instance(&mut self, id: InstanceId) {
         self.slot_of.remove(&id);
         self.orphans.remove(&id);
+        self.spec_live.remove(&id);
         self.rt.teardown_instance(id);
     }
 

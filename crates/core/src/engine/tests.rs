@@ -249,7 +249,7 @@ fn implicit_callees_overlap_after_training() {
     e.prewarm();
     let inp = Value::map([("k", Value::Int(3))]);
     let cold = e.run_single(inp.clone());
-    let warm = e.run_single(inp.clone());
+    let warm = e.run_single(inp);
     assert!(
         warm < cold,
         "prefetched callees should overlap: cold {cold}, warm {warm}"

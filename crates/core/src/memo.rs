@@ -13,8 +13,9 @@
 //! reaches a 96 % average hit rate on TrainTicket, and that the combined
 //! tables of an application occupy only 1.5–30 KB.
 
-use specfaas_sim::hash::FxHashMap;
+use std::collections::hash_map::Entry;
 
+use specfaas_sim::hash::FxHashMap;
 use specfaas_sim::stats::HitRate;
 use specfaas_storage::Value;
 
@@ -94,25 +95,26 @@ impl MemoTable {
     /// commit time with validated, non-speculative values (§V-E).
     pub fn insert(&mut self, input: Value, output: Value, callee_inputs: Vec<Value>) {
         self.tick += 1;
-        if self.entries.len() >= self.capacity && !self.entries.contains_key(&input) {
-            // Evict the least recently used row.
-            if let Some(victim) = self
-                .entries
-                .iter()
-                .min_by_key(|(_, e)| e.lru_tick)
-                .map(|(k, _)| k.clone())
-            {
-                self.entries.remove(&victim);
+        let row = MemoEntry {
+            output,
+            callee_inputs,
+            lru_tick: self.tick,
+        };
+        match self.entries.entry(input) {
+            Entry::Occupied(mut e) => {
+                e.insert(row);
+            }
+            Entry::Vacant(e) => {
+                e.insert(row);
+                if self.entries.len() > self.capacity {
+                    // Evict the least recently used row. Ticks are
+                    // distinct and the new row's is the largest, so
+                    // exactly one older row goes.
+                    let oldest = self.entries.values().map(|e| e.lru_tick).min();
+                    self.entries.retain(|_, e| Some(e.lru_tick) != oldest);
+                }
             }
         }
-        self.entries.insert(
-            input,
-            MemoEntry {
-                output,
-                callee_inputs,
-                lru_tick: self.tick,
-            },
-        );
     }
 
     /// Number of rows.

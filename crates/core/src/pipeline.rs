@@ -10,9 +10,9 @@
 //! branches and loops; implicit callees are inserted between their caller
 //! and the caller's successors (§V-D).
 
-use std::collections::HashMap;
 use std::fmt;
 
+use specfaas_sim::hash::FxHashMap;
 use specfaas_storage::Value;
 use specfaas_workflow::FuncId;
 
@@ -88,8 +88,6 @@ pub struct Slot {
     pub predicted_taken: Option<bool>,
     /// Path history at this slot (used to key predictor updates).
     pub path: PathHistory,
-    /// Loop-iteration disambiguator for back-edge entries.
-    pub iteration: u32,
     /// Learned callee records (input/output pairs observed at call
     /// returns), bubbled up for commit-time table updates.
     pub learned_calls: Vec<(FuncId, Value, Value)>,
@@ -117,7 +115,7 @@ pub struct Slot {
 #[derive(Debug, Clone, Default)]
 pub struct Pipeline {
     order: Vec<SlotId>,
-    slots: HashMap<SlotId, Slot>,
+    slots: FxHashMap<SlotId, Slot>,
     next_id: u64,
     total_created: u64,
 }
@@ -144,7 +142,6 @@ impl Pipeline {
             control_dep: None,
             predicted_taken: None,
             path,
-            iteration: 0,
             learned_calls: Vec::new(),
             non_speculative: false,
         }
@@ -231,6 +228,31 @@ impl Pipeline {
             Some(p) => self.order[p + 1..].to_vec(),
             None => Vec::new(),
         }
+    }
+
+    /// The last slot of `anchor`'s descendant block: the anchor itself,
+    /// or the last of the callees (and their callees) that directly
+    /// follow it. A program-order successor of `anchor` belongs after
+    /// this slot.
+    ///
+    /// A callee is always inserted inside its caller's block, so a block
+    /// is contiguous: a slot belongs to it when its caller is one of the
+    /// slots scanned so far, and the first slot that does not ends it.
+    ///
+    /// # Panics
+    /// Panics if `anchor` is not in the pipeline.
+    pub(crate) fn block_end(&self, anchor: SlotId) -> SlotId {
+        let start = self.position(anchor).expect("anchor live");
+        let mut end = start;
+        for (i, s) in self.order.iter().enumerate().skip(start + 1) {
+            match self.slots[s].role {
+                SlotRole::Callee { caller, .. } if self.order[start..i].contains(&caller) => {
+                    end = i
+                }
+                _ => break,
+            }
+        }
+        self.order[end]
     }
 
     /// Shared access to a slot.
@@ -352,6 +374,43 @@ mod tests {
         assert!(!p.is_head(b));
         p.remove(a);
         assert!(p.is_head(b));
+    }
+
+    /// Program order `a c1 c2 c3 c4 b d1 e`: entry `a` calls `c1`, which
+    /// calls `c2`, and then `c3`, which calls `c4`; entry `b` calls `d1`;
+    /// `e` is a trailing entry. A block is the anchor plus every directly
+    /// following callee whose caller is already in the block. So `a`'s
+    /// block runs through its nested callees to `c4`, while `c1`'s stops
+    /// at `c2`: the next slot, `c3`, is the callee of a slot outside it.
+    #[test]
+    fn block_end_covers_nested_callees_only() {
+        let start = PathHistory::start();
+        let mut p = Pipeline::new();
+        let entry = |e| SlotRole::Entry { entry: e };
+        let callee = |caller, site| SlotRole::Callee { caller, site };
+        let a = p.push_back(FuncId(0), entry(0), start);
+        let b = p.push_back(FuncId(1), entry(1), start);
+        let e = p.push_back(FuncId(2), entry(2), start);
+        let c1 = p.insert_after(a, FuncId(3), callee(a, 0), start);
+        let c2 = p.insert_after(c1, FuncId(4), callee(c1, 0), start);
+        let c3 = p.insert_after(c2, FuncId(5), callee(a, 1), start);
+        let c4 = p.insert_after(c3, FuncId(6), callee(c3, 0), start);
+        let d1 = p.insert_after(b, FuncId(7), callee(b, 0), start);
+        let order: Vec<SlotId> = p.iter_order().collect();
+        assert_eq!(order, vec![a, c1, c2, c3, c4, b, d1, e]);
+        let ends = [
+            (a, c4),
+            (c1, c2),
+            (c2, c2),
+            (c3, c4),
+            (c4, c4),
+            (b, d1),
+            (d1, d1),
+            (e, e),
+        ];
+        for (anchor, end) in ends {
+            assert_eq!(p.block_end(anchor), end, "block of {anchor}");
+        }
     }
 
     #[test]

@@ -12,8 +12,7 @@
 //! (§VI, "Configurability"). A forced-accuracy oracle mode reproduces the
 //! controlled sweep of Fig. 14.
 
-use std::collections::HashMap;
-
+use specfaas_sim::hash::FxHashMap;
 use specfaas_sim::stats::HitRate;
 use specfaas_sim::SimRng;
 
@@ -105,11 +104,11 @@ impl Counts {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct BranchPredictor {
-    entries: HashMap<(BranchSite, PathHistory), Counts>,
+    entries: FxHashMap<(BranchSite, PathHistory), Counts>,
     /// Per-site sum over all path sub-entries, maintained incrementally by
     /// `update` so the unseen-path fallback in `predict` is O(1) instead
     /// of a scan over the whole entry table.
-    site_totals: HashMap<BranchSite, Counts>,
+    site_totals: FxHashMap<BranchSite, Counts>,
     confidence_window: f64,
     accuracy: HitRate,
 }
@@ -126,8 +125,8 @@ impl BranchPredictor {
             "window must be in [0, 0.5)"
         );
         BranchPredictor {
-            entries: HashMap::new(),
-            site_totals: HashMap::new(),
+            entries: FxHashMap::default(),
+            site_totals: FxHashMap::default(),
             confidence_window,
             accuracy: HitRate::new(),
         }

@@ -13,8 +13,7 @@
 //! Call (C) bit to its observed callees, and callee entries carry the
 //! Return (R) bit (Fig. 10(b)).
 
-use std::collections::HashMap;
-
+use specfaas_sim::hash::FxHashMap;
 use specfaas_workflow::{CompiledWorkflow, EntryKind, FuncId};
 
 /// A learned call edge of an implicit workflow: "`caller` invokes `callee`
@@ -36,10 +35,10 @@ pub struct SequenceTable {
     compiled: CompiledWorkflow,
     /// Learned callee lists, per caller function, in call order
     /// (implicit workflows, Fig. 10(b)).
-    calls: HashMap<FuncId, Vec<CallEdge>>,
+    calls: FxHashMap<FuncId, Vec<CallEdge>>,
     /// Committed invocation count per caller (denominator for call
     /// probabilities).
-    caller_commits: HashMap<FuncId, u64>,
+    caller_commits: FxHashMap<FuncId, u64>,
 }
 
 impl SequenceTable {
@@ -47,8 +46,8 @@ impl SequenceTable {
     pub fn new(compiled: CompiledWorkflow) -> Self {
         SequenceTable {
             compiled,
-            calls: HashMap::new(),
-            caller_commits: HashMap::new(),
+            calls: FxHashMap::default(),
+            caller_commits: FxHashMap::default(),
         }
     }
 

@@ -9,8 +9,7 @@
 //! the consumer's read *stalls* instead of proceeding optimistically —
 //! eliminating the squash.
 
-use std::collections::HashMap;
-
+use specfaas_sim::hash::FxHashMap;
 use specfaas_workflow::FuncId;
 
 /// The remembered producer→consumer record dependences of one
@@ -31,7 +30,7 @@ use specfaas_workflow::FuncId;
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct StallList {
-    squashes: HashMap<(FuncId, FuncId, String), u32>,
+    squashes: FxHashMap<(FuncId, FuncId, String), u32>,
     threshold: u32,
     stalls_avoided: u64,
 }
@@ -41,7 +40,7 @@ impl StallList {
     /// the same triple.
     pub fn new(threshold: u32) -> Self {
         StallList {
-            squashes: HashMap::new(),
+            squashes: FxHashMap::default(),
             threshold: threshold.max(1),
             stalls_avoided: 0,
         }
