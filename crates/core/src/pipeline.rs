@@ -80,9 +80,6 @@ pub struct Slot {
     pub predicted_output: Option<Value>,
     /// Actual output, once completed.
     pub output: Option<Value>,
-    /// For slots created beyond an unresolved branch: the branch slot and
-    /// the predicted direction this slot depends on.
-    pub control_dep: Option<(SlotId, bool)>,
     /// For branch-entry slots: the direction the controller predicted
     /// (None when not speculated past).
     pub predicted_taken: Option<bool>,
@@ -139,7 +136,6 @@ impl Pipeline {
             input_speculative: false,
             predicted_output: None,
             output: None,
-            control_dep: None,
             predicted_taken: None,
             path,
             learned_calls: Vec::new(),

@@ -74,6 +74,9 @@ pub struct FuncContainerStats {
 #[derive(Debug, Clone, Default)]
 pub struct ContainerPool {
     idle: FxHashMap<FuncId, VecDeque<SimTime>>,
+    /// Sum of the `idle` queues' lengths, kept up to date at every site
+    /// that changes a queue so the warm-pool gauge never walks the map.
+    idle_total: u64,
     warming: FxHashMap<FuncId, VecDeque<SimTime>>,
     busy: FxHashMap<FuncId, u32>,
     stats: FxHashMap<FuncId, FuncContainerStats>,
@@ -100,6 +103,7 @@ impl ContainerPool {
             pool.idle
                 .insert(f, (0..count).map(|_| SimTime::ZERO).collect());
         }
+        pool.idle_total = pool.idle.values().map(|q| q.len() as u64).sum();
         pool
     }
 
@@ -120,11 +124,19 @@ impl ContainerPool {
             // the queue sorted by idle-since instant.
             let at = q.partition_point(|t| *t <= ready);
             q.insert(at, ready);
+            self.idle_total += 1;
         }
+        self.evict_over_cap(func, policy);
+    }
+
+    /// Reclaims the oldest idle containers of `func` beyond the policy's
+    /// per-function cap.
+    fn evict_over_cap(&mut self, func: FuncId, policy: &dyn KeepAlivePolicy) {
         let cap = policy.per_func_idle_cap() as usize;
         let q = self.idle.entry(func).or_default();
         while q.len() > cap {
             q.pop_front();
+            self.idle_total -= 1;
             self.evictions += 1;
             self.stats.entry(func).or_default().evicted += 1;
         }
@@ -140,6 +152,7 @@ impl ContainerPool {
         };
         while q.front().is_some_and(|released| *released + ttl <= now) {
             q.pop_front();
+            self.idle_total -= 1;
             self.evictions += 1;
             self.stats.entry(func).or_default().evicted += 1;
         }
@@ -164,6 +177,7 @@ impl ContainerPool {
             .get_mut(&func)
             .is_some_and(|q| q.pop_back().is_some())
         {
+            self.idle_total -= 1;
             self.warm_starts += 1;
             self.stats.entry(func).or_default().warm += 1;
             return ContainerAcquire::Warm;
@@ -209,14 +223,9 @@ impl ContainerPool {
             return;
         }
         self.idle.entry(func).or_default().push_back(now);
+        self.idle_total += 1;
         self.expire(func, now, policy);
-        let cap = policy.per_func_idle_cap() as usize;
-        let q = self.idle.entry(func).or_default();
-        while q.len() > cap {
-            q.pop_front();
-            self.evictions += 1;
-            self.stats.entry(func).or_default().evicted += 1;
-        }
+        self.evict_over_cap(func, policy);
     }
 
     /// Starts creating a container for `func` ahead of demand; it
@@ -245,10 +254,15 @@ impl ContainerPool {
     }
 
     /// Warm idle containers across every function — the node's warm-pool
-    /// size gauge. Summing counts is order-independent, so the result is
-    /// deterministic despite the `HashMap` backing store.
+    /// size gauge. O(1): a running total, checked against the per-function
+    /// queues in debug builds.
     pub fn idle_total(&self) -> u64 {
-        self.idle.values().map(|q| q.len() as u64).sum()
+        debug_assert_eq!(
+            self.idle_total,
+            self.idle.values().map(|q| q.len() as u64).sum::<u64>(),
+            "idle total drifted from the idle queues"
+        );
+        self.idle_total
     }
 
     /// Total cold starts served (including prewarm piggybacks).

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![warn(clippy::format_push_string)]
 
 //! # specfaas-platform
 //!

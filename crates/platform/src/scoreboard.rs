@@ -11,6 +11,8 @@
 //! — the workspace has no serialization dependency), both
 //! byte-deterministic.
 
+use std::fmt::Write as _;
+
 use specfaas_sim::timeseries::MetricsRegistry;
 use specfaas_sim::LogHistogram;
 
@@ -170,9 +172,9 @@ impl ScoreboardRow {
                 out.push(' ');
             }
             if hi - lo == 1 {
-                out.push_str(&format!("{lo}:{count}"));
+                let _ = write!(out, "{lo}:{count}");
             } else {
-                out.push_str(&format!("{lo}-{}:{count}", hi - 1));
+                let _ = write!(out, "{lo}-{}:{count}", hi - 1);
             }
         }
         if out.is_empty() {
@@ -189,7 +191,7 @@ impl ScoreboardRow {
             if i > 0 {
                 topk.push_str(", ");
             }
-            topk.push_str(&format!("{{\"key\": \"{key}\", \"wasted_us\": {us}}}"));
+            let _ = write!(topk, "{{\"key\": \"{key}\", \"wasted_us\": {us}}}");
         }
         topk.push(']');
         let mut containers = String::from("[");
@@ -197,9 +199,10 @@ impl ScoreboardRow {
             if i > 0 {
                 containers.push_str(", ");
             }
-            containers.push_str(&format!(
+            let _ = write!(
+                containers,
                 "{{\"fn\": \"{func}\", \"cold\": {cold}, \"warm\": {warm}, \"evicted\": {evicted}}}"
-            ));
+            );
         }
         containers.push(']');
         format!(
@@ -238,23 +241,15 @@ impl ScoreboardRow {
 /// in input order.
 pub fn render_table(rows: &[ScoreboardRow]) -> String {
     let mut out = String::new();
-    out.push_str(&format!(
-        "{:<22} {:>6} {:>5} {:>7} {:>7} {:>9} {:>9} {:>9} {:>8} {:>6}  {}\n",
-        "app",
-        "done",
-        "fail",
-        "brAcc",
-        "memoHit",
-        "p50ms",
-        "p99ms",
-        "p999ms",
-        "wasted%",
-        "warm%",
-        "squash depth",
-    ));
+    let _ = writeln!(
+        out,
+        "{:<22} {:>6} {:>5} {:>7} {:>7} {:>9} {:>9} {:>9} {:>8} {:>6}  squash depth",
+        "app", "done", "fail", "brAcc", "memoHit", "p50ms", "p99ms", "p999ms", "wasted%", "warm%",
+    );
     for r in rows {
-        out.push_str(&format!(
-            "{:<22} {:>6} {:>5} {:>6.1}% {:>6.1}% {:>9.2} {:>9.2} {:>9.2} {:>7.1}% {:>5.0}%  {}\n",
+        let _ = writeln!(
+            out,
+            "{:<22} {:>6} {:>5} {:>6.1}% {:>6.1}% {:>9.2} {:>9.2} {:>9.2} {:>7.1}% {:>5.0}%  {}",
             r.app,
             r.completed,
             r.failed,
@@ -266,7 +261,7 @@ pub fn render_table(rows: &[ScoreboardRow]) -> String {
             r.wasted_fraction() * 100.0,
             r.warm_rate() * 100.0,
             r.squash_depth_summary(),
-        ));
+        );
     }
     out
 }

@@ -151,6 +151,62 @@ fn prewarm_never_exceeds_per_function_cap() {
     }
 }
 
+/// Single-node pool: the running idle total behind the warm-pool gauge
+/// equals the sum of the per-function idle counts after every operation
+/// of random acquire/release/prewarm schedules, under each keep-alive
+/// policy (capacity eviction, TTL expiry, no keep-alive, a tiny cap), on
+/// both empty and prewarmed pools.
+#[test]
+fn idle_total_matches_per_function_idle_counts() {
+    let model = specfaas_platform::OverheadModel::default();
+    const FUNCS: u32 = 4;
+    let policies: [&dyn KeepAlivePolicy; 4] = [
+        &DefaultKeepAlive,
+        &FixedTtlKeepAlive {
+            ttl: SimDuration::from_millis(20),
+        },
+        &NoKeepAlive,
+        &TinyCap { ttl: None, cap: 2 },
+    ];
+    for (p, policy) in policies.into_iter().enumerate() {
+        for seed in 0..10u64 {
+            let mut rng = SimRng::seed(0x1D_7000 + 100 * p as u64 + seed);
+            let mut pool = if seed % 2 == 0 {
+                ContainerPool::new()
+            } else {
+                ContainerPool::prewarmed((0..FUNCS).map(FuncId), 3)
+            };
+            let mut busy: Vec<u32> = vec![0; FUNCS as usize];
+            let mut now = SimTime::ZERO;
+            for op in 0..1_500 {
+                now += SimDuration::from_micros(rng.uniform_u64(15_000));
+                let f = rng.uniform_u64(FUNCS as u64) as usize;
+                let func = FuncId(f as u32);
+                match rng.uniform_u64(4) {
+                    0 => pool.begin_warming(func, now + model.cold_start() / 4),
+                    1 | 2 if busy[f] > 0 => {
+                        pool.release(func, now, rng.uniform_u64(8) != 0, policy);
+                        busy[f] -= 1;
+                    }
+                    _ => {
+                        pool.acquire(func, now, &model, policy);
+                        busy[f] += 1;
+                    }
+                }
+                let sum: u64 = (0..FUNCS)
+                    .map(|g| u64::from(pool.idle_count(FuncId(g))))
+                    .sum();
+                assert_eq!(
+                    pool.idle_total(),
+                    sum,
+                    "{}: seed {seed} op {op}: idle total drifted at {now:?}",
+                    policy.name()
+                );
+            }
+        }
+    }
+}
+
 /// Fleet pool: random acquire/release interleavings (prewarmed
 /// containers also land via `release`) never grow the shared idle stock
 /// past the pool capacity.

@@ -212,26 +212,55 @@ impl LogHistogram {
     /// # Panics
     /// Panics if `q` is outside `[0, 1]`.
     pub fn quantile(&self, q: f64) -> u64 {
-        assert!((0.0..=1.0).contains(&q), "quantile must be in [0,1]");
+        self.quantiles([q])[0]
+    }
+
+    /// [`LogHistogram::quantile`] of every `qs[i]`, answered by one scan
+    /// of the buckets whatever the order of `qs`; allocation-free.
+    ///
+    /// # Panics
+    /// Panics if any `q` is outside `[0, 1]`.
+    pub fn quantiles<const N: usize>(&self, qs: [f64; N]) -> [u64; N] {
+        assert!(
+            qs.iter().all(|q| (0.0..=1.0).contains(q)),
+            "quantile must be in [0,1]"
+        );
+        let mut out = [0u64; N];
         if self.count == 0 {
-            return 0;
+            return out;
         }
-        let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
-        // The extreme ranks are the tracked min/max — return them exactly.
-        if rank == 1 {
-            return self.min;
-        }
-        if rank == self.count {
-            return self.max;
-        }
+        let ranks = qs.map(|q| ((q * self.count as f64).ceil() as u64).clamp(1, self.count));
+        // One scan answers the ranks below the maximum's in increasing
+        // order: the common step is one add and one compare against the
+        // next rank due.
+        let mut order: [usize; N] = std::array::from_fn(|i| i);
+        order.sort_unstable_by_key(|&i| ranks[i]);
+        let due = order.iter().take_while(|&&i| ranks[i] < self.count).count();
+        let mut next = 0;
         let mut seen = 0u64;
-        for (i, &c) in self.counts.iter().enumerate() {
+        for (b, &c) in self.counts.iter().enumerate() {
+            if next == due {
+                break;
+            }
             seen += c;
-            if seen >= rank {
-                return Self::bucket_mid(i).clamp(self.min, self.max);
+            if seen < ranks[order[next]] {
+                continue;
+            }
+            let mid = Self::bucket_mid(b).clamp(self.min, self.max);
+            while next < due && ranks[order[next]] <= seen {
+                out[order[next]] = mid;
+                next += 1;
             }
         }
-        self.max
+        // The extreme ranks are the tracked min/max — return them exactly.
+        for (o, &rank) in out.iter_mut().zip(&ranks) {
+            if rank == 1 {
+                *o = self.min;
+            } else if rank == self.count {
+                *o = self.max;
+            }
+        }
+        out
     }
 
     /// Convenience: the quantile converted from microseconds to

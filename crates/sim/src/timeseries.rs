@@ -49,20 +49,14 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use crate::hash::FxHashMap;
 use crate::hist::LogHistogram;
 use crate::time::{SimDuration, SimTime};
 use crate::topk::SpaceSaving;
-
-/// Metric identity: name plus at most one label pair. Unlabeled metrics
-/// use empty strings for both label fields. `BTreeMap` keying on this
-/// tuple gives a deterministic export order for free.
-type Key = (&'static str, &'static str, String);
+use crate::trace::push_u64;
 
 /// Keys a top-K sketch tracks per instrument.
 const TOPK_CAPACITY: usize = 16;
-
-/// One gauge's event-driven sample series.
-type GaugeSeries = Vec<(SimTime, u64)>;
 
 /// Process-wide registry generation counter: each recording registry gets
 /// a distinct generation so stale [`GaugeHandle`]s cached across a
@@ -80,22 +74,123 @@ pub struct GaugeHandle {
     idx: usize,
 }
 
+/// One kind of instrument (counters, gauges or histograms), interned: a
+/// dense arena of values plus the identity index that maps
+/// `name{label_key="label_value"}` to a slot in it.
+///
+/// The index nests the label value (the only non-static key component)
+/// inside a `(name, label_key)` outer map, so a lookup borrows the label
+/// instead of allocating a key, and iterating outer-then-inner visits
+/// instruments in `(name, label_key, label_value)` order — the export
+/// order. Unlabeled instruments, the per-event `inc`/`observe` path, are
+/// also reachable by name alone through a hash map.
+struct Family<T> {
+    index: BTreeMap<(&'static str, &'static str), BTreeMap<String, usize>>,
+    unlabeled: FxHashMap<&'static str, usize>,
+    values: Vec<T>,
+}
+
+impl<T: Default> Family<T> {
+    fn new() -> Self {
+        Family {
+            index: BTreeMap::new(),
+            unlabeled: FxHashMap::default(),
+            values: Vec::new(),
+        }
+    }
+
+    /// Slot of `name{label_key="label_value"}`, interning a default value
+    /// on first use. Borrow-first: the steady-state path never allocates.
+    fn slot(&mut self, name: &'static str, label_key: &'static str, label_value: &str) -> usize {
+        if label_key.is_empty() && label_value.is_empty() {
+            return self.unlabeled_slot(name);
+        }
+        self.indexed_slot(name, label_key, label_value)
+    }
+
+    /// Slot of the unlabeled instrument `name`: one hash probe once
+    /// interned.
+    fn unlabeled_slot(&mut self, name: &'static str) -> usize {
+        if let Some(&idx) = self.unlabeled.get(name) {
+            return idx;
+        }
+        let idx = self.indexed_slot(name, "", "");
+        self.unlabeled.insert(name, idx);
+        idx
+    }
+
+    fn indexed_slot(
+        &mut self,
+        name: &'static str,
+        label_key: &'static str,
+        label_value: &str,
+    ) -> usize {
+        let by_label = self.index.entry((name, label_key)).or_default();
+        if let Some(&idx) = by_label.get(label_value) {
+            return idx;
+        }
+        let idx = self.values.len();
+        self.values.push(T::default());
+        by_label.insert(label_value.to_string(), idx);
+        idx
+    }
+
+    /// The value of an interned instrument, if any.
+    fn get(&self, name: &str, label_key: &str, label_value: &str) -> Option<&T> {
+        self.index
+            .iter()
+            .find(|((n, lk), _)| *n == name && *lk == label_key)
+            .and_then(|(_, by_label)| by_label.get(label_value))
+            .map(|&idx| &self.values[idx])
+    }
+
+    /// Every instrument as `(name, label_key, label_value, value)`, in
+    /// export order.
+    fn iter(&self) -> impl Iterator<Item = (&'static str, &'static str, &str, &T)> + '_ {
+        self.index.iter().flat_map(move |(&(name, lk), by_label)| {
+            by_label
+                .iter()
+                .map(move |(lv, &idx)| (name, lk, lv.as_str(), &self.values[idx]))
+        })
+    }
+}
+
+/// One gauge: its event-driven sample series plus the last value sampled,
+/// held inline in the dense arena.
+///
+/// A series' last value is always the last value sampled: a same-instant
+/// sample overwrites it, an unchanged one collapses into it, any other
+/// is appended. So a sample equal to `last` changes nothing, whatever its
+/// instant, and costs one compare.
+#[derive(Default)]
+struct Gauge {
+    last: Option<u64>,
+    series: Vec<(SimTime, u64)>,
+}
+
+impl Gauge {
+    /// Records one event-driven sample: same-instant samples overwrite,
+    /// consecutive duplicate values collapse.
+    #[inline]
+    fn sample(&mut self, now: SimTime, value: u64) {
+        if self.last == Some(value) {
+            return;
+        }
+        self.last = Some(value);
+        match self.series.last_mut() {
+            Some((t, v)) if *t == now => *v = value,
+            _ => self.series.push((now, value)),
+        }
+    }
+}
+
 struct RegistryInner {
     /// Generation stamp minted at construction (see [`REGISTRY_GEN`]).
     gen: u64,
-    counters: BTreeMap<Key, u64>,
-    /// Gauge *identity* index: label value (the only non-static key
-    /// component) nested inside a `(name, label_key)` outer map, mapping
-    /// to a slot in [`RegistryInner::gauge_series`]. The nesting lets the
-    /// sampling path look an instrument up by `&str` without allocating a
-    /// key; iterating outer-then-inner visits the same `(name, label_key,
-    /// label_value)` order a flat [`Key`] map would, so exports stay
-    /// byte-identical.
-    gauge_index: BTreeMap<(&'static str, &'static str), BTreeMap<String, usize>>,
-    /// Gauge series arena, indexed by [`RegistryInner::gauge_index`] and
-    /// by [`GaugeHandle`]s.
-    gauge_series: Vec<GaugeSeries>,
-    histograms: BTreeMap<Key, LogHistogram>,
+    counters: Family<u64>,
+    /// Gauges, indexed by name and by [`GaugeHandle`]s.
+    gauges: Family<Gauge>,
+    histograms: Family<LogHistogram>,
     topks: BTreeMap<&'static str, SpaceSaving<String>>,
 }
 
@@ -103,46 +198,22 @@ impl RegistryInner {
     fn new() -> Self {
         RegistryInner {
             gen: REGISTRY_GEN.fetch_add(1, Ordering::Relaxed),
-            counters: BTreeMap::new(),
-            gauge_index: BTreeMap::new(),
-            gauge_series: Vec::new(),
-            histograms: BTreeMap::new(),
+            counters: Family::new(),
+            gauges: Family::new(),
+            histograms: Family::new(),
             topks: BTreeMap::new(),
         }
-    }
-
-    /// Slot of the gauge `name{label_key="label_value"}`, interning a
-    /// fresh series if this is the instrument's first sample. Borrow-first:
-    /// the steady-state path never allocates.
-    fn intern_gauge(
-        &mut self,
-        name: &'static str,
-        label_key: &'static str,
-        label_value: &str,
-    ) -> usize {
-        let by_label = self.gauge_index.entry((name, label_key)).or_default();
-        if let Some(&idx) = by_label.get(label_value) {
-            return idx;
-        }
-        let idx = self.gauge_series.len();
-        self.gauge_series.push(Vec::new());
-        by_label.insert(label_value.to_string(), idx);
-        idx
-    }
-}
-
-/// Appends one event-driven sample: same-instant samples overwrite,
-/// consecutive duplicate values collapse.
-fn push_sample(series: &mut GaugeSeries, now: SimTime, value: u64) {
-    match series.last_mut() {
-        Some((t, v)) if *t == now => *v = value,
-        Some((_, v)) if *v == value => {}
-        _ => series.push((now, value)),
     }
 }
 
 /// A deterministic metrics registry: counters plus event-driven sampled
 /// gauges, exportable as Prometheus text exposition or CSV.
+///
+/// Counters, gauges and histograms are interned into dense arenas on first
+/// use, so updating one that exists allocates nothing: an unlabeled one
+/// costs a hash probe, a gauge behind a cached handle
+/// ([`MetricsRegistry::sample_interned`]) an index, and a labeled one a
+/// walk of the ordered identity index that borrows its label.
 ///
 /// See the [module documentation](self) for the determinism contract and a
 /// usage example.
@@ -176,20 +247,20 @@ impl MetricsRegistry {
         self.inc_by(name, 1);
     }
 
-    /// Increments the unlabeled counter `name` by `by`.
+    /// Increments the unlabeled counter `name` by `by`. An increment by
+    /// zero still creates the counter, so it exports as 0.
     pub fn inc_by(&mut self, name: &'static str, by: u64) {
         if let Some(inner) = self.inner.as_deref_mut() {
-            *inner.counters.entry((name, "", String::new())).or_insert(0) += by;
+            let idx = inner.counters.unlabeled_slot(name);
+            inner.counters.values[idx] += by;
         }
     }
 
-    /// Increments the counter `name{label_key="label_value"}` by `by`.
+    /// Increments the counter `name{label_key="label_value"}` by one.
     pub fn inc_labeled(&mut self, name: &'static str, label_key: &'static str, label_value: &str) {
         if let Some(inner) = self.inner.as_deref_mut() {
-            *inner
-                .counters
-                .entry((name, label_key, label_value.to_string()))
-                .or_insert(0) += 1;
+            let idx = inner.counters.slot(name, label_key, label_value);
+            inner.counters.values[idx] += 1;
         }
     }
 
@@ -213,16 +284,17 @@ impl MetricsRegistry {
         let Some(inner) = self.inner.as_deref_mut() else {
             return;
         };
-        let idx = inner.intern_gauge(name, label_key, label_value);
-        push_sample(&mut inner.gauge_series[idx], now, value);
+        let idx = inner.gauges.slot(name, label_key, label_value);
+        inner.gauges.values[idx].sample(now, value);
     }
 
     /// [`MetricsRegistry::sample_labeled`] through a cached instrument
     /// handle — the per-event hot path. The first call (or the first
     /// after a registry swap — detected via the handle's generation)
     /// interns the gauge and fills `handle`; every later call is an O(1)
-    /// arena index with no map walk and no allocation. Semantically
-    /// identical to re-looking the gauge up by name each time.
+    /// arena index with no map walk and no allocation, and an unchanged
+    /// value costs one compare. Semantically identical to re-looking the
+    /// gauge up by name each time.
     pub fn sample_interned(
         &mut self,
         handle: &mut Option<GaugeHandle>,
@@ -238,7 +310,7 @@ impl MetricsRegistry {
         let idx = match handle {
             Some(h) if h.gen == inner.gen => h.idx,
             _ => {
-                let idx = inner.intern_gauge(name, label_key, label_value);
+                let idx = inner.gauges.slot(name, label_key, label_value);
                 *handle = Some(GaugeHandle {
                     gen: inner.gen,
                     idx,
@@ -246,7 +318,7 @@ impl MetricsRegistry {
                 idx
             }
         };
-        push_sample(&mut inner.gauge_series[idx], now, value);
+        inner.gauges.values[idx].sample(now, value);
     }
 
     /// Records `value` into the unlabeled histogram `name`. O(1) and
@@ -265,11 +337,8 @@ impl MetricsRegistry {
         value: u64,
     ) {
         if let Some(inner) = self.inner.as_deref_mut() {
-            inner
-                .histograms
-                .entry((name, label_key, label_value.to_string()))
-                .or_default()
-                .record(value);
+            let idx = inner.histograms.slot(name, label_key, label_value);
+            inner.histograms.values[idx].record(value);
         }
     }
 
@@ -294,12 +363,9 @@ impl MetricsRegistry {
         label_key: &str,
         label_value: &str,
     ) -> Option<&LogHistogram> {
-        self.inner.as_deref().and_then(|i| {
-            i.histograms
-                .iter()
-                .find(|((n, lk, lv), _)| *n == name && *lk == label_key && lv == label_value)
-                .map(|(_, h)| h)
-        })
+        self.inner
+            .as_deref()
+            .and_then(|i| i.histograms.get(name, label_key, label_value))
     }
 
     /// The heavy-hitter sketch recorded under `name`, if any weight was
@@ -315,12 +381,8 @@ impl MetricsRegistry {
     pub fn counter(&self, name: &str, label_key: &str, label_value: &str) -> u64 {
         self.inner
             .as_deref()
-            .and_then(|i| {
-                i.counters
-                    .iter()
-                    .find(|((n, lk, lv), _)| *n == name && *lk == label_key && lv == label_value)
-                    .map(|(_, v)| *v)
-            })
+            .and_then(|i| i.counters.get(name, label_key, label_value))
+            .copied()
             .unwrap_or(0)
     }
 
@@ -333,14 +395,8 @@ impl MetricsRegistry {
     ) -> &[(SimTime, u64)] {
         self.inner
             .as_deref()
-            .and_then(|i| {
-                i.gauge_index
-                    .iter()
-                    .find(|((n, lk), _)| *n == name && *lk == label_key)
-                    .and_then(|(_, by_label)| by_label.get(label_value))
-                    .map(|&idx| i.gauge_series[idx].as_slice())
-            })
-            .unwrap_or(&[])
+            .and_then(|i| i.gauges.get(name, label_key, label_value))
+            .map_or(&[], |g| g.series.as_slice())
     }
 
     /// Renders the registry in Prometheus text exposition format (version
@@ -355,28 +411,26 @@ impl MetricsRegistry {
         };
         let mut out = String::new();
         let mut last_name = "";
-        for ((name, lk, lv), value) in &inner.counters {
-            if *name != last_name {
+        for (name, lk, lv, value) in inner.counters.iter() {
+            if name != last_name {
                 header(&mut out, name, "counter");
                 last_name = name;
             }
             line(&mut out, name, lk, lv, *value);
         }
         last_name = "";
-        for ((name, lk), by_label) in &inner.gauge_index {
-            if *name != last_name {
+        for (name, lk, lv, gauge) in inner.gauges.iter() {
+            if name != last_name {
                 header(&mut out, name, "gauge");
                 last_name = name;
             }
-            for (lv, &idx) in by_label {
-                if let Some((_, v)) = inner.gauge_series[idx].last() {
-                    line(&mut out, name, lk, lv, *v);
-                }
+            if let Some(v) = gauge.last {
+                line(&mut out, name, lk, lv, v);
             }
         }
         last_name = "";
-        for ((name, lk, lv), hist) in &inner.histograms {
-            if *name != last_name {
+        for (name, lk, lv, hist) in inner.histograms.iter() {
+            if name != last_name {
                 header(&mut out, name, "histogram");
                 last_name = name;
             }
@@ -410,7 +464,7 @@ impl MetricsRegistry {
             return String::new();
         };
         let mut out = String::from("metric,label,bucket_lo,bucket_hi,count,cumulative\n");
-        for ((name, lk, lv), hist) in &inner.histograms {
+        for (name, lk, lv, hist) in inner.histograms.iter() {
             let label = if lk.is_empty() {
                 String::new()
             } else {
@@ -429,43 +483,43 @@ impl MetricsRegistry {
     /// state: every counter total plus per-histogram count/p50/p99/p99.9/max.
     /// Used by [`SnapshotLog`] for windowed JSONL emission; `t_us` is the
     /// sim-time the snapshot describes.
+    ///
+    /// Written straight into one `String`, reading each histogram's
+    /// three quantiles from a single bucket scan
+    /// ([`LogHistogram::quantiles`]).
     pub fn snapshot_json(&self, t: SimTime) -> String {
-        let mut out = format!("{{\"t_us\": {}", t.as_micros());
+        let mut out = String::with_capacity(self.inner.as_deref().map_or(32, |i| {
+            64 + 64 * i.counters.values.len() + 160 * i.histograms.values.len()
+        }));
+        out.push_str("{\"t_us\": ");
+        push_u64(&mut out, t.as_micros());
         if let Some(inner) = self.inner.as_deref() {
             out.push_str(", \"counters\": {");
-            let mut first = true;
-            for ((name, lk, lv), value) in &inner.counters {
-                if !first {
+            for (i, (name, lk, lv, value)) in inner.counters.iter().enumerate() {
+                if i > 0 {
                     out.push_str(", ");
                 }
-                first = false;
-                if lk.is_empty() {
-                    let _ = write!(out, "\"{name}\": {value}");
-                } else {
-                    let _ = write!(out, "\"{name}{{{lk}={lv}}}\": {value}");
-                }
+                snapshot_key(&mut out, name, lk, lv);
+                push_u64(&mut out, *value);
             }
             out.push_str("}, \"histograms\": {");
-            let mut first = true;
-            for ((name, lk, lv), hist) in &inner.histograms {
-                if !first {
+            for (i, (name, lk, lv, hist)) in inner.histograms.iter().enumerate() {
+                if i > 0 {
                     out.push_str(", ");
                 }
-                first = false;
-                let key = if lk.is_empty() {
-                    (*name).to_string()
-                } else {
-                    format!("{name}{{{lk}={lv}}}")
-                };
-                let _ = write!(
-                    out,
-                    "\"{key}\": {{\"count\": {}, \"p50\": {}, \"p99\": {}, \"p999\": {}, \"max\": {}}}",
-                    hist.count(),
-                    hist.quantile(0.50),
-                    hist.quantile(0.99),
-                    hist.quantile(0.999),
-                    hist.max().unwrap_or(0)
-                );
+                snapshot_key(&mut out, name, lk, lv);
+                let [p50, p99, p999] = hist.quantiles([0.50, 0.99, 0.999]);
+                out.push_str("{\"count\": ");
+                push_u64(&mut out, hist.count());
+                out.push_str(", \"p50\": ");
+                push_u64(&mut out, p50);
+                out.push_str(", \"p99\": ");
+                push_u64(&mut out, p99);
+                out.push_str(", \"p999\": ");
+                push_u64(&mut out, p999);
+                out.push_str(", \"max\": ");
+                push_u64(&mut out, hist.max().unwrap_or(0));
+                out.push('}');
             }
             out.push('}');
         }
@@ -482,11 +536,9 @@ impl MetricsRegistry {
             return String::new();
         };
         let mut rows: Vec<(SimTime, &str, &str, &str, u64)> = Vec::new();
-        for ((name, lk), by_label) in &inner.gauge_index {
-            for (lv, &idx) in by_label {
-                for (t, v) in &inner.gauge_series[idx] {
-                    rows.push((*t, name, lk, lv, *v));
-                }
+        for (name, lk, lv, gauge) in inner.gauges.iter() {
+            for (t, v) in &gauge.series {
+                rows.push((*t, name, lk, lv, *v));
             }
         }
         rows.sort();
@@ -500,6 +552,20 @@ impl MetricsRegistry {
         }
         out
     }
+}
+
+/// Writes a snapshot object key, `"name": ` or `"name{key=value}": `.
+fn snapshot_key(out: &mut String, name: &str, lk: &str, lv: &str) {
+    out.push('"');
+    out.push_str(name);
+    if !lk.is_empty() {
+        out.push('{');
+        out.push_str(lk);
+        out.push('=');
+        out.push_str(lv);
+        out.push('}');
+    }
+    out.push_str("\": ");
 }
 
 /// Windowed JSONL snapshot emitter for long runs.
@@ -780,6 +846,145 @@ mod tests {
         let jsonl = log.to_jsonl();
         assert_eq!(jsonl.lines().count(), 3);
         assert!(jsonl.ends_with('\n'));
+    }
+
+    /// Unlabeled and labeled counters (one incremented by zero), gauges,
+    /// two histograms (one labeled) and a top-K sketch.
+    fn pinned_registry() -> MetricsRegistry {
+        let t = SimTime::from_millis;
+        let mut r = MetricsRegistry::recording();
+        r.inc("specfaas_requests_submitted_total");
+        r.inc_by("specfaas_requests_submitted_total", 4);
+        r.inc_by("specfaas_kv_reads_total", 0);
+        r.inc_labeled("specfaas_squashes_total", "cause", "wrong_path");
+        r.inc_labeled("specfaas_squashes_total", "cause", "fault");
+        r.inc_labeled("specfaas_squashes_total", "cause", "wrong_path");
+        r.inc("a_counter_without_help");
+        r.sample(t(1), "specfaas_warm_pool_size", 7);
+        r.sample_labeled(t(2), "specfaas_busy_cores", "node", "1", 3);
+        r.sample_labeled(t(2), "specfaas_busy_cores", "node", "0", 9);
+        for v in [3u64, 3, 70, 1_000, 1_000, 12_345, 98_765] {
+            r.observe("specfaas_response_latency_us", v);
+        }
+        for (v, n) in [(0u64, 50), (2, 45), (9, 4), (11, 1)] {
+            for _ in 0..n {
+                r.observe_labeled("specfaas_request_squashed_functions", "app", "x", v);
+            }
+        }
+        r.topk_add("specfaas_requests_by_function", "app/f", 5);
+        r
+    }
+
+    #[test]
+    fn prometheus_export_renders_exactly() {
+        assert_eq!(
+            pinned_registry().export_prometheus(),
+            concat!(
+                "# TYPE a_counter_without_help counter\n",
+                "a_counter_without_help 1\n",
+                "# HELP specfaas_kv_reads_total Key-value store reads issued.\n",
+                "# TYPE specfaas_kv_reads_total counter\n",
+                "specfaas_kv_reads_total 0\n",
+                "# HELP specfaas_requests_submitted_total Requests submitted to the engine.\n",
+                "# TYPE specfaas_requests_submitted_total counter\n",
+                "specfaas_requests_submitted_total 5\n",
+                "# HELP specfaas_squashes_total Squash events by cause.\n",
+                "# TYPE specfaas_squashes_total counter\n",
+                "specfaas_squashes_total{cause=\"fault\"} 1\n",
+                "specfaas_squashes_total{cause=\"wrong_path\"} 2\n",
+                "# HELP specfaas_busy_cores Occupied execution slots per node.\n",
+                "# TYPE specfaas_busy_cores gauge\n",
+                "specfaas_busy_cores{node=\"0\"} 9\n",
+                "specfaas_busy_cores{node=\"1\"} 3\n",
+                "# HELP specfaas_warm_pool_size Idle warm containers across the cluster.\n",
+                "# TYPE specfaas_warm_pool_size gauge\n",
+                "specfaas_warm_pool_size 7\n",
+                "# HELP specfaas_request_squashed_functions Squashed-function count per measured \
+                 request (squash depth).\n",
+                "# TYPE specfaas_request_squashed_functions histogram\n",
+                "specfaas_request_squashed_functions_bucket{app=\"x\",le=\"0\"} 50\n",
+                "specfaas_request_squashed_functions_bucket{app=\"x\",le=\"2\"} 95\n",
+                "specfaas_request_squashed_functions_bucket{app=\"x\",le=\"9\"} 99\n",
+                "specfaas_request_squashed_functions_bucket{app=\"x\",le=\"11\"} 100\n",
+                "specfaas_request_squashed_functions_bucket{app=\"x\",le=\"+Inf\"} 100\n",
+                "specfaas_request_squashed_functions_sum{app=\"x\"} 137\n",
+                "specfaas_request_squashed_functions_count{app=\"x\"} 100\n",
+                "# HELP specfaas_response_latency_us End-to-end response latency of measured \
+                 requests, microseconds.\n",
+                "# TYPE specfaas_response_latency_us histogram\n",
+                "specfaas_response_latency_us_bucket{le=\"3\"} 2\n",
+                "specfaas_response_latency_us_bucket{le=\"70\"} 3\n",
+                "specfaas_response_latency_us_bucket{le=\"1007\"} 5\n",
+                "specfaas_response_latency_us_bucket{le=\"12415\"} 6\n",
+                "specfaas_response_latency_us_bucket{le=\"99327\"} 7\n",
+                "specfaas_response_latency_us_bucket{le=\"+Inf\"} 7\n",
+                "specfaas_response_latency_us_sum 113186\n",
+                "specfaas_response_latency_us_count 7\n",
+                "# HELP specfaas_requests_by_function Request-start heavy hitters by \
+                 app/function.\n",
+                "# TYPE specfaas_requests_by_function counter\n",
+                "specfaas_requests_by_function{key=\"app/f\"} 5\n",
+            )
+        );
+    }
+
+    #[test]
+    fn csv_exports_render_exactly() {
+        let r = pinned_registry();
+        assert_eq!(
+            r.export_csv(),
+            concat!(
+                "time_us,metric,label,value\n",
+                "1000,specfaas_warm_pool_size,,7\n",
+                "2000,specfaas_busy_cores,node=0,9\n",
+                "2000,specfaas_busy_cores,node=1,3\n",
+            )
+        );
+        assert_eq!(
+            r.export_histograms_csv(),
+            concat!(
+                "metric,label,bucket_lo,bucket_hi,count,cumulative\n",
+                "specfaas_request_squashed_functions,app=x,0,1,50,50\n",
+                "specfaas_request_squashed_functions,app=x,2,3,45,95\n",
+                "specfaas_request_squashed_functions,app=x,9,10,4,99\n",
+                "specfaas_request_squashed_functions,app=x,11,12,1,100\n",
+                "specfaas_response_latency_us,,3,4,2,2\n",
+                "specfaas_response_latency_us,,70,71,1,3\n",
+                "specfaas_response_latency_us,,1000,1008,2,5\n",
+                "specfaas_response_latency_us,,12288,12416,1,6\n",
+                "specfaas_response_latency_us,,98304,99328,1,7\n",
+            )
+        );
+    }
+
+    #[test]
+    fn snapshot_json_renders_exactly() {
+        let r = pinned_registry();
+        assert_eq!(
+            r.snapshot_json(SimTime::from_millis(20)),
+            concat!(
+                "{\"t_us\": 20000, \"counters\": {",
+                "\"a_counter_without_help\": 1, ",
+                "\"specfaas_kv_reads_total\": 0, ",
+                "\"specfaas_requests_submitted_total\": 5, ",
+                "\"specfaas_squashes_total{cause=fault}\": 1, ",
+                "\"specfaas_squashes_total{cause=wrong_path}\": 2}, ",
+                "\"histograms\": {",
+                "\"specfaas_request_squashed_functions{app=x}\": ",
+                "{\"count\": 100, \"p50\": 0, \"p99\": 9, \"p999\": 11, \"max\": 11}, ",
+                "\"specfaas_response_latency_us\": ",
+                "{\"count\": 7, \"p50\": 1004, \"p99\": 98765, \"p999\": 98765, \"max\": 98765}",
+                "}}",
+            )
+        );
+        assert_eq!(
+            MetricsRegistry::recording().snapshot_json(SimTime::ZERO),
+            "{\"t_us\": 0, \"counters\": {}, \"histograms\": {}}"
+        );
+        assert_eq!(
+            MetricsRegistry::disabled().snapshot_json(SimTime::from_micros(7)),
+            "{\"t_us\": 7}"
+        );
     }
 
     #[test]

@@ -30,9 +30,7 @@
 //! Violations are collected (not panicked) so a test can assert the list is
 //! empty and a bench run can print them.
 
-use std::collections::{HashMap, HashSet};
-use std::fmt::Write as _;
-
+use crate::hash::{FxHashMap, FxHashSet};
 use crate::time::{SimDuration, SimTime};
 
 /// One of the paper's Fig. 3 response-time phases, used to label execution
@@ -262,10 +260,11 @@ pub struct TraceEvent {
 #[derive(Debug, Default)]
 pub struct InvariantChecker {
     /// Per-request commit history: last commit time plus the set of
-    /// already-committed slot ids.
-    commits: HashMap<u64, (SimTime, HashSet<u64>)>,
+    /// already-committed slot ids. Dropped at the request's terminal
+    /// event, so it holds only requests in flight.
+    commits: FxHashMap<u64, (SimTime, FxHashSet<u64>)>,
     /// Requests that arrived and have not reached a terminal state.
-    live_requests: HashMap<u64, ()>,
+    live_requests: FxHashSet<u64>,
     violations: Vec<String>,
 }
 
@@ -273,11 +272,11 @@ impl InvariantChecker {
     fn observe(&mut self, ev: &TraceEvent) {
         match &ev.kind {
             TraceEventKind::RequestArrival { req } => {
-                self.live_requests.insert(*req, ());
+                self.live_requests.insert(*req);
                 self.commits.remove(req);
             }
             TraceEventKind::Commit { req, slot, .. } => {
-                if !self.live_requests.contains_key(req) {
+                if !self.live_requests.contains(req) {
                     self.violations.push(format!(
                         "commit order not monotone: request {req} committed slot {slot} \
                          outside its arrival..terminal lifetime"
@@ -286,7 +285,7 @@ impl InvariantChecker {
                 let (last_t, seen) = self
                     .commits
                     .entry(*req)
-                    .or_insert_with(|| (ev.at, HashSet::new()));
+                    .or_insert_with(|| (ev.at, FxHashSet::default()));
                 if ev.at < *last_t {
                     self.violations.push(format!(
                         "commit order not monotone: commit time went backwards for \
@@ -301,8 +300,8 @@ impl InvariantChecker {
                 }
             }
             TraceEventKind::Terminal { req, .. } => {
-                let was_live = self.live_requests.remove(req).is_some();
-                if !was_live {
+                self.commits.remove(req);
+                if !self.live_requests.remove(req) {
                     self.violations
                         .push(format!("request {req} reached a terminal state twice"));
                 }
@@ -336,7 +335,7 @@ impl InvariantChecker {
             ));
         }
         if !self.live_requests.is_empty() {
-            let mut ids: Vec<u64> = self.live_requests.keys().copied().collect();
+            let mut ids: Vec<u64> = self.live_requests.iter().copied().collect();
             ids.sort_unstable();
             self.violations
                 .push(format!("request(s) {ids:?} never reached a terminal state"));
@@ -499,220 +498,266 @@ const ORCH_PID: u32 = 1000;
 /// Synthetic tid within a node process for instant events.
 const EVENT_LANE: u32 = 999;
 
-fn export_chrome_json(events: &[TraceEvent]) -> String {
-    let mut out = String::with_capacity(events.len() * 96 + 64);
-    out.push_str("{\"traceEvents\":[");
-    let mut first = true;
-    let mut sep = |out: &mut String| {
-        if first {
-            first = false;
-        } else {
-            out.push(',');
-        }
-    };
+/// Bytes reserved per event for the Chrome-trace export, enough for a
+/// span or instant with simulation-sized numbers, so a whole export
+/// normally fills one allocation.
+const EXPORT_BYTES_PER_EVENT: usize = 144;
 
+fn export_chrome_json(events: &[TraceEvent]) -> String {
     // Spans first: sort by (node, start, end, emission index) and assign
-    // each to the first free lane of its node. The sort key is total, so
-    // lane assignment is deterministic.
-    let mut spans: Vec<(usize, &TraceEvent)> = events
+    // each to the first free lane of its node. The key is unique per
+    // span, so lane assignment is deterministic.
+    let mut spans: Vec<(u32, SimTime, SimTime, usize)> = events
         .iter()
         .enumerate()
-        .filter(|(_, e)| matches!(e.kind, TraceEventKind::Span { .. }))
+        .filter_map(|(i, e)| match e.kind {
+            TraceEventKind::Span { node, end, .. } => Some((node, e.at, end, i)),
+            _ => None,
+        })
         .collect();
-    spans.sort_by_key(|(idx, e)| {
-        let (node, end) = match &e.kind {
-            TraceEventKind::Span { node, end, .. } => (*node, *end),
-            _ => unreachable!(),
-        };
-        (node, e.at, end, *idx)
-    });
-    let mut nodes_seen: Vec<u32> = Vec::new();
-    let mut lanes: HashMap<u32, Vec<SimTime>> = HashMap::new();
-    let mut max_lane: HashMap<u32, u32> = HashMap::new();
-    for (_, ev) in &spans {
-        let (req, func, node, phase, end) = match &ev.kind {
-            TraceEventKind::Span {
-                req,
-                func,
-                node,
-                phase,
-                end,
-            } => (*req, *func, *node, *phase, *end),
-            _ => unreachable!(),
-        };
-        if !nodes_seen.contains(&node) {
-            nodes_seen.push(node);
+    spans.sort_unstable();
+
+    let mut out = String::with_capacity(events.len() * EXPORT_BYTES_PER_EVENT + 256);
+    out.push_str("{\"traceEvents\":[");
+    // Every element is written with a trailing comma; the orchestrator's
+    // name record closes the array without one.
+    //
+    // `tracks` holds (node, lanes used) for each node with spans, in node
+    // order; `lanes` the free-from instants of the current node's lanes.
+    let mut tracks: Vec<(u32, usize)> = Vec::new();
+    let mut lanes: Vec<SimTime> = Vec::new();
+    for &(node, start, end, i) in &spans {
+        if tracks.last().map(|&(n, _)| n) != Some(node) {
+            tracks.push((node, 0));
+            lanes.clear();
         }
-        let node_lanes = lanes.entry(node).or_default();
-        let lane = match node_lanes.iter().position(|free| *free <= ev.at) {
+        let lane = match lanes.iter().position(|free| *free <= start) {
             Some(l) => {
-                node_lanes[l] = end;
-                l as u32
+                lanes[l] = end;
+                l
             }
             None => {
-                node_lanes.push(end);
-                (node_lanes.len() - 1) as u32
+                lanes.push(end);
+                lanes.len() - 1
             }
         };
-        let m = max_lane.entry(node).or_insert(0);
-        *m = (*m).max(lane);
-        sep(&mut out);
-        let _ = write!(
-            out,
-            "{{\"name\":\"{}\",\"ph\":\"X\",\"pid\":{},\"tid\":{},\"ts\":{},\"dur\":{},\
-             \"args\":{{\"req\":{},\"func\":{}}}}}",
-            phase.name(),
-            node,
-            lane,
-            ev.at.as_micros(),
-            end.saturating_since(ev.at).as_micros(),
-            req,
-            func
+        if let Some(track) = tracks.last_mut() {
+            track.1 = lanes.len();
+        }
+        let TraceEventKind::Span {
+            req, func, phase, ..
+        } = events[i].kind
+        else {
+            unreachable!("only spans were collected");
+        };
+        out.push_str("{\"name\":\"");
+        out.push_str(phase.name());
+        field(&mut out, "\",\"ph\":\"X\",\"pid\":", node.into());
+        field(&mut out, ",\"tid\":", lane as u64);
+        field(&mut out, ",\"ts\":", start.as_micros());
+        field(
+            &mut out,
+            ",\"dur\":",
+            end.saturating_since(start).as_micros(),
         );
+        field(&mut out, ",\"args\":{\"req\":", req);
+        field(&mut out, ",\"func\":", func.into());
+        out.push_str("}},");
     }
 
     // Instant events, in emission order.
     for ev in events {
-        let (name, pid, args) = match &ev.kind {
+        let ts = ev.at.as_micros();
+        match ev.kind {
             TraceEventKind::Span { .. } => continue,
             TraceEventKind::RequestArrival { req } => {
-                ("request_arrival", ORCH_PID, format!("\"req\":{req}"))
+                instant(&mut out, "request_arrival", ORCH_PID, ts, req);
             }
             TraceEventKind::SlotLaunch {
                 req,
                 slot,
                 func,
                 speculative,
-            } => (
-                "slot_launch",
-                ORCH_PID,
-                format!(
-                    "\"req\":{req},\"slot\":{slot},\"func\":{func},\"speculative\":{speculative}"
-                ),
-            ),
+            } => {
+                instant(&mut out, "slot_launch", ORCH_PID, ts, req);
+                field(&mut out, ",\"slot\":", slot);
+                field(&mut out, ",\"func\":", func.into());
+                flag(&mut out, ",\"speculative\":", speculative);
+            }
             TraceEventKind::ContainerAcquire {
                 req,
                 func,
                 node,
                 cold,
-            } => (
-                "container_acquire",
-                *node,
-                format!("\"req\":{req},\"func\":{func},\"cold\":{cold}"),
-            ),
-            TraceEventKind::MemoHit { req, func } => (
-                "memo_hit",
-                ORCH_PID,
-                format!("\"req\":{req},\"func\":{func}"),
-            ),
-            TraceEventKind::BranchPredict { req, taken } => (
-                "branch_predict",
-                ORCH_PID,
-                format!("\"req\":{req},\"taken\":{taken}"),
-            ),
+            } => {
+                instant(&mut out, "container_acquire", node, ts, req);
+                field(&mut out, ",\"func\":", func.into());
+                flag(&mut out, ",\"cold\":", cold);
+            }
+            TraceEventKind::MemoHit { req, func } => {
+                instant(&mut out, "memo_hit", ORCH_PID, ts, req);
+                field(&mut out, ",\"func\":", func.into());
+            }
+            TraceEventKind::BranchPredict { req, taken } => {
+                instant(&mut out, "branch_predict", ORCH_PID, ts, req);
+                flag(&mut out, ",\"taken\":", taken);
+            }
             TraceEventKind::BranchResolve {
                 req,
                 predicted,
                 actual,
-            } => (
-                "branch_resolve",
-                ORCH_PID,
-                format!("\"req\":{req},\"predicted\":{predicted},\"actual\":{actual}"),
-            ),
+            } => {
+                instant(&mut out, "branch_resolve", ORCH_PID, ts, req);
+                flag(&mut out, ",\"predicted\":", predicted);
+                flag(&mut out, ",\"actual\":", actual);
+            }
             TraceEventKind::Squash {
                 req,
                 slot,
                 cause,
                 cascade,
-            } => (
-                "squash",
-                ORCH_PID,
-                format!(
-                    "\"req\":{req},\"slot\":{slot},\"cause\":\"{}\",\"cascade\":{cascade}",
-                    cause.name()
-                ),
-            ),
+            } => {
+                instant(&mut out, "squash", ORCH_PID, ts, req);
+                field(&mut out, ",\"slot\":", slot);
+                text(&mut out, ",\"cause\":", cause.name());
+                field(&mut out, ",\"cascade\":", cascade.into());
+            }
             TraceEventKind::SquashCharge {
                 req,
                 func,
                 site,
                 cascade,
                 amount,
-            } => (
-                "squash_charge",
-                ORCH_PID,
-                format!(
-                    "\"req\":{req},\"func\":{func},\"site\":\"{site}\",\"cascade\":{cascade},\
-                     \"amount_us\":{}",
-                    amount.as_micros()
-                ),
-            ),
+            } => {
+                instant(&mut out, "squash_charge", ORCH_PID, ts, req);
+                field(&mut out, ",\"func\":", func.into());
+                text(&mut out, ",\"site\":", site);
+                field(&mut out, ",\"cascade\":", cascade.into());
+                field(&mut out, ",\"amount_us\":", amount.as_micros());
+            }
             TraceEventKind::Replay { req, slot } => {
-                ("replay", ORCH_PID, format!("\"req\":{req},\"slot\":{slot}"))
+                instant(&mut out, "replay", ORCH_PID, ts, req);
+                field(&mut out, ",\"slot\":", slot);
             }
             TraceEventKind::RetryBackoff {
                 req,
                 func,
                 attempt,
                 backoff,
-            } => (
-                "retry_backoff",
-                ORCH_PID,
-                format!(
-                    "\"req\":{req},\"func\":{func},\"attempt\":{attempt},\"backoff_us\":{}",
-                    backoff.as_micros()
-                ),
-            ),
-            TraceEventKind::FaultInjected { req, site } => (
-                "fault_injected",
-                ORCH_PID,
-                format!("\"req\":{req},\"site\":\"{site}\""),
-            ),
-            TraceEventKind::Commit { req, slot, func } => (
-                "commit",
-                ORCH_PID,
-                format!("\"req\":{req},\"slot\":{slot},\"func\":{func}"),
-            ),
-            TraceEventKind::Terminal { req, completed } => (
-                "terminal",
-                ORCH_PID,
-                format!("\"req\":{req},\"completed\":{completed}"),
-            ),
-        };
-        sep(&mut out);
-        let _ = write!(
-            out,
-            "{{\"name\":\"{name}\",\"ph\":\"i\",\"s\":\"g\",\"pid\":{pid},\"tid\":{EVENT_LANE},\
-             \"ts\":{},\"args\":{{{args}}}}}",
-            ev.at.as_micros()
-        );
+            } => {
+                instant(&mut out, "retry_backoff", ORCH_PID, ts, req);
+                field(&mut out, ",\"func\":", func.into());
+                field(&mut out, ",\"attempt\":", attempt.into());
+                field(&mut out, ",\"backoff_us\":", backoff.as_micros());
+            }
+            TraceEventKind::FaultInjected { req, site } => {
+                instant(&mut out, "fault_injected", ORCH_PID, ts, req);
+                text(&mut out, ",\"site\":", site);
+            }
+            TraceEventKind::Commit { req, slot, func } => {
+                instant(&mut out, "commit", ORCH_PID, ts, req);
+                field(&mut out, ",\"slot\":", slot);
+                field(&mut out, ",\"func\":", func.into());
+            }
+            TraceEventKind::Terminal { req, completed } => {
+                instant(&mut out, "terminal", ORCH_PID, ts, req);
+                flag(&mut out, ",\"completed\":", completed);
+            }
+        }
+        out.push_str("}},");
     }
 
     // Process/thread naming metadata so Perfetto shows readable tracks.
-    for node in &nodes_seen {
-        sep(&mut out);
-        let _ = write!(
-            out,
-            "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{node},\"tid\":0,\
-             \"args\":{{\"name\":\"node{node}\"}}}}",
+    for &(node, lane_count) in &tracks {
+        field(
+            &mut out,
+            "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":",
+            node.into(),
         );
-        for lane in 0..=*max_lane.get(node).unwrap_or(&0) {
-            sep(&mut out);
-            let _ = write!(
-                out,
-                "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{node},\"tid\":{lane},\
-                 \"args\":{{\"name\":\"core-lane {lane}\"}}}}",
+        field(
+            &mut out,
+            ",\"tid\":0,\"args\":{\"name\":\"node",
+            node.into(),
+        );
+        out.push_str("\"}},");
+        for lane in 0..lane_count as u64 {
+            field(
+                &mut out,
+                "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":",
+                node.into(),
             );
+            field(&mut out, ",\"tid\":", lane);
+            field(&mut out, ",\"args\":{\"name\":\"core-lane ", lane);
+            out.push_str("\"}},");
         }
     }
-    sep(&mut out);
-    let _ = write!(
-        out,
-        "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{ORCH_PID},\"tid\":0,\
-         \"args\":{{\"name\":\"orchestrator\"}}}}"
+    field(
+        &mut out,
+        "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":",
+        ORCH_PID.into(),
     );
-    out.push_str("]}");
+    out.push_str(",\"tid\":0,\"args\":{\"name\":\"orchestrator\"}}]}");
     out
+}
+
+/// Opens an instant event through its first argument, `req`; the caller
+/// appends the remaining arguments and closes it with `}},`.
+fn instant(out: &mut String, name: &str, pid: u32, ts: u64, req: u64) {
+    out.push_str("{\"name\":\"");
+    out.push_str(name);
+    field(out, "\",\"ph\":\"i\",\"s\":\"g\",\"pid\":", pid.into());
+    field(out, ",\"tid\":", EVENT_LANE.into());
+    field(out, ",\"ts\":", ts);
+    field(out, ",\"args\":{\"req\":", req);
+}
+
+/// Appends `prefix` and then `v` in decimal.
+fn field(out: &mut String, prefix: &str, v: u64) {
+    out.push_str(prefix);
+    push_u64(out, v);
+}
+
+/// Appends `prefix` and then `true` or `false`.
+fn flag(out: &mut String, prefix: &str, b: bool) {
+    out.push_str(prefix);
+    out.push_str(if b { "true" } else { "false" });
+}
+
+/// Appends `prefix` and then `s` as a JSON string (`s` needs no escaping:
+/// callers pass static identifiers).
+fn text(out: &mut String, prefix: &str, s: &str) {
+    out.push_str(prefix);
+    out.push('"');
+    out.push_str(s);
+    out.push('"');
+}
+
+/// Appends `v` in decimal — the text `write!(out, "{v}")` produces,
+/// without the formatting machinery. The exporters call this once per
+/// number.
+pub(crate) fn push_u64(out: &mut String, mut v: u64) {
+    const PAIRS: &[u8; 200] = b"0001020304050607080910111213141516171819\
+        2021222324252627282930313233343536373839\
+        4041424344454647484950515253545556575859\
+        6061626364656667686970717273747576777879\
+        8081828384858687888990919293949596979899";
+    let mut buf = [0u8; 20];
+    let mut i = buf.len();
+    while v >= 100 {
+        let pair = (v % 100) as usize * 2;
+        v /= 100;
+        i -= 2;
+        buf[i..i + 2].copy_from_slice(&PAIRS[pair..pair + 2]);
+    }
+    if v >= 10 {
+        let pair = v as usize * 2;
+        i -= 2;
+        buf[i..i + 2].copy_from_slice(&PAIRS[pair..pair + 2]);
+    } else {
+        i -= 1;
+        buf[i] = b'0' + v as u8;
+    }
+    out.push_str(std::str::from_utf8(&buf[i..]).expect("decimal digits are ASCII"));
 }
 
 /// Validates that `s` is well-formed JSON. Used by tests and the bench
@@ -946,6 +991,33 @@ mod tests {
     }
 
     #[test]
+    fn checker_drops_commit_sets_of_finished_requests() {
+        let mut tr = Tracer::with_invariants();
+        for req in 0..1_000u64 {
+            let at = t(req);
+            tr.emit(at, TraceEventKind::RequestArrival { req });
+            for slot in 0..3 {
+                tr.emit(at, TraceEventKind::Commit { req, slot, func: 0 });
+            }
+            tr.emit(
+                at,
+                TraceEventKind::Terminal {
+                    req,
+                    completed: req % 7 != 0,
+                },
+            );
+        }
+        assert!(tr.violations().is_empty(), "{:?}", tr.violations());
+        let checker = tr.inner.as_ref().and_then(|i| i.checker.as_ref()).unwrap();
+        assert_eq!(
+            checker.commits.len(),
+            0,
+            "finished requests keep commit sets"
+        );
+        assert!(checker.live_requests.is_empty());
+    }
+
+    #[test]
     fn leaked_request_detected_at_end_of_run() {
         let mut tr = Tracer::with_invariants();
         tr.emit(t(0), TraceEventKind::RequestArrival { req: 3 });
@@ -1063,6 +1135,183 @@ mod tests {
         );
         let json = tr.export_chrome_json();
         assert!(!json.contains("\"tid\":1,\"ts\""), "no second lane: {json}");
+    }
+
+    /// One event of every kind, plus spans that overlap on node 2 (three
+    /// spans, two lanes, the third reusing a freed lane) and on node 0
+    /// (two spans with the same start, ordered by end, and a zero-length
+    /// one).
+    fn every_kind_trace() -> Tracer {
+        use TraceEventKind as K;
+        let span = |req, func, node, phase, end| K::Span {
+            req,
+            func,
+            node,
+            phase,
+            end,
+        };
+        let mut tr = Tracer::recording();
+        tr.emit(t(0), K::RequestArrival { req: 1 });
+        tr.emit(
+            t(1),
+            K::SlotLaunch {
+                req: 1,
+                slot: 0,
+                func: 3,
+                speculative: false,
+            },
+        );
+        tr.emit(
+            t(1),
+            K::ContainerAcquire {
+                req: 1,
+                func: 3,
+                node: 2,
+                cold: true,
+            },
+        );
+        tr.emit(t(1), span(1, 3, 2, Phase::ContainerCreation, t(6)));
+        tr.emit(t(2), K::MemoHit { req: 1, func: 4 });
+        tr.emit(t(2), span(1, 4, 2, Phase::Execution, t(4)));
+        tr.emit(
+            t(3),
+            K::BranchPredict {
+                req: 1,
+                taken: true,
+            },
+        );
+        tr.emit(t(3), span(1, 5, 0, Phase::RuntimeSetup, t(5)));
+        tr.emit(t(3), span(1, 7, 0, Phase::Transfer, t(4)));
+        tr.emit(
+            t(4),
+            K::BranchResolve {
+                req: 1,
+                predicted: true,
+                actual: false,
+            },
+        );
+        tr.emit(
+            t(4),
+            K::Squash {
+                req: 1,
+                slot: 2,
+                cause: SquashCause::WrongInput,
+                cascade: 3,
+            },
+        );
+        tr.emit(
+            t(4),
+            K::SquashCharge {
+                req: 1,
+                func: 4,
+                site: "wrong_input",
+                cascade: 3,
+                amount: SimDuration::from_micros(1_500),
+            },
+        );
+        tr.emit(t(4), span(1, 6, 2, Phase::Platform, t(9)));
+        tr.emit(t(5), K::Replay { req: 1, slot: 2 });
+        tr.emit(
+            t(5),
+            K::RetryBackoff {
+                req: 1,
+                func: 6,
+                attempt: 2,
+                backoff: SimDuration::from_micros(250),
+            },
+        );
+        tr.emit(
+            t(6),
+            K::FaultInjected {
+                req: 1,
+                site: "container_crash",
+            },
+        );
+        tr.emit(t(7), span(1, 6, 0, Phase::RetryBackoff, t(7)));
+        tr.emit(
+            t(8),
+            K::Commit {
+                req: 1,
+                slot: 0,
+                func: 3,
+            },
+        );
+        tr.emit(
+            t(10),
+            K::Terminal {
+                req: 1,
+                completed: true,
+            },
+        );
+        tr
+    }
+
+    #[test]
+    fn chrome_export_renders_every_kind_exactly() {
+        assert_eq!(
+            every_kind_trace().export_chrome_json(),
+            concat!(
+                "{\"traceEvents\":[",
+                // Spans by (node, start, end, emission index), first free lane.
+                "{\"name\":\"transfer\",\"ph\":\"X\",\"pid\":0,\"tid\":0,\"ts\":3000,\"dur\":1000,\
+                 \"args\":{\"req\":1,\"func\":7}},",
+                "{\"name\":\"runtime_setup\",\"ph\":\"X\",\"pid\":0,\"tid\":1,\"ts\":3000,\"dur\":2000,\
+                 \"args\":{\"req\":1,\"func\":5}},",
+                "{\"name\":\"retry_backoff\",\"ph\":\"X\",\"pid\":0,\"tid\":0,\"ts\":7000,\"dur\":0,\
+                 \"args\":{\"req\":1,\"func\":6}},",
+                "{\"name\":\"container_creation\",\"ph\":\"X\",\"pid\":2,\"tid\":0,\"ts\":1000,\
+                 \"dur\":5000,\"args\":{\"req\":1,\"func\":3}},",
+                "{\"name\":\"execution\",\"ph\":\"X\",\"pid\":2,\"tid\":1,\"ts\":2000,\"dur\":2000,\
+                 \"args\":{\"req\":1,\"func\":4}},",
+                "{\"name\":\"platform\",\"ph\":\"X\",\"pid\":2,\"tid\":1,\"ts\":4000,\"dur\":5000,\
+                 \"args\":{\"req\":1,\"func\":6}},",
+                // Instants in emission order.
+                "{\"name\":\"request_arrival\",\"ph\":\"i\",\"s\":\"g\",\"pid\":1000,\"tid\":999,\
+                 \"ts\":0,\"args\":{\"req\":1}},",
+                "{\"name\":\"slot_launch\",\"ph\":\"i\",\"s\":\"g\",\"pid\":1000,\"tid\":999,\
+                 \"ts\":1000,\"args\":{\"req\":1,\"slot\":0,\"func\":3,\"speculative\":false}},",
+                "{\"name\":\"container_acquire\",\"ph\":\"i\",\"s\":\"g\",\"pid\":2,\"tid\":999,\
+                 \"ts\":1000,\"args\":{\"req\":1,\"func\":3,\"cold\":true}},",
+                "{\"name\":\"memo_hit\",\"ph\":\"i\",\"s\":\"g\",\"pid\":1000,\"tid\":999,\
+                 \"ts\":2000,\"args\":{\"req\":1,\"func\":4}},",
+                "{\"name\":\"branch_predict\",\"ph\":\"i\",\"s\":\"g\",\"pid\":1000,\"tid\":999,\
+                 \"ts\":3000,\"args\":{\"req\":1,\"taken\":true}},",
+                "{\"name\":\"branch_resolve\",\"ph\":\"i\",\"s\":\"g\",\"pid\":1000,\"tid\":999,\
+                 \"ts\":4000,\"args\":{\"req\":1,\"predicted\":true,\"actual\":false}},",
+                "{\"name\":\"squash\",\"ph\":\"i\",\"s\":\"g\",\"pid\":1000,\"tid\":999,\
+                 \"ts\":4000,\"args\":{\"req\":1,\"slot\":2,\"cause\":\"wrong_input\",\"cascade\":3}},",
+                "{\"name\":\"squash_charge\",\"ph\":\"i\",\"s\":\"g\",\"pid\":1000,\"tid\":999,\
+                 \"ts\":4000,\"args\":{\"req\":1,\"func\":4,\"site\":\"wrong_input\",\"cascade\":3,\
+                 \"amount_us\":1500}},",
+                "{\"name\":\"replay\",\"ph\":\"i\",\"s\":\"g\",\"pid\":1000,\"tid\":999,\
+                 \"ts\":5000,\"args\":{\"req\":1,\"slot\":2}},",
+                "{\"name\":\"retry_backoff\",\"ph\":\"i\",\"s\":\"g\",\"pid\":1000,\"tid\":999,\
+                 \"ts\":5000,\"args\":{\"req\":1,\"func\":6,\"attempt\":2,\"backoff_us\":250}},",
+                "{\"name\":\"fault_injected\",\"ph\":\"i\",\"s\":\"g\",\"pid\":1000,\"tid\":999,\
+                 \"ts\":6000,\"args\":{\"req\":1,\"site\":\"container_crash\"}},",
+                "{\"name\":\"commit\",\"ph\":\"i\",\"s\":\"g\",\"pid\":1000,\"tid\":999,\
+                 \"ts\":8000,\"args\":{\"req\":1,\"slot\":0,\"func\":3}},",
+                "{\"name\":\"terminal\",\"ph\":\"i\",\"s\":\"g\",\"pid\":1000,\"tid\":999,\
+                 \"ts\":10000,\"args\":{\"req\":1,\"completed\":true}},",
+                // Track names: each node with spans and its lanes, then
+                // the orchestrator.
+                "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,\"tid\":0,\
+                 \"args\":{\"name\":\"node0\"}},",
+                "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":0,\
+                 \"args\":{\"name\":\"core-lane 0\"}},",
+                "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":1,\
+                 \"args\":{\"name\":\"core-lane 1\"}},",
+                "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":2,\"tid\":0,\
+                 \"args\":{\"name\":\"node2\"}},",
+                "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":2,\"tid\":0,\
+                 \"args\":{\"name\":\"core-lane 0\"}},",
+                "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":2,\"tid\":1,\
+                 \"args\":{\"name\":\"core-lane 1\"}},",
+                "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1000,\"tid\":0,\
+                 \"args\":{\"name\":\"orchestrator\"}}",
+                "]}",
+            )
+        );
     }
 
     #[test]

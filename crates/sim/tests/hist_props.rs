@@ -117,6 +117,66 @@ fn quantiles_are_monotone_in_q() {
     }
 }
 
+/// The one-rank bucket scan `quantile` used before the batched
+/// [`LogHistogram::quantiles`], over the public bucket view: extreme ranks
+/// answer the exact min/max, interior ranks the clamped bucket midpoint.
+fn scan_quantile(h: &LogHistogram, q: f64) -> u64 {
+    let n = h.count();
+    if n == 0 {
+        return 0;
+    }
+    let (min, max) = (h.min().unwrap(), h.max().unwrap());
+    let rank = ((q * n as f64).ceil() as u64).clamp(1, n);
+    if rank == 1 {
+        return min;
+    }
+    if rank == n {
+        return max;
+    }
+    let mut seen = 0;
+    for (lo, hi, c) in h.nonzero_buckets() {
+        seen += c;
+        if seen >= rank {
+            return (lo + (hi - lo) / 2).clamp(min, max);
+        }
+    }
+    max
+}
+
+#[test]
+fn batched_quantiles_equal_single_quantiles() {
+    let mut rng = SimRng::seed(0x9_0a11);
+    let mut hists: Vec<LogHistogram> = vec![LogHistogram::new(), hist_of(&[12_345])];
+    for seed in 0..40u64 {
+        // Ties inside one bucket: every value lands in [1000, 1008).
+        let ties: Vec<u64> = (0..1 + rng.uniform_u64(50))
+            .map(|_| 1_000 + rng.uniform_u64(8))
+            .collect();
+        hists.push(hist_of(&ties));
+        hists.push(hist_of(&stream(seed, 1 + rng.uniform_u64(900) as usize)));
+    }
+    for h in &hists {
+        for _ in 0..25 {
+            // Unsorted, with repeats and both extremes.
+            let mut qs = [0.0, 1.0, 0.5, 0.99, 0.999, 0.0, 0.0];
+            for q in &mut qs[5..] {
+                *q = rng.uniform_f64();
+            }
+            rng.shuffle(&mut qs);
+            let batch = h.quantiles(qs);
+            for (q, got) in qs.iter().zip(batch) {
+                assert_eq!(got, h.quantile(*q), "quantiles vs quantile at q={q}");
+                assert_eq!(
+                    got,
+                    scan_quantile(h, *q),
+                    "quantiles vs bucket scan at q={q}"
+                );
+            }
+        }
+        assert_eq!(h.quantiles([]), []);
+    }
+}
+
 #[test]
 fn quantiles_track_exact_within_documented_relative_error() {
     for seed in 0..20u64 {
