@@ -31,17 +31,27 @@ use specfaas_sim::{MetricsRegistry, SimDuration, SimRng, Simulator, SnapshotLog}
 /// Backlog of the timed event-queue churn.
 const PENDING: usize = 100_000;
 
-/// Times `body` K times and returns the median wall time in seconds.
-fn timed<K: FnMut()>(repeats: usize, mut body: K) -> f64 {
-    let mut samples: Vec<f64> = (0..repeats.max(1))
-        .map(|_| {
-            let t0 = Instant::now();
-            body();
-            t0.elapsed().as_secs_f64()
-        })
-        .collect();
+/// Repeats of each arm of the instrumented-overhead measurement. One
+/// repeat of the quick run's 200 requests takes a few milliseconds, so
+/// a single one reads whatever the host did in that instant.
+const OVERHEAD_REPEATS: usize = 9;
+
+/// Wall seconds of one call of `body`.
+fn time_once(body: impl FnOnce()) -> f64 {
+    let t0 = Instant::now();
+    body();
+    t0.elapsed().as_secs_f64()
+}
+
+/// The median of `samples`.
+fn median(mut samples: Vec<f64>) -> f64 {
     samples.sort_by(f64::total_cmp);
     samples[samples.len() / 2]
+}
+
+/// Times `body` K times and returns the median wall time in seconds.
+fn timed<K: FnMut()>(repeats: usize, mut body: K) -> f64 {
+    median((0..repeats.max(1)).map(|_| time_once(&mut body)).collect())
 }
 
 /// schedule+step churn at [`PENDING`] events, median ns per op: the
@@ -75,36 +85,36 @@ fn schedule_step_ns(ops: usize, repeats: usize) -> f64 {
     secs * 1e9 / ops as f64
 }
 
-/// Instrumented-run overhead: times `requests` closed-loop requests on a
-/// trained SpecFaaS engine twice — once plain, once with the streaming
+/// Instrumented-run overhead: times `requests` closed-loop requests on
+/// two trained SpecFaaS engines, one plain and one with the streaming
 /// observability instruments armed (recording [`MetricsRegistry`] +
 /// 250 ms windowed [`SnapshotLog`]). Engine prep (prewarm + training) is
-/// hoisted outside both timed regions; repeats continue the same closed
-/// loop, so both arms measure steady-state request processing and the
-/// ratio isolates what the instruments add per event. Returns
-/// `(requests, plain_secs, instrumented_secs)`.
+/// hoisted outside the timed regions; repeats continue the same closed
+/// loops, so both arms measure steady-state request processing and the
+/// ratio isolates what the instruments add per event. The arms take
+/// turns, one repeat each, so a change in host speed during the run
+/// reaches both. Returns `(requests, median plain_secs, median
+/// instrumented_secs)`.
 fn instrumented_overhead(quick: bool, repeats: usize) -> (u64, f64, f64) {
     let bundle = specfaas_apps::faaschain::apps().remove(0); // Login
     let requests: u64 = if quick { 200 } else { 1_000 };
     let seed = ExperimentParams::default().seed;
 
     let mut plain = prepared_spec(&bundle, SpecConfig::full(), seed, 120);
-    let gen = bundle.make_input.clone();
-    let plain_secs = timed(repeats, || {
-        let gen = gen.clone();
-        std::hint::black_box(plain.run_closed(requests, move |r| gen(r)));
-    });
-
     let mut inst = prepared_spec(&bundle, SpecConfig::full(), seed, 120);
     inst.set_registry(MetricsRegistry::recording());
     inst.set_snapshots(SnapshotLog::new(SimDuration::from_millis(250)));
-    let gen = bundle.make_input.clone();
-    let inst_secs = timed(repeats, || {
-        let gen = gen.clone();
-        std::hint::black_box(inst.run_closed(requests, move |r| gen(r)));
-    });
 
-    (requests, plain_secs, inst_secs)
+    let (mut plain_secs, mut inst_secs) = (Vec::new(), Vec::new());
+    for _ in 0..repeats {
+        for (engine, secs) in [(&mut plain, &mut plain_secs), (&mut inst, &mut inst_secs)] {
+            let gen = bundle.make_input.clone();
+            secs.push(time_once(|| {
+                std::hint::black_box(engine.run_closed(requests, move |r| gen(r)));
+            }));
+        }
+    }
+    (requests, median(plain_secs), median(inst_secs))
 }
 
 fn main() {
@@ -123,8 +133,7 @@ fn main() {
     );
 
     println!("\n== Wall-clock: instrumented-run overhead (Login) ==\n");
-    let ov_repeats = if quick { 1 } else { 3 };
-    let (ov_requests, ov_plain, ov_inst) = instrumented_overhead(quick, ov_repeats);
+    let (ov_requests, ov_plain, ov_inst) = instrumented_overhead(quick, OVERHEAD_REPEATS);
     let overhead_ratio = ov_inst / ov_plain;
     println!(
         "{ov_requests} requests: plain {ov_plain:.3} s, instrumented {ov_inst:.3} s, \
@@ -137,7 +146,7 @@ fn main() {
          {{\"bench\": \"schedule_step\", \"pending\": {PENDING}, \"ops\": {ops}, \
          \"median_ns_per_op\": {step_ns:.2}, \"ops_per_sec\": {:.0}}}\n  ],\n  \
          \"instrumented_overhead\": {{\"app\": \"Login\", \"requests\": {ov_requests}, \
-         \"repeats\": {ov_repeats}, \"plain_secs\": {ov_plain:.4}, \
+         \"repeats\": {OVERHEAD_REPEATS}, \"plain_secs\": {ov_plain:.4}, \
          \"instrumented_secs\": {ov_inst:.4}, \"overhead_ratio\": {overhead_ratio:.4}}}\n}}\n",
         executor::host_parallelism(),
         1e9 / step_ns,

@@ -420,7 +420,7 @@ impl SpecCore {
                     .pipeline
                     .push_back(func, SlotRole::Entry { entry: join_entry }, path);
                 let s = req.pipeline.slot_mut(id).expect("fresh");
-                s.input = Some(Value::List(inputs));
+                s.input = Some(Value::from(inputs));
                 s.non_speculative = self.rt.app.registry.spec(func).annotations.non_speculative;
                 // The join's input (all contributions) is real: a memo row
                 // for it lets extension speculate past the join barrier.

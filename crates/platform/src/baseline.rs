@@ -323,7 +323,7 @@ impl BaselineCore {
             outputs.sort_by_key(|(from, _)| *from);
             // Earlier arrivals already merged their cursors; the final
             // arrival continues as the single join cursor.
-            input = Value::List(outputs.into_iter().map(|(_, v)| v).collect());
+            input = Value::from(outputs.into_iter().map(|(_, v)| v).collect::<Vec<_>>());
         }
         self.spawn_named(req, InstCtx::Entry(entry), func, input);
     }

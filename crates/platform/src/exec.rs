@@ -15,9 +15,9 @@
 //! effects in a [`Step`] mean, and how a faulted instance recovers.
 
 use std::cmp::Reverse;
-use std::collections::HashMap;
 use std::fmt;
 
+use specfaas_sim::hash::FxHashMap;
 use specfaas_sim::trace::{Phase, TraceEventKind, Tracer};
 use specfaas_sim::{FaultSite, SimDuration, SimRng, SimTime};
 use specfaas_storage::Value;
@@ -77,7 +77,7 @@ pub struct FnInstance {
     /// container that teardown must release.
     pub container: bool,
     /// Private temp-file namespace (discarded at handler exit, §VI).
-    pub files: HashMap<String, Value>,
+    pub files: FxHashMap<String, Value>,
     /// When the handler actually started executing on a core.
     pub started_at: Option<SimTime>,
     /// Per-component time attribution for Fig. 3.
@@ -116,7 +116,7 @@ impl FnInstance {
             rng,
             state: InstanceState::ColdStarting,
             container: false,
-            files: HashMap::new(),
+            files: FxHashMap::default(),
             started_at: None,
             breakdown: Breakdown::default(),
             accumulated_core: SimDuration::ZERO,

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![warn(clippy::redundant_clone)]
 
 //! # specfaas-storage
 //!

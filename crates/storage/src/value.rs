@@ -4,10 +4,18 @@
 //! memoization tables (paper §V-B) key on *exact input values*, so [`Value`]
 //! implements `Hash`/`Eq` with canonical float bit patterns, making it
 //! usable directly as a `HashMap` key.
+//!
+//! Documents are handed whole between functions, into memo rows and
+//! through the Data Buffer, so a copy must be cheap: string, list and map
+//! payloads sit behind an [`Arc`], a `clone` is a reference-count bump,
+//! and [`Value::set_field`] copies a shared map on write. A document is
+//! immutable once shared, so the sharing is invisible: equality, hashing
+//! and rendering read the payload, never its address.
 
 use std::collections::BTreeMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 /// A JSON-like dynamically typed value.
 ///
@@ -23,7 +31,7 @@ use std::hash::{Hash, Hasher};
 /// assert_eq!(v.get_field("user").unwrap().as_str(), Some("alice"));
 /// assert!(v.truthy());
 /// ```
-#[derive(Debug, Clone, PartialEq, Default)]
+#[derive(Debug, Clone, Default)]
 pub enum Value {
     /// Absent / null.
     #[default]
@@ -32,15 +40,34 @@ pub enum Value {
     Bool(bool),
     /// 64-bit signed integer.
     Int(i64),
-    /// 64-bit float. Compared and hashed by canonical bit pattern
-    /// (`-0.0` is normalized to `0.0`; `NaN`s are all equal).
+    /// 64-bit float. Hashed by canonical bit pattern (`-0.0` is
+    /// normalized to `0.0`; `NaN`s are all equal) and compared as `f64`.
     Float(f64),
     /// UTF-8 string.
-    Str(String),
+    Str(Arc<String>),
     /// Ordered list.
-    List(Vec<Value>),
+    List(Arc<Vec<Value>>),
     /// String-keyed map with deterministic (sorted) iteration order.
-    Map(BTreeMap<String, Value>),
+    Map(Arc<BTreeMap<String, Value>>),
+}
+
+/// Structural equality on the payloads. Written out rather than derived:
+/// `Arc`'s own `PartialEq` answers `true` for two handles on one
+/// allocation without looking inside, which would make a shared list
+/// holding a NaN equal to itself.
+impl PartialEq for Value {
+    fn eq(&self, other: &Value) -> bool {
+        match (self, other) {
+            (Value::Null, Value::Null) => true,
+            (Value::Bool(a), Value::Bool(b)) => a == b,
+            (Value::Int(a), Value::Int(b)) => a == b,
+            (Value::Float(a), Value::Float(b)) => a == b,
+            (Value::Str(a), Value::Str(b)) => a.as_str() == b.as_str(),
+            (Value::List(a), Value::List(b)) => a[..] == b[..],
+            (Value::Map(a), Value::Map(b)) => **a == **b,
+            _ => false,
+        }
+    }
 }
 
 impl Eq for Value {}
@@ -63,10 +90,10 @@ impl Hash for Value {
             Value::Bool(b) => b.hash(state),
             Value::Int(i) => i.hash(state),
             Value::Float(f) => canonical_bits(*f).hash(state),
-            Value::Str(s) => s.hash(state),
-            Value::List(l) => l.hash(state),
+            Value::Str(s) => s.as_str().hash(state),
+            Value::List(l) => l[..].hash(state),
             Value::Map(m) => {
-                for (k, v) in m {
+                for (k, v) in m.iter() {
                     k.hash(state);
                     v.hash(state);
                 }
@@ -78,17 +105,19 @@ impl Hash for Value {
 impl Value {
     /// Convenience constructor for a string value.
     pub fn str(s: impl Into<String>) -> Value {
-        Value::Str(s.into())
+        Value::Str(Arc::new(s.into()))
     }
 
     /// Convenience constructor for a map value.
     pub fn map<K: Into<String>, const N: usize>(entries: [(K, Value); N]) -> Value {
-        Value::Map(entries.into_iter().map(|(k, v)| (k.into(), v)).collect())
+        Value::Map(Arc::new(
+            entries.into_iter().map(|(k, v)| (k.into(), v)).collect(),
+        ))
     }
 
     /// Convenience constructor for a list value.
     pub fn list<const N: usize>(items: [Value; N]) -> Value {
-        Value::List(items.into())
+        Value::List(Arc::new(items.into()))
     }
 
     /// JavaScript-style truthiness, used by branch conditions (`when`
@@ -161,16 +190,18 @@ impl Value {
     }
 
     /// Inserts `field` into a `Map`, turning `Null` into an empty map
-    /// first. Returns the previous value if any.
+    /// first. Returns the previous value if any. A map shared with other
+    /// copies is copied first (one level: its entries are shared), so
+    /// they keep seeing the old contents.
     ///
     /// # Panics
     /// Panics if `self` is neither `Map` nor `Null`.
     pub fn set_field(&mut self, field: impl Into<String>, value: Value) -> Option<Value> {
         if matches!(self, Value::Null) {
-            *self = Value::Map(BTreeMap::new());
+            *self = Value::Map(Arc::default());
         }
         match self {
-            Value::Map(m) => m.insert(field.into(), value),
+            Value::Map(m) => Arc::make_mut(m).insert(field.into(), value),
             other => panic!("set_field on non-map value {other:?}"),
         }
     }
@@ -220,19 +251,25 @@ impl From<f64> for Value {
 
 impl From<&str> for Value {
     fn from(s: &str) -> Value {
-        Value::Str(s.to_owned())
+        Value::str(s)
     }
 }
 
 impl From<String> for Value {
     fn from(s: String) -> Value {
-        Value::Str(s)
+        Value::str(s)
     }
 }
 
 impl<T: Into<Value>> From<Vec<T>> for Value {
     fn from(v: Vec<T>) -> Value {
-        Value::List(v.into_iter().map(Into::into).collect())
+        Value::List(Arc::new(v.into_iter().map(Into::into).collect()))
+    }
+}
+
+impl From<BTreeMap<String, Value>> for Value {
+    fn from(m: BTreeMap<String, Value>) -> Value {
+        Value::Map(Arc::new(m))
     }
 }
 
@@ -290,8 +327,8 @@ mod tests {
         assert!(!Value::Float(f64::NAN).truthy());
         assert!(!Value::str("").truthy());
         assert!(Value::str("x").truthy());
-        assert!(!Value::List(vec![]).truthy());
-        assert!(!Value::Map(BTreeMap::new()).truthy());
+        assert!(!Value::list([]).truthy());
+        assert!(!Value::from(BTreeMap::new()).truthy());
     }
 
     #[test]
@@ -350,6 +387,12 @@ mod tests {
         let small = Value::Int(1);
         let big = Value::map([("key", Value::str("x".repeat(100)))]);
         assert!(big.approx_size_bytes() > small.approx_size_bytes() + 90);
+    }
+
+    #[test]
+    fn a_value_is_two_words() {
+        // A tag and one word: every payload wider than a word is an `Arc`.
+        assert_eq!(std::mem::size_of::<Value>(), 16);
     }
 
     #[test]

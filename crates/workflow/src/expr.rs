@@ -5,7 +5,9 @@
 //! (storage, calls, compute time) are statements ([`crate::program::Stmt`]).
 
 use specfaas_sim::hash::FxHashMap;
+use std::borrow::Cow;
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 use std::hash::{Hash, Hasher};
 
 use specfaas_storage::Value;
@@ -112,10 +114,14 @@ fn stable_hash(v: &Value) -> i64 {
     (h.finish() & 0x7fff_ffff_ffff_ffff) as i64
 }
 
-fn display_for_concat(v: &Value) -> String {
+/// Appends `v` to `out` as `concat` renders it: strings unquoted,
+/// everything else in its `Display` form.
+fn push_for_concat(out: &mut String, v: &Value) {
     match v {
-        Value::Str(s) => s.clone(),
-        other => other.to_string(),
+        Value::Str(s) => out.push_str(s),
+        other => {
+            write!(out, "{other}").expect("writing to a String cannot fail");
+        }
     }
 }
 
@@ -126,20 +132,37 @@ impl Expr {
     /// Returns [`ProgError`] on type mismatches, unknown variables,
     /// out-of-range indexing, or division by zero.
     pub fn eval(&self, input: &Value, env: &FxHashMap<String, Value>) -> Result<Value, ProgError> {
-        match self {
-            Expr::Lit(v) => Ok(v.clone()),
-            Expr::Input => Ok(input.clone()),
-            Expr::Var(name) => env
-                .get(name)
-                .cloned()
-                .ok_or_else(|| ProgError::UnknownVar(name.clone())),
-            Expr::Field(e, f) => {
-                let v = e.eval(input, env)?;
-                Ok(v.get_field(f).cloned().unwrap_or(Value::Null))
-            }
+        self.eval_ref(input, env).map(Cow::into_owned)
+    }
+
+    /// Evaluates the expression like [`Expr::eval`], but borrows the
+    /// result where it already exists: `Input`, `Var`, `Lit` and the
+    /// `Field` and `Index` projections of a borrowed value return a
+    /// reference into `input`, `env` or the expression itself. Operators
+    /// that only read their operands (`HashOf`, `Len`, `Not`, the
+    /// comparisons, conditions) never take ownership of them.
+    ///
+    /// # Errors
+    /// As [`Expr::eval`].
+    pub fn eval_ref<'a>(
+        &'a self,
+        input: &'a Value,
+        env: &'a FxHashMap<String, Value>,
+    ) -> Result<Cow<'a, Value>, ProgError> {
+        Ok(match self {
+            Expr::Lit(v) => Cow::Borrowed(v),
+            Expr::Input => Cow::Borrowed(input),
+            Expr::Var(name) => Cow::Borrowed(
+                env.get(name)
+                    .ok_or_else(|| ProgError::UnknownVar(name.clone()))?,
+            ),
+            Expr::Field(e, f) => match e.eval_ref(input, env)? {
+                Cow::Borrowed(v) => Cow::Borrowed(v.get_field(f).unwrap_or(&Value::Null)),
+                Cow::Owned(v) => Cow::Owned(v.get_field(f).cloned().unwrap_or(Value::Null)),
+            },
             Expr::Index(e, i) => {
-                let list = e.eval(input, env)?;
-                let idx = i.eval(input, env)?;
+                let list = e.eval_ref(input, env)?;
+                let idx = i.eval_ref(input, env)?;
                 let items = list
                     .as_list()
                     .ok_or_else(|| ProgError::TypeError("index on non-list".into()))?;
@@ -149,74 +172,72 @@ impl Expr {
                 let n = items.len() as i64;
                 let pos = if raw < 0 { raw + n } else { raw };
                 if pos < 0 || pos >= n {
-                    return Ok(Value::Null);
+                    return Ok(Cow::Owned(Value::Null));
                 }
-                Ok(items[pos as usize].clone())
+                match list {
+                    Cow::Borrowed(v) => {
+                        Cow::Borrowed(&v.as_list().expect("checked above")[pos as usize])
+                    }
+                    Cow::Owned(_) => Cow::Owned(items[pos as usize].clone()),
+                }
             }
             Expr::Bin(op, a, b) => {
                 // Short-circuit logical operators first.
-                match op {
+                let v = match op {
                     BinOp::And => {
-                        let av = a.eval(input, env)?;
-                        if !av.truthy() {
-                            return Ok(Value::Bool(false));
-                        }
-                        return Ok(Value::Bool(b.eval(input, env)?.truthy()));
+                        a.eval_ref(input, env)?.truthy() && b.eval_ref(input, env)?.truthy()
                     }
                     BinOp::Or => {
-                        let av = a.eval(input, env)?;
-                        if av.truthy() {
-                            return Ok(Value::Bool(true));
-                        }
-                        return Ok(Value::Bool(b.eval(input, env)?.truthy()));
+                        a.eval_ref(input, env)?.truthy() || b.eval_ref(input, env)?.truthy()
                     }
-                    _ => {}
-                }
-                let av = a.eval(input, env)?;
-                let bv = b.eval(input, env)?;
-                eval_binop(*op, &av, &bv)
+                    _ => {
+                        let av = a.eval_ref(input, env)?;
+                        let bv = b.eval_ref(input, env)?;
+                        return eval_binop(*op, &av, &bv).map(Cow::Owned);
+                    }
+                };
+                Cow::Owned(Value::Bool(v))
             }
-            Expr::Not(e) => Ok(Value::Bool(!e.eval(input, env)?.truthy())),
+            Expr::Not(e) => Cow::Owned(Value::Bool(!e.eval_ref(input, env)?.truthy())),
             Expr::Concat(parts) => {
                 let mut s = String::new();
                 for p in parts {
-                    s.push_str(&display_for_concat(&p.eval(input, env)?));
+                    push_for_concat(&mut s, &*p.eval_ref(input, env)?);
                 }
-                Ok(Value::Str(s))
+                Cow::Owned(Value::str(s))
             }
             Expr::MakeMap(entries) => {
                 let mut m = BTreeMap::new();
                 for (k, e) in entries {
                     m.insert(k.clone(), e.eval(input, env)?);
                 }
-                Ok(Value::Map(m))
+                Cow::Owned(Value::from(m))
             }
             Expr::MakeList(items) => {
                 let mut l = Vec::with_capacity(items.len());
                 for e in items {
                     l.push(e.eval(input, env)?);
                 }
-                Ok(Value::List(l))
+                Cow::Owned(Value::from(l))
             }
-            Expr::HashOf(e) => Ok(Value::Int(stable_hash(&e.eval(input, env)?))),
+            Expr::HashOf(e) => Cow::Owned(Value::Int(stable_hash(&*e.eval_ref(input, env)?))),
             Expr::Len(e) => {
-                let v = e.eval(input, env)?;
-                let n = match &v {
+                let n = match &*e.eval_ref(input, env)? {
                     Value::Str(s) => s.len(),
                     Value::List(l) => l.len(),
                     Value::Map(m) => m.len(),
                     _ => return Err(ProgError::TypeError("len on scalar".into())),
                 };
-                Ok(Value::Int(n as i64))
+                Cow::Owned(Value::Int(n as i64))
             }
             Expr::IfElse(c, a, b) => {
-                if c.eval(input, env)?.truthy() {
-                    a.eval(input, env)
+                if c.eval_ref(input, env)?.truthy() {
+                    a.eval_ref(input, env)?
                 } else {
-                    b.eval(input, env)
+                    b.eval_ref(input, env)?
                 }
             }
-        }
+        })
     }
 }
 
@@ -230,7 +251,10 @@ fn eval_binop(op: BinOp, a: &Value, b: &Value) -> Result<Value, ProgError> {
     // String + string concatenates.
     if op == Add {
         if let (Value::Str(x), Value::Str(y)) = (a, b) {
-            return Ok(Value::Str(format!("{x}{y}")));
+            let mut s = String::with_capacity(x.len() + y.len());
+            s.push_str(x);
+            s.push_str(y);
+            return Ok(Value::str(s));
         }
     }
     // Integer-preserving arithmetic when both sides are Int.

@@ -1,7 +1,8 @@
 //! Function specifications, annotations, and the function registry.
 
-use std::collections::HashMap;
 use std::fmt;
+
+use specfaas_sim::hash::FxHashMap;
 
 use crate::explicit::{CompiledWorkflow, Workflow};
 use crate::program::Program;
@@ -105,7 +106,7 @@ impl FunctionSpec {
 #[derive(Debug, Clone, Default)]
 pub struct FunctionRegistry {
     funcs: Vec<FunctionSpec>,
-    by_name: HashMap<String, FuncId>,
+    by_name: FxHashMap<String, FuncId>,
 }
 
 impl FunctionRegistry {

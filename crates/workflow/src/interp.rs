@@ -13,12 +13,14 @@
 //! side-effect deferral) can intervene.
 
 use specfaas_sim::hash::FxHashMap;
+use std::borrow::Cow;
 use std::fmt;
 use std::sync::Arc;
 
 use specfaas_sim::{SimDuration, SimRng};
 use specfaas_storage::Value;
 
+use crate::expr::Expr;
 use crate::program::{Block, Program, Stmt};
 
 /// An error raised while executing a function program.
@@ -116,7 +118,7 @@ enum FrameKind {
     Linear,
     /// A `While` body; when the block ends, re-check the condition.
     Loop {
-        cond: crate::expr::Expr,
+        cond: Expr,
         body: Block,
         remaining: u32,
     },
@@ -195,15 +197,24 @@ impl Interp {
         self.finished
     }
 
-    fn eval(&self, e: &crate::expr::Expr) -> Result<Value, ProgError> {
+    fn eval(&self, e: &Expr) -> Result<Value, ProgError> {
         e.eval(&self.input, &self.env)
     }
 
-    fn key_string(&self, e: &crate::expr::Expr) -> Result<String, ProgError> {
-        let v = self.eval(e)?;
-        Ok(match v {
-            Value::Str(s) => s,
-            other => other.to_string(),
+    fn truthy(&self, e: &Expr) -> Result<bool, ProgError> {
+        Ok(e.eval_ref(&self.input, &self.env)?.truthy())
+    }
+
+    /// Renders a key, URL or file name: a string as itself (taking over a
+    /// freshly built one, such as a `concat` result), anything else in its
+    /// `Display` form.
+    fn key_string(&self, e: &Expr) -> Result<String, ProgError> {
+        Ok(match e.eval_ref(&self.input, &self.env)? {
+            Cow::Owned(Value::Str(s)) => Arc::unwrap_or_clone(s),
+            v => match &*v {
+                Value::Str(s) => String::clone(s),
+                other => other.to_string(),
+            },
         })
     }
 
@@ -256,8 +267,7 @@ impl Interp {
                     remaining,
                 } = frame.kind
                 {
-                    let c = cond.eval(&self.input, &self.env)?;
-                    if c.truthy() {
+                    if self.truthy(&cond)? {
                         if remaining == 0 {
                             self.finished = true;
                             return Err(ProgError::LoopLimit);
@@ -329,8 +339,7 @@ impl Interp {
                     return Ok(Effect::FileRead { name });
                 }
                 Stmt::If { cond, then, els } => {
-                    let c = self.eval(cond)?;
-                    let block = if c.truthy() {
+                    let block = if self.truthy(cond)? {
                         Arc::clone(then)
                     } else {
                         Arc::clone(els)
@@ -346,8 +355,7 @@ impl Interp {
                     body,
                     max_iters,
                 } => {
-                    let c = self.eval(cond)?;
-                    if c.truthy() {
+                    if self.truthy(cond)? {
                         if *max_iters == 0 {
                             self.finished = true;
                             return Err(ProgError::LoopLimit);
