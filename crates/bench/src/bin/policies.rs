@@ -238,22 +238,22 @@ fn run_default_guard(jobs: usize) -> ! {
             GuardCell::Prom(hotel_prom_default())
         }),
         ExperimentCell::new("guard/scale-base".to_string(), || {
-            GuardCell::Scale(run_scale_cell(
+            GuardCell::Scale(Box::new(run_scale_cell(
                 &PolicyConfig::default(),
                 false,
                 50,
                 10_000,
                 0xFA5C,
-            ))
+            )))
         }),
         ExperimentCell::new("guard/scale-spec".to_string(), || {
-            GuardCell::Scale(run_scale_cell(
+            GuardCell::Scale(Box::new(run_scale_cell(
                 &PolicyConfig::default(),
                 true,
                 50,
                 10_000,
                 0xFA5C,
-            ))
+            )))
         }),
     ];
     let mut results = executor::run_cells(jobs, cells);
@@ -289,7 +289,7 @@ fn run_default_guard(jobs: usize) -> ! {
 
 enum GuardCell {
     Prom(String),
-    Scale(ScaleCell),
+    Scale(Box<ScaleCell>),
 }
 
 fn main() {

@@ -478,6 +478,7 @@ impl SpecCore {
                 .table_mut(func)
                 .insert(input, output, callee_inputs);
         }
+        self.memo_entries = self.memos.total_entries();
         if self.rt.tracer.enabled() {
             self.rt.tracer.emit(
                 now,

@@ -24,7 +24,7 @@ use specfaas_platform::metrics::{InvocationRecord, RequestOutcome, RunMetrics};
 use specfaas_platform::workload::RequestId;
 use specfaas_sim::trace::{Phase, SquashCause, TraceEventKind};
 use specfaas_sim::FaultSite;
-use specfaas_sim::{GaugeHandle, SimDuration, SimTime};
+use specfaas_sim::{SimDuration, SimTime};
 use specfaas_storage::Value;
 use specfaas_workflow::{AppSpec, EntryKind, FuncId, Interp, Program};
 
@@ -35,7 +35,7 @@ use crate::pipeline::{Pipeline, SlotId, SlotRole, SlotState};
 use crate::predictor::{BranchPredictor, BranchSite, PathHistory, Prediction};
 use crate::seqtable::SequenceTable;
 use crate::stall::StallList;
-use specfaas_platform::harness::{self, EngineCore, Harness, Runtime};
+use specfaas_platform::harness::{self, EngineCore, Harness, Runtime, SpecGauges};
 
 /// Events of the speculative engine. Only nameable as the
 /// [`EngineCore::Ev`] associated type.
@@ -229,13 +229,12 @@ pub struct SpecCore {
     /// here too. Feeds the in-flight-speculation gauge without touching
     /// the unconditional instance bookkeeping.
     spec_live: FxHashSet<InstanceId>,
-    /// Cached `(inflight_spec_slots, memo_entries)` gauge instruments
-    /// ([`specfaas_sim::MetricsRegistry::sample_interned`]): per-event
-    /// sampling without a registry map walk.
-    spec_gauge_h: (Option<GaugeHandle>, Option<GaugeHandle>),
     seqtable: SequenceTable,
     predictor: BranchPredictor,
     memos: MemoTables,
+    /// Rows across all memo tables, recounted where they change (request
+    /// completion), so the per-event memo gauge reads one field.
+    memo_entries: usize,
     stall_list: StallList,
     /// The slot each live, unsquashed instance executes.
     slot_of: FxHashMap<InstanceId, SlotId>,
@@ -365,7 +364,7 @@ impl SpecCore {
             squash_kill_busy: SimDuration::ZERO,
             kill_busy_base: SimDuration::ZERO,
             spec_live: FxHashSet::default(),
-            spec_gauge_h: (None, None),
+            memo_entries: 0,
             seqtable,
             slot_of: FxHashMap::default(),
             orphans: FxHashSet::default(),
@@ -383,44 +382,35 @@ impl SpecCore {
         &self.memos
     }
 
+    /// Live instances launched speculatively: the in-flight-speculation
+    /// gauge's reading. Counted only while a metrics registry is armed.
+    pub fn inflight_speculative(&self) -> usize {
+        self.spec_live.len()
+    }
+
     /// The stall list (for squash-minimization statistics).
     pub fn stall_list(&self) -> &StallList {
         &self.stall_list
     }
 
-    /// Samples every occupancy gauge at the current sim-time. Called after
-    /// each handled event; one branch when the registry is disabled. The
-    /// registry collapses consecutive duplicate values, so steady states
-    /// cost one stored sample regardless of event volume.
+    /// Samples every occupancy gauge at the current sim-time
+    /// ([`Runtime::sample_gauges`]). Called after each handled event; one
+    /// branch when the registry is disabled.
     fn sample_gauges(&mut self) {
         if !self.rt.registry.enabled() {
             return;
         }
-        let now = self.rt.sim.now();
-        self.rt.sample_cluster_gauges(now);
         debug_assert!(
             self.spec_live
                 .iter()
                 .all(|id| self.rt.instances.contains_key(id)),
             "an instance left the runtime without leaving spec_live"
         );
-        self.rt.registry.sample_interned(
-            &mut self.spec_gauge_h.0,
-            now,
-            "specfaas_inflight_spec_slots",
-            "",
-            "",
-            self.spec_live.len() as u64,
-        );
-        self.rt.registry.sample_interned(
-            &mut self.spec_gauge_h.1,
-            now,
-            "specfaas_memo_entries",
-            "",
-            "",
-            self.memos.total_entries() as u64,
-        );
-        self.rt.sample_kv_gauge(now);
+        debug_assert_eq!(self.memo_entries, self.memos.total_entries());
+        self.rt.sample_gauges(Some(SpecGauges {
+            inflight_slots: self.spec_live.len() as u64,
+            memo_entries: self.memo_entries as u64,
+        }));
     }
 
     // ------------------------------------------------------------------

@@ -229,6 +229,35 @@ mod tests {
     }
 
     #[test]
+    fn nan_holding_input_hits_its_row() {
+        let mut t = MemoTable::new(4);
+        let input = Value::map([("x", Value::Float(f64::NAN))]);
+        t.insert(input.clone(), Value::Int(1), vec![]);
+        assert_eq!(t.lookup(&input).map(|e| &e.output), Some(&Value::Int(1)));
+        // Any NaN payload is the same key, and re-inserting it replaces
+        // the row instead of adding one.
+        let other_nan = Value::map([("x", Value::Float(-f64::NAN))]);
+        assert!(t.lookup(&other_nan).is_some());
+        t.insert(other_nan, Value::Int(2), vec![]);
+        assert_eq!(t.len(), 1);
+    }
+
+    #[test]
+    fn signed_zero_inputs_are_distinct_rows() {
+        // `{x: 0.0}` and `{x: -0.0}` render (and so build `concat` storage
+        // keys) differently: neither may hit the other's row.
+        let mut t = MemoTable::new(4);
+        let neg = Value::map([("x", Value::Float(-0.0))]);
+        let pos = Value::map([("x", Value::Float(0.0))]);
+        t.insert(neg.clone(), Value::str("-0"), vec![]);
+        assert!(t.lookup(&pos).is_none());
+        t.insert(pos.clone(), Value::str("0"), vec![]);
+        assert_eq!(t.len(), 2);
+        assert_eq!(t.lookup(&neg).unwrap().output, Value::str("-0"));
+        assert_eq!(t.lookup(&pos).unwrap().output, Value::str("0"));
+    }
+
+    #[test]
     fn lru_evicts_coldest() {
         let mut t = MemoTable::new(2);
         t.insert(Value::Int(1), Value::Int(10), vec![]);

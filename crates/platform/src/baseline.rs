@@ -245,17 +245,6 @@ impl BaselineCore {
         }
     }
 
-    /// Samples every gauge at the current simulated time (post-event
-    /// state). A disabled registry makes this a single branch.
-    fn sample_gauges(&mut self) {
-        if !self.rt.registry.enabled() {
-            return;
-        }
-        let now = self.rt.sim.now();
-        self.rt.sample_cluster_gauges(now);
-        self.rt.sample_kv_gauge(now);
-    }
-
     /// The live instances working for `req`, in id order (HashMap order
     /// is not deterministic).
     fn instances_of(&self, req: RequestId) -> Vec<InstanceId> {
@@ -682,7 +671,9 @@ impl BaselineCore {
         }
         // Gauges observe post-event state; a disabled registry makes this
         // a single branch.
-        self.sample_gauges();
+        if self.rt.registry.enabled() {
+            self.rt.sample_gauges(None);
+        }
     }
 }
 

@@ -15,6 +15,10 @@
 //! each acquisition; fed committed function sequences through
 //! [`Cluster::observe_sequence`]). The defaults reproduce the
 //! pre-policy-layer behaviour bit for bit.
+//!
+//! The cluster also records which nodes changed since their gauges were
+//! last read, so the metrics sampler that runs after every event reads
+//! only the nodes an event touched.
 
 use specfaas_sim::resource::{CorePool, ServiceStation};
 use specfaas_sim::{SimDuration, SimTime};
@@ -54,6 +58,12 @@ pub struct Node {
 #[derive(Debug)]
 pub struct Cluster {
     nodes: Vec<Node>,
+    /// Per node, the instant from which its gauge readings may differ
+    /// from what `Cluster::changed_node_gauges` last reported:
+    /// [`SimTime::ZERO`] once its cores, containers or controller were
+    /// touched, else its controller's next job completion
+    /// ([`SimTime::MAX`] when none is in flight).
+    gauges_due: Vec<SimTime>,
     rr_next: usize,
     placement: Box<dyn PlacementPolicy>,
     keepalive: Box<dyn KeepAlivePolicy>,
@@ -82,6 +92,7 @@ impl Cluster {
                     controller: ServiceStation::new(),
                 })
                 .collect(),
+            gauges_due: vec![SimTime::ZERO; nodes],
             rr_next: 0,
             placement: cfg.build_placement(),
             keepalive: cfg.build_keepalive(),
@@ -129,11 +140,13 @@ impl Cluster {
         self.nodes.iter().map(|n| n.cores.capacity()).sum()
     }
 
-    /// Mutable access to a node.
+    /// Mutable access to a node. Marks the node changed, so the metrics
+    /// sampler reads its gauges again.
     ///
     /// # Panics
     /// Panics if `id` is out of range.
     pub fn node_mut(&mut self, id: NodeId) -> &mut Node {
+        self.gauges_due[id.0] = SimTime::ZERO;
         &mut self.nodes[id.0]
     }
 
@@ -150,6 +163,7 @@ impl Cluster {
         for n in &mut self.nodes {
             n.containers = ContainerPool::prewarmed(funcs.clone(), count);
         }
+        self.mark_nodes_changed();
     }
 
     /// Picks the node to run `func`, as decided by the installed
@@ -179,7 +193,7 @@ impl Cluster {
         now: SimTime,
         service: SimDuration,
     ) -> SimDuration {
-        self.nodes[ctrl.0].controller.submit(now, service)
+        self.node_mut(ctrl).controller.submit(now, service)
     }
 
     /// Acquires a container for `func` on `node` at `now`.
@@ -198,6 +212,7 @@ impl Cluster {
         let mut targets = std::mem::take(&mut self.prewarm_scratch);
         targets.clear();
         self.prewarm.on_invoke(func.0, &mut targets);
+        self.gauges_due[node.0] = SimTime::ZERO;
         let pool = &mut self.nodes[node.0].containers;
         for &t in &targets {
             let f = FuncId(t);
@@ -213,6 +228,7 @@ impl Cluster {
     /// false` (container-kill squash) destroys it; otherwise the
     /// keep-alive policy decides whether it survives in the warm pool.
     pub fn release_container(&mut self, node: NodeId, func: FuncId, now: SimTime, reusable: bool) {
+        self.gauges_due[node.0] = SimTime::ZERO;
         self.nodes[node.0]
             .containers
             .release(func, now, reusable, &*self.keepalive);
@@ -266,6 +282,7 @@ impl Cluster {
         for n in &mut self.nodes {
             n.containers = ContainerPool::new();
         }
+        self.mark_nodes_changed();
     }
 
     /// Cold starts served across the cluster.
@@ -314,14 +331,34 @@ impl Cluster {
         agg
     }
 
-    /// Per-node `(busy execution slots, controller queue depth at
-    /// `now`)`, in node-index order. Read-only, so metrics sampling can
-    /// call it without perturbing any pool or station state.
-    pub fn node_gauges(&self, now: SimTime) -> impl Iterator<Item = (usize, u64, usize)> + '_ {
+    /// Per-node `(node index, busy execution slots, idle warm
+    /// containers, controller queue depth at `now`)`, in node-index
+    /// order, for only the nodes whose readings may have changed since
+    /// the previous call: those whose cores, containers or controller
+    /// were touched, and those whose controller finished a job by `now`.
+    /// Every other node reads as it did then. Reading a node changes no
+    /// simulated state.
+    pub(crate) fn changed_node_gauges(
+        &mut self,
+        now: SimTime,
+    ) -> impl Iterator<Item = (usize, u64, u64, usize)> + '_ {
         self.nodes
-            .iter()
+            .iter_mut()
+            .zip(&mut self.gauges_due)
             .enumerate()
-            .map(move |(i, n)| (i, n.cores.busy(), n.controller.queue_depth(now)))
+            .filter(move |(_, (_, due))| **due <= now)
+            .map(move |(i, (n, due))| {
+                let depth = n.controller.queue_depth(now);
+                *due = n.controller.next_done().unwrap_or(SimTime::MAX);
+                (i, n.cores.busy(), n.containers.idle_total(), depth)
+            })
+    }
+
+    /// Marks every node changed, so the next
+    /// `Cluster::changed_node_gauges` reports them all (a sampler that
+    /// lost what it last read starts over this way).
+    pub(crate) fn mark_nodes_changed(&mut self) {
+        self.gauges_due.fill(SimTime::ZERO);
     }
 }
 
@@ -379,6 +416,40 @@ mod tests {
         let d2 = c.controller_delay(NodeId(0), SimTime::ZERO, s);
         assert_eq!(d1, SimDuration::from_millis(2));
         assert_eq!(d2, SimDuration::from_millis(4));
+    }
+
+    #[test]
+    fn changed_node_gauges_reports_touched_and_due_nodes() {
+        let mut c = Cluster::new(3, 2);
+        let t = SimTime::from_millis;
+        let changed = |c: &mut Cluster, now| -> Vec<(usize, u64, u64, usize)> {
+            c.changed_node_gauges(now).collect()
+        };
+        assert_eq!(
+            changed(&mut c, t(0)).len(),
+            3,
+            "a new cluster reads every node"
+        );
+        assert!(changed(&mut c, t(0)).is_empty());
+        assert!(c.node_mut(NodeId(1)).cores.try_acquire(t(0)));
+        c.controller_delay(NodeId(2), t(0), SimDuration::from_millis(4));
+        assert_eq!(
+            changed(&mut c, t(1)),
+            [(1, 1, 0, 0), (2, 0, 0, 1)],
+            "the touched nodes, nothing else"
+        );
+        assert!(
+            changed(&mut c, t(3)).is_empty(),
+            "node 2's job is still in service"
+        );
+        assert_eq!(
+            changed(&mut c, t(4)),
+            [(2, 0, 0, 0)],
+            "its completion is due"
+        );
+        assert!(changed(&mut c, t(9)).is_empty());
+        c.mark_nodes_changed();
+        assert_eq!(changed(&mut c, t(9)).len(), 3);
     }
 
     #[test]

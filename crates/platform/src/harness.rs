@@ -102,15 +102,8 @@ pub struct Runtime<Ev> {
     /// [`Harness::set_snapshots`]). Like the registry, purely
     /// observational: arming it leaves run output bit-identical.
     pub snapshots: Option<SnapshotLog>,
-    /// Lazily built node-index label strings ("0", "1", ...), so the
-    /// per-event cluster gauge sampling never allocates.
-    node_labels: Vec<String>,
-    /// Cached warm-pool gauge instrument ([`MetricsRegistry::sample_interned`]).
-    warm_pool_h: Option<GaugeHandle>,
-    /// Cached outstanding-KV-ops gauge instrument.
-    kv_gauge_h: Option<GaugeHandle>,
-    /// Cached per-node `(busy_cores, controller_queue_depth)` instruments.
-    node_gauge_h: Vec<(Option<GaugeHandle>, Option<GaugeHandle>)>,
+    /// What [`Runtime::sample_gauges`] last handed the registry.
+    gauges: GaugeCache,
     /// Lazily built `"<app>/<function>"` top-K keys indexed by function
     /// id, so per-function-start sketch updates never re-format.
     topk_keys: Vec<String>,
@@ -155,10 +148,7 @@ impl<Ev> Runtime<Ev> {
             registry: MetricsRegistry::disabled(),
             kv_pending: BinaryHeap::new(),
             snapshots: None,
-            node_labels: Vec::new(),
-            warm_pool_h: None,
-            kv_gauge_h: None,
-            node_gauge_h: Vec::new(),
+            gauges: GaugeCache::default(),
             topk_keys: Vec::new(),
             metrics: RunMetrics::new(),
             workload: None,
@@ -275,30 +265,39 @@ impl<Ev> Runtime<Ev> {
         }
     }
 
-    /// Samples the cluster-level gauges (warm pool, per-node busy cores
-    /// and controller queue depth). Cores call this from their
-    /// `sample_gauges` before any engine-specific gauges.
-    pub fn sample_cluster_gauges(&mut self, now: SimTime) {
-        self.registry.sample_interned(
-            &mut self.warm_pool_h,
-            now,
-            "specfaas_warm_pool_size",
-            "",
-            "",
-            self.cluster.warm_pool_total(),
-        );
-        let nodes = self.cluster.nodes();
-        if self.node_labels.len() < nodes {
-            self.node_labels = (0..nodes).map(|i| i.to_string()).collect();
-            self.node_gauge_h.resize(nodes, (None, None));
+    /// Samples every per-event gauge at the current sim-time: the warm
+    /// pool, each node's busy cores and controller queue depth,
+    /// outstanding KV operations, and, from the speculative core, its
+    /// in-flight slots and memo entries. Cores call this after every
+    /// event while a registry is armed.
+    ///
+    /// The cost follows what changed, not how many gauges exist: only
+    /// the nodes the cluster reports changed are read, and a gauge whose
+    /// reading equals what this runtime last handed the registry is not
+    /// handed over again. Such a call would change nothing, because the
+    /// registry's last value for the gauge is that same value (DESIGN §9,
+    /// one-compare rule). A registry of another generation (a swapped
+    /// one) starts the memory over, so it sees every gauge once.
+    pub fn sample_gauges(&mut self, spec: Option<SpecGauges>) {
+        let generation = self.registry.generation();
+        if generation == 0 {
+            return;
         }
-        let (cluster, registry) = (&self.cluster, &mut self.registry);
-        for (i, busy, depth) in cluster.node_gauges(now) {
-            let label = self.node_labels[i].as_str();
-            let (busy_h, depth_h) = &mut self.node_gauge_h[i];
-            registry.sample_interned(busy_h, now, "specfaas_busy_cores", "node", label, busy);
-            registry.sample_interned(
-                depth_h,
+        let now = self.sim.now();
+        let (cache, registry) = (&mut self.gauges, &mut self.registry);
+        if cache.generation != generation {
+            *cache = GaugeCache::new(generation, self.cluster.nodes());
+            self.cluster.mark_nodes_changed();
+        }
+        for (i, busy, idle, depth) in self.cluster.changed_node_gauges(now) {
+            let node = &mut cache.nodes[i];
+            cache.idle_total = cache.idle_total - node.idle + idle;
+            node.idle = idle;
+            let label = node.label.as_str();
+            node.busy
+                .sample(registry, now, "specfaas_busy_cores", "node", label, busy);
+            node.depth.sample(
+                registry,
                 now,
                 "specfaas_controller_queue_depth",
                 "node",
@@ -306,23 +305,109 @@ impl<Ev> Runtime<Ev> {
                 depth as u64,
             );
         }
-    }
-
-    /// Expires completed KV operations and samples the outstanding-ops
-    /// gauge. Cores call this from their `sample_gauges` after any
-    /// engine-specific gauges.
-    pub fn sample_kv_gauge(&mut self, now: SimTime) {
+        let mut unlabeled = |cell: &mut GaugeCell, name, value| {
+            cell.sample(registry, now, name, "", "", value);
+        };
+        unlabeled(
+            &mut cache.warm_pool,
+            "specfaas_warm_pool_size",
+            cache.idle_total,
+        );
+        if let Some(spec) = spec {
+            let slots = spec.inflight_slots;
+            unlabeled(&mut cache.spec_slots, "specfaas_inflight_spec_slots", slots);
+            unlabeled(
+                &mut cache.memo_entries,
+                "specfaas_memo_entries",
+                spec.memo_entries,
+            );
+        }
         while self.kv_pending.peek().is_some_and(|Reverse(t)| *t <= now) {
             self.kv_pending.pop();
         }
-        self.registry.sample_interned(
-            &mut self.kv_gauge_h,
-            now,
-            "specfaas_outstanding_kv_ops",
-            "",
-            "",
-            self.kv_pending.len() as u64,
-        );
+        let kv_ops = self.kv_pending.len() as u64;
+        unlabeled(&mut cache.kv_ops, "specfaas_outstanding_kv_ops", kv_ops);
+    }
+}
+
+/// The speculative core's own per-event gauges, which
+/// [`Runtime::sample_gauges`] samples beside the shared ones.
+#[derive(Debug, Clone, Copy)]
+pub struct SpecGauges {
+    /// Speculative slots in flight (`specfaas_inflight_spec_slots`).
+    pub inflight_slots: u64,
+    /// Rows across all memo tables (`specfaas_memo_entries`).
+    pub memo_entries: u64,
+}
+
+/// A per-event gauge as the runtime last handed it to the registry: the
+/// interned instrument and the value.
+#[derive(Debug, Clone, Copy, Default)]
+struct GaugeCell {
+    handle: Option<GaugeHandle>,
+    last: Option<u64>,
+}
+
+impl GaugeCell {
+    /// Hands `value` to the registry unless it is the value handed last.
+    #[inline]
+    fn sample(
+        &mut self,
+        registry: &mut MetricsRegistry,
+        now: SimTime,
+        name: &'static str,
+        label_key: &'static str,
+        label_value: &str,
+        value: u64,
+    ) {
+        if self.last == Some(value) {
+            return;
+        }
+        self.last = Some(value);
+        registry.sample_interned(&mut self.handle, now, name, label_key, label_value, value);
+    }
+}
+
+/// One node's gauges, plus its idle containers as last read (their sum
+/// over the nodes is the warm-pool gauge).
+#[derive(Debug, Default)]
+struct NodeCells {
+    /// The node index as a label ("0", "1", ...), built once.
+    label: String,
+    busy: GaugeCell,
+    depth: GaugeCell,
+    idle: u64,
+}
+
+/// Everything [`Runtime::sample_gauges`] last handed one registry.
+#[derive(Debug, Default)]
+struct GaugeCache {
+    /// Generation of the registry the cells were handed to; 0 before
+    /// the first sample.
+    generation: u64,
+    nodes: Vec<NodeCells>,
+    /// Sum of the nodes' `idle`.
+    idle_total: u64,
+    warm_pool: GaugeCell,
+    kv_ops: GaugeCell,
+    spec_slots: GaugeCell,
+    memo_entries: GaugeCell,
+}
+
+impl GaugeCache {
+    /// An empty memory for the registry of `generation` on a cluster of
+    /// `nodes` nodes.
+    fn new(generation: u64, nodes: usize) -> Self {
+        GaugeCache {
+            generation,
+            nodes: (0..nodes)
+                .map(|i| NodeCells {
+                    label: i.to_string(),
+                    ..NodeCells::default()
+                })
+                .collect(),
+            ..GaugeCache::default()
+        }
     }
 }
 
@@ -545,9 +630,13 @@ impl<E: EngineCore> Harness<E> {
     /// Installs a time-series metrics registry. Sampling is purely
     /// observational: it never draws from the RNG or schedules events, so
     /// an enabled registry leaves [`RunMetrics`] bit-identical to a
-    /// disabled one.
+    /// disabled one. The runtime forgets what it handed any earlier
+    /// registry, so gauges this one already holds (from another engine,
+    /// say) are sampled afresh.
     pub fn set_registry(&mut self, registry: MetricsRegistry) {
-        self.core.rt_mut().registry = registry;
+        let rt = self.core.rt_mut();
+        rt.registry = registry;
+        rt.gauges = GaugeCache::default();
     }
 
     /// The installed metrics registry.

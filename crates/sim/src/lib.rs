@@ -1,5 +1,6 @@
 #![warn(missing_docs)]
 #![warn(clippy::format_push_string)]
+#![warn(clippy::redundant_clone)]
 
 //! # specfaas-sim
 //!

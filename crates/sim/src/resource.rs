@@ -178,10 +178,11 @@ pub struct ServiceStation {
     free_at: SimTime,
     jobs: u64,
     busy_time: SimDuration,
-    /// Completion instants of recent jobs, ascending (completion times are
-    /// monotone because service is FIFO). Entries at or before the latest
-    /// submission instant are pruned on every [`ServiceStation::submit`],
-    /// so the deque never outgrows the number of jobs in flight.
+    /// Completion instants of the jobs not yet retired, ascending
+    /// (completion times are monotone because service is FIFO).
+    /// [`ServiceStation::submit`] and [`ServiceStation::queue_depth`]
+    /// retire the jobs completed by their instant, so the deque holds
+    /// the jobs in flight plus those completed since the last call.
     done_times: VecDeque<SimTime>,
 }
 
@@ -199,19 +200,34 @@ impl ServiceStation {
         self.free_at = done;
         self.jobs += 1;
         self.busy_time += service;
-        while self.done_times.front().is_some_and(|t| *t <= now) {
-            self.done_times.pop_front();
-        }
+        self.retire(now);
         self.done_times.push_back(done);
         done - now
     }
 
     /// Number of jobs queued or in service at `now`: submitted jobs whose
-    /// completion instant lies strictly in the future. Read-only — safe to
-    /// call from metrics sampling without perturbing the station.
-    pub fn queue_depth(&self, now: SimTime) -> usize {
-        let served = self.done_times.partition_point(|t| *t <= now);
-        self.done_times.len() - served
+    /// completion instant lies strictly in the future. Retires the jobs
+    /// completed by `now` first, so a call costs O(1) amortized; `now`
+    /// must not run backwards across calls (simulated time never does).
+    /// Retiring moves only [`ServiceStation::next_done`]; no submission's
+    /// delay depends on it.
+    pub fn queue_depth(&mut self, now: SimTime) -> usize {
+        self.retire(now);
+        self.done_times.len()
+    }
+
+    /// Completion instant of the earliest job not yet retired: when
+    /// [`ServiceStation::queue_depth`] next falls without a submission.
+    /// `None` when no job is in flight.
+    pub fn next_done(&self) -> Option<SimTime> {
+        self.done_times.front().copied()
+    }
+
+    /// Drops the jobs completed by `now`.
+    fn retire(&mut self, now: SimTime) {
+        while self.done_times.front().is_some_and(|t| *t <= now) {
+            self.done_times.pop_front();
+        }
     }
 
     /// Number of jobs ever submitted.
@@ -341,9 +357,21 @@ mod tests {
         assert_eq!(s.queue_depth(t(5)), 2); // first job completed at 5
         assert_eq!(s.queue_depth(t(12)), 1);
         assert_eq!(s.queue_depth(t(15)), 0);
-        // Pruning on submit keeps the deque bounded by jobs in flight.
+        assert_eq!(s.next_done(), None, "every job retired");
         s.submit(t(20), SimDuration::from_millis(1));
         assert_eq!(s.queue_depth(t(20)), 1);
+        assert_eq!(s.next_done(), Some(t(21)));
+    }
+
+    #[test]
+    fn station_next_done_is_the_earliest_unretired_completion() {
+        let mut s = ServiceStation::new();
+        let t = SimTime::from_millis;
+        s.submit(SimTime::ZERO, SimDuration::from_millis(5)); // done at 5
+        s.submit(SimTime::ZERO, SimDuration::from_millis(5)); // done at 10
+        assert_eq!(s.next_done(), Some(t(5)));
+        assert_eq!(s.queue_depth(t(7)), 1);
+        assert_eq!(s.next_done(), Some(t(10)));
     }
 
     #[test]

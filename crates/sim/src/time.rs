@@ -45,6 +45,10 @@ impl SimTime {
     /// The simulation epoch (t = 0).
     pub const ZERO: SimTime = SimTime(0);
 
+    /// The latest representable instant, later than any event the
+    /// simulator schedules ("never").
+    pub const MAX: SimTime = SimTime(u64::MAX);
+
     /// Creates an instant `micros` microseconds after the epoch.
     pub const fn from_micros(micros: u64) -> Self {
         SimTime(micros)

@@ -242,6 +242,14 @@ impl MetricsRegistry {
         self.inner.is_some()
     }
 
+    /// This registry's generation: distinct for every recording registry
+    /// built in the process, 0 when disabled. A caller that remembers
+    /// what it last handed a gauge compares generations to learn that
+    /// the registry was swapped and its memory is stale.
+    pub fn generation(&self) -> u64 {
+        self.inner.as_deref().map_or(0, |i| i.gen)
+    }
+
     /// Increments the unlabeled counter `name` by one.
     pub fn inc(&mut self, name: &'static str) {
         self.inc_by(name, 1);

@@ -19,13 +19,20 @@
 //!
 //! # Determinism
 //!
-//! Entries live in a `BTreeMap` keyed by the item itself, and every
-//! scan (min-eviction, [`SpaceSaving::top`] ordering) breaks count ties
-//! by key order. Two sketches fed the same stream — or merged from the
-//! same shards in any order-insensitive way the caller arranges — render
-//! identically, which keeps `--jobs` output byte-stable.
+//! Entries live in a `Vec` sorted by key, and every scan (min-eviction,
+//! [`SpaceSaving::top`] ordering) breaks count ties by key order. Two
+//! sketches fed the same stream — or merged from the same shards in any
+//! order-insensitive way the caller arranges — render identically, which
+//! keeps `--jobs` output byte-stable.
+//!
+//! # Layout
+//!
+//! The at most `k` keys sit in one key-sorted `Vec` and their entries in
+//! a parallel one, so a lookup is a binary search and the eviction that
+//! every miss on a full sketch pays is a scan over `k` contiguous entries
+//! rather than a tree walk.
 
-use std::collections::BTreeMap;
+use std::borrow::Borrow;
 
 /// One tracked entry: an over-estimate `count` and the inherited
 /// over-estimation bound `error` (true weight is in `[count-error, count]`).
@@ -43,7 +50,10 @@ pub struct TopEntry {
 /// determinism argument.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpaceSaving<K: Ord + Clone> {
-    entries: BTreeMap<K, TopEntry>,
+    /// Tracked keys, ascending.
+    keys: Vec<K>,
+    /// `entries[i]` belongs to `keys[i]`.
+    entries: Vec<TopEntry>,
     capacity: usize,
     total: u64,
 }
@@ -56,7 +66,8 @@ impl<K: Ord + Clone> SpaceSaving<K> {
     pub fn new(k: usize) -> Self {
         assert!(k > 0, "SpaceSaving capacity must be positive");
         SpaceSaving {
-            entries: BTreeMap::new(),
+            keys: Vec::new(),
+            entries: Vec::new(),
             capacity: k,
             total: 0,
         }
@@ -74,12 +85,20 @@ impl<K: Ord + Clone> SpaceSaving<K> {
 
     /// Number of keys currently tracked (≤ `k`).
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.keys.len()
     }
 
     /// True if no weight has been added.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.keys.is_empty()
+    }
+
+    /// Index of `key` if tracked, else where it would be inserted.
+    fn find<Q: Ord + ?Sized>(&self, key: &Q) -> Result<usize, usize>
+    where
+        K: Borrow<Q>,
+    {
+        self.keys.binary_search_by(|k| k.borrow().cmp(key))
     }
 
     /// Adds weight 1 to `key`.
@@ -95,43 +114,63 @@ impl<K: Ord + Clone> SpaceSaving<K> {
             return;
         }
         self.total += w;
-        if let Some(e) = self.entries.get_mut(&key) {
-            e.count += w;
+        match self.find(&key) {
+            Ok(i) => self.entries[i].count += w,
+            Err(at) => self.insert_new(at, key, w),
+        }
+    }
+
+    /// Starts tracking `key`, which sorts at `at`, with weight `w`,
+    /// evicting the minimum-count entry first if the sketch is full.
+    fn insert_new(&mut self, at: usize, key: K, w: u64) {
+        if self.keys.len() < self.capacity {
+            self.keys.insert(at, key);
+            self.entries.insert(at, TopEntry { count: w, error: 0 });
             return;
         }
-        if self.entries.len() < self.capacity {
-            self.entries.insert(key, TopEntry { count: w, error: 0 });
-            return;
-        }
-        // Evict the minimum-count entry; BTreeMap iteration order makes
-        // the smallest key win count ties deterministically.
-        let victim = self
+        // `min_by_key` returns the first of equal minima, and the entries
+        // are in key order, so the smallest key wins count ties.
+        let (victim, min) = self
             .entries
             .iter()
+            .enumerate()
             .min_by_key(|(_, e)| e.count)
-            .map(|(k, e)| (k.clone(), e.count))
+            .map(|(i, e)| (i, e.count))
             .expect("capacity > 0, sketch full");
-        self.entries.remove(&victim.0);
-        self.entries.insert(
-            key,
-            TopEntry {
-                count: victim.1 + w,
-                error: victim.1,
-            },
-        );
+        // Shift the entries between the victim and the newcomer's place
+        // by one, so the victim's slot lands where the newcomer sorts.
+        let at = if victim < at {
+            self.keys[victim..at].rotate_left(1);
+            self.entries[victim..at].rotate_left(1);
+            at - 1
+        } else {
+            self.keys[at..=victim].rotate_right(1);
+            self.entries[at..=victim].rotate_right(1);
+            at
+        };
+        self.keys[at] = key;
+        self.entries[at] = TopEntry {
+            count: min + w,
+            error: min,
+        };
     }
 
     /// The tracked entries sorted by descending count, count ties broken
     /// by ascending key — a total, deterministic order.
     pub fn top(&self) -> Vec<(K, TopEntry)> {
-        let mut v: Vec<(K, TopEntry)> = self.entries.iter().map(|(k, e)| (k.clone(), *e)).collect();
+        let mut v: Vec<(K, TopEntry)> = self
+            .keys
+            .iter()
+            .cloned()
+            .zip(self.entries.iter().copied())
+            .collect();
         v.sort_by(|(ka, ea), (kb, eb)| eb.count.cmp(&ea.count).then_with(|| ka.cmp(kb)));
         v
     }
 
     /// The estimated count for `key`, if tracked.
     pub fn get(&self, key: &K) -> Option<TopEntry> {
-        self.entries.get(key).copied()
+        self.find(key).ok().map(|i| self.entries[i])
     }
 
     /// Folds another sketch into this one by replaying its entries as
@@ -142,13 +181,14 @@ impl<K: Ord + Clone> SpaceSaving<K> {
     /// byte-identical output at any job count.
     pub fn merge(&mut self, other: &SpaceSaving<K>) {
         self.total += other.total;
-        for (k, e) in &other.entries {
+        for (k, e) in other.keys.iter().zip(&other.entries) {
             self.total -= e.count; // add_weight re-adds it below
-            let prior_err = self.entries.get(k).map(|mine| mine.error).unwrap_or(0);
+            let prior_err = self.get(k).map_or(0, |mine| mine.error);
             self.add_weight(k.clone(), e.count);
-            if let Some(mine) = self.entries.get_mut(k) {
+            if let Ok(i) = self.find(k) {
                 // Propagate the shard's own over-estimation bound on top of
                 // whatever this sketch already attributed to the key.
+                let mine = &mut self.entries[i];
                 mine.error = mine.error.max(prior_err) + e.error;
             }
         }
@@ -163,12 +203,11 @@ impl SpaceSaving<String> {
         if w == 0 {
             return;
         }
-        if let Some(e) = self.entries.get_mut(key) {
-            e.count += w;
-            self.total += w;
-            return;
+        self.total += w;
+        match self.find(key) {
+            Ok(i) => self.entries[i].count += w,
+            Err(at) => self.insert_new(at, key.to_string(), w),
         }
-        self.add_weight(key.to_string(), w);
     }
 }
 

@@ -733,8 +733,8 @@ fn text(out: &mut String, prefix: &str, s: &str) {
 }
 
 /// Appends `v` in decimal — the text `write!(out, "{v}")` produces,
-/// without the formatting machinery. The exporters call this once per
-/// number.
+/// without the formatting machinery or a UTF-8 check of the digits. The
+/// exporters call this once per number.
 pub(crate) fn push_u64(out: &mut String, mut v: u64) {
     const PAIRS: &[u8; 200] = b"0001020304050607080910111213141516171819\
         2021222324252627282930313233343536373839\
@@ -757,7 +757,9 @@ pub(crate) fn push_u64(out: &mut String, mut v: u64) {
         i -= 1;
         buf[i] = b'0' + v as u8;
     }
-    out.push_str(std::str::from_utf8(&buf[i..]).expect("decimal digits are ASCII"));
+    // SAFETY: `buf[i..]` holds only the ASCII digits written above, and
+    // ASCII is valid UTF-8, so the string stays well-formed.
+    unsafe { out.as_mut_vec() }.extend_from_slice(&buf[i..]);
 }
 
 /// Validates that `s` is well-formed JSON. Used by tests and the bench
@@ -894,6 +896,23 @@ mod tests {
 
     fn t(ms: u64) -> SimTime {
         SimTime::from_millis(ms)
+    }
+
+    #[test]
+    fn push_u64_writes_what_display_writes() {
+        let mut values = vec![0, u64::MAX, u64::MAX - 1];
+        let mut p = 1u64;
+        while let Some(next) = p.checked_mul(10) {
+            values.extend([p - 1, p, p + 1, next / 2]);
+            p = next;
+        }
+        let mut out = String::new();
+        for v in values {
+            out.clear();
+            out.push('x');
+            push_u64(&mut out, v);
+            assert_eq!(out, format!("x{v}"));
+        }
     }
 
     #[test]

@@ -283,3 +283,169 @@ fn space_saving_merge_keeps_heavy_hitters_across_shards() {
         assert!(e.count >= whale_true, "merged count underestimates whale");
     }
 }
+
+/// The Space-Saving sketch as it was kept before its entries moved into a
+/// key-sorted `Vec`: a `BTreeMap` walked for the minimum on every miss of
+/// a full sketch. The reference the sketch must match operation by
+/// operation.
+#[derive(Clone)]
+struct TreeSketch<K: Ord + Clone> {
+    entries: std::collections::BTreeMap<K, specfaas_sim::topk::TopEntry>,
+    capacity: usize,
+    total: u64,
+}
+
+impl<K: Ord + Clone> TreeSketch<K> {
+    fn new(capacity: usize) -> Self {
+        TreeSketch {
+            entries: std::collections::BTreeMap::new(),
+            capacity,
+            total: 0,
+        }
+    }
+
+    fn add_weight(&mut self, key: K, w: u64) {
+        use specfaas_sim::topk::TopEntry;
+        if w == 0 {
+            return;
+        }
+        self.total += w;
+        if let Some(e) = self.entries.get_mut(&key) {
+            e.count += w;
+            return;
+        }
+        if self.entries.len() < self.capacity {
+            self.entries.insert(key, TopEntry { count: w, error: 0 });
+            return;
+        }
+        let victim = self
+            .entries
+            .iter()
+            .min_by_key(|(_, e)| e.count)
+            .map(|(k, e)| (k.clone(), e.count))
+            .expect("full sketch");
+        self.entries.remove(&victim.0);
+        self.entries.insert(
+            key,
+            TopEntry {
+                count: victim.1 + w,
+                error: victim.1,
+            },
+        );
+    }
+
+    fn top(&self) -> Vec<(K, specfaas_sim::topk::TopEntry)> {
+        let mut v: Vec<_> = self.entries.iter().map(|(k, e)| (k.clone(), *e)).collect();
+        v.sort_by(|(ka, ea), (kb, eb)| eb.count.cmp(&ea.count).then_with(|| ka.cmp(kb)));
+        v
+    }
+
+    fn merge(&mut self, other: &TreeSketch<K>) {
+        self.total += other.total;
+        for (k, e) in &other.entries {
+            self.total -= e.count;
+            let prior_err = self.entries.get(k).map(|mine| mine.error).unwrap_or(0);
+            self.add_weight(k.clone(), e.count);
+            if let Some(mine) = self.entries.get_mut(k) {
+                mine.error = mine.error.max(prior_err) + e.error;
+            }
+        }
+    }
+}
+
+/// Asserts that `sketch` reads exactly like `reference`: `top()`,
+/// `total()`, `len()` and `get()` of every key in `0..universe`.
+fn assert_sketch_matches(
+    sketch: &SpaceSaving<u32>,
+    reference: &TreeSketch<u32>,
+    universe: u32,
+    what: &str,
+) {
+    assert_eq!(sketch.top(), reference.top(), "{what}: top");
+    assert_eq!(sketch.total(), reference.total, "{what}: total");
+    assert_eq!(sketch.len(), reference.entries.len(), "{what}: len");
+    for key in 0..universe {
+        assert_eq!(
+            sketch.get(&key),
+            reference.entries.get(&key).copied(),
+            "{what}: get({key})"
+        );
+    }
+}
+
+#[test]
+fn space_saving_matches_the_tree_reference_on_weighted_streams() {
+    // Few distinct weights over small key universes make count ties (and
+    // so the smallest-key eviction rule) common; capacities from 1 up to
+    // past the universe cover the never-full and always-full sketches.
+    for seed in 0..60u64 {
+        let mut rng = SimRng::seed(seed ^ 0x7c0b);
+        let k = 1 + rng.uniform_u64(12) as usize;
+        let universe = 2 + rng.uniform_u64(40) as u32;
+        let max_w = 1 + rng.uniform_u64(4);
+        let mut sketch = SpaceSaving::new(k);
+        let mut reference = TreeSketch::new(k);
+        for step in 0..600 {
+            let key = rng.uniform_u64(u64::from(universe)) as u32;
+            let w = rng.uniform_u64(max_w + 1); // includes zero weights
+            sketch.add_weight(key, w);
+            reference.add_weight(key, w);
+            if step % 37 == 0 {
+                assert_sketch_matches(
+                    &sketch,
+                    &reference,
+                    universe,
+                    &format!("seed {seed} step {step}"),
+                );
+            }
+        }
+        assert_sketch_matches(&sketch, &reference, universe, &format!("seed {seed}"));
+    }
+}
+
+#[test]
+fn space_saving_merges_match_the_tree_reference() {
+    for seed in 0..40u64 {
+        let mut rng = SimRng::seed(seed ^ 0x3e26);
+        let k = 1 + rng.uniform_u64(10) as usize;
+        let universe = 2 + rng.uniform_u64(30) as u32;
+        let shards = 2 + rng.uniform_u64(4) as usize;
+        let mut sketches = vec![SpaceSaving::new(k); shards];
+        let mut references = vec![TreeSketch::new(k); shards];
+        for i in 0..900usize {
+            let key = rng.uniform_u64(u64::from(universe)) as u32;
+            let w = 1 + rng.uniform_u64(3);
+            sketches[i % shards].add_weight(key, w);
+            references[i % shards].add_weight(key, w);
+        }
+        // Fold into a sketch that already holds weight of its own, so
+        // merged keys both hit and miss, with and without eviction.
+        let mut merged = sketches[0].clone();
+        let mut merged_ref = references[0].clone();
+        for (s, r) in sketches.iter().zip(&references).skip(1) {
+            merged.merge(s);
+            merged_ref.merge(r);
+            assert_sketch_matches(&merged, &merged_ref, universe, &format!("seed {seed}"));
+        }
+    }
+}
+
+#[test]
+fn space_saving_borrowed_string_adds_match_the_tree_reference() {
+    // `add_weight_str` is the registry's path: it must evict and insert
+    // exactly as `add_weight` with an owned key does.
+    for seed in 0..20u64 {
+        let mut rng = SimRng::seed(seed ^ 0x51a7);
+        let k = 1 + rng.uniform_u64(8) as usize;
+        let mut sketch = SpaceSaving::new(k);
+        let mut reference = TreeSketch::new(k);
+        for _ in 0..500 {
+            let key = format!("app/f{}", rng.uniform_u64(25));
+            let w = rng.uniform_u64(4);
+            sketch.add_weight_str(&key, w);
+            reference.add_weight(key, w);
+        }
+        assert_eq!(sketch.top(), reference.top(), "seed {seed}");
+        assert_eq!(sketch.total(), reference.total, "seed {seed}");
+    }
+}

@@ -40,8 +40,9 @@ pub enum Value {
     Bool(bool),
     /// 64-bit signed integer.
     Int(i64),
-    /// 64-bit float. Hashed by canonical bit pattern (`-0.0` is
-    /// normalized to `0.0`; `NaN`s are all equal) and compared as `f64`.
+    /// 64-bit float. Compared by bit pattern with every `NaN` folded
+    /// into one, so `NaN` equals `NaN` and `0.0` differs from `-0.0` (as
+    /// their renderings do); hashed with `-0.0` folded into `0.0` as well.
     Float(f64),
     /// UTF-8 string.
     Str(Arc<String>),
@@ -51,17 +52,17 @@ pub enum Value {
     Map(Arc<BTreeMap<String, Value>>),
 }
 
-/// Structural equality on the payloads. Written out rather than derived:
-/// `Arc`'s own `PartialEq` answers `true` for two handles on one
-/// allocation without looking inside, which would make a shared list
-/// holding a NaN equal to itself.
+/// Structural equality on the payloads, floats by bit pattern with every
+/// `NaN` folded into one, so it is reflexive (a true `Eq`) and a memo key
+/// holding a `NaN` can hit. Written out because a derived one would
+/// compare floats as `f64`.
 impl PartialEq for Value {
     fn eq(&self, other: &Value) -> bool {
         match (self, other) {
             (Value::Null, Value::Null) => true,
             (Value::Bool(a), Value::Bool(b)) => a == b,
             (Value::Int(a), Value::Int(b)) => a == b,
-            (Value::Float(a), Value::Float(b)) => a == b,
+            (Value::Float(a), Value::Float(b)) => float_bits(*a) == float_bits(*b),
             (Value::Str(a), Value::Str(b)) => a.as_str() == b.as_str(),
             (Value::List(a), Value::List(b)) => a[..] == b[..],
             (Value::Map(a), Value::Map(b)) => **a == **b,
@@ -72,13 +73,23 @@ impl PartialEq for Value {
 
 impl Eq for Value {}
 
-fn canonical_bits(f: f64) -> u64 {
+/// A float's bit pattern with every `NaN` folded into one: what
+/// [`Value`] equality compares.
+fn float_bits(f: f64) -> u64 {
     if f.is_nan() {
         f64::NAN.to_bits()
-    } else if f == 0.0 {
-        0 // normalize -0.0 and +0.0
     } else {
         f.to_bits()
+    }
+}
+
+/// What [`Value`] hashes for a float: [`float_bits`] with `-0.0` folded
+/// into `0.0` too, so equal floats hash equal.
+fn canonical_bits(f: f64) -> u64 {
+    if f == 0.0 {
+        0
+    } else {
+        float_bits(f)
     }
 }
 
