@@ -9,7 +9,8 @@
 //! * two same-seed runs produce byte-identical Prometheus and CSV
 //!   exports,
 //! * the Prometheus exposition for a fixed app and seed matches a
-//!   checked-in golden file per engine (re-bless with `BLESS_GOLDEN=1`),
+//!   checked-in golden file per engine and spec squash mechanism
+//!   (re-bless with `BLESS_GOLDEN=1`),
 //! * squash attribution recovered from the trace reconciles exactly
 //!   with the engine's squashed-CPU ledger (Table IV), and
 //! * per-request critical-path phase buckets sum exactly to the
@@ -42,9 +43,10 @@ fn policy() -> RetryPolicy {
 }
 
 /// One instrumented measurement pass. `engine` is `"spec"`,
-/// `"spec-lazy"` (the spec engine with lazily squashed orphans) or
-/// `"baseline"`; `record` arms the registry (a disabled registry is
-/// installed otherwise, which must be a no-op).
+/// `"spec-lazy"` (the spec engine with lazily squashed orphans),
+/// `"spec-container-kill"` (the spec engine tearing down a squashed
+/// handler's container) or `"baseline"`; `record` arms the registry (a
+/// disabled registry is installed otherwise, which must be a no-op).
 fn instrumented_run(
     bundle: &specfaas_apps::AppBundle,
     engine: &str,
@@ -58,9 +60,11 @@ fn instrumented_run(
     let gen = bundle.make_input.clone();
     let mut config = SpecConfig::full();
     match engine {
-        "spec" | "spec-lazy" => {
-            if engine == "spec-lazy" {
-                config.squash = SquashMechanism::Lazy;
+        "spec" | "spec-lazy" | "spec-container-kill" => {
+            match engine {
+                "spec-lazy" => config.squash = SquashMechanism::Lazy,
+                "spec-container-kill" => config.squash = SquashMechanism::ContainerKill,
+                _ => {}
             }
             instrumented_closed(
                 &mut prepared_spec(bundle, config, SEED, TRAIN),
@@ -143,7 +147,7 @@ fn same_seed_runs_emit_byte_identical_exports() {
 #[test]
 fn prometheus_exposition_matches_golden_file() {
     let bundle = specfaas_apps::faaschain::hotel_booking();
-    for engine in ["spec", "baseline"] {
+    for engine in ["spec", "spec-lazy", "spec-container-kill", "baseline"] {
         let (_, registry, _) = instrumented_run(&bundle, engine, true);
         let got = registry.export_prometheus();
 

@@ -32,13 +32,11 @@ impl SpecCore {
             return;
         }
         let req = self.requests.get_mut(&req_id).expect("live");
-        req.slot_inst.remove(&slot_id);
-        *req.slot_cpu.entry(slot_id).or_insert(SimDuration::ZERO) += core_time;
-        {
-            let slot = req.pipeline.slot_mut(slot_id).expect("live");
-            slot.state = SlotState::Completed;
-            slot.output = Some(output);
-        }
+        let slot = req.pipeline.slot_mut(slot_id).expect("live");
+        slot.run.inst = None;
+        slot.run.cpu = Some(slot.run.cpu.unwrap_or(SimDuration::ZERO) + core_time);
+        slot.state = SlotState::Completed;
+        slot.output = Some(output);
         // Prefetched callees the caller never consumed (e.g. a
         // conditional call not taken this run) are wasted speculation:
         // squash them and their descendants.
@@ -53,10 +51,8 @@ impl SpecCore {
             let Some(req) = self.requests.get_mut(&req_id) else {
                 return;
             };
-            match req.call_state.remove(&caller) {
-                Some(cs) => cs.prefetched,
-                None => return,
-            }
+            let caller = req.pipeline.slot_mut(caller).expect("live");
+            std::mem::take(&mut caller.run.prefetched)
         };
         for head in leftovers {
             // Collect the callee's contiguous descendant block and squash
@@ -97,8 +93,6 @@ impl SpecCore {
         let Some(req) = self.requests.get_mut(&req_id) else {
             return;
         };
-        req.waiting_callers
-            .retain(|callee, _| req.pipeline.slot(*callee).is_some());
         req.stalled_reads
             .retain(|sr| req.pipeline.slot(sr.slot).is_some());
     }
@@ -158,7 +152,9 @@ impl SpecCore {
             }
             // Allow re-extension along the correct path.
             let req = self.requests.get_mut(&req_id).expect("live");
-            req.extended.remove(&slot_id);
+            if let Some(slot) = req.pipeline.slot_mut(slot_id) {
+                slot.run.extended = false;
+            }
         }
     }
 
@@ -215,23 +211,24 @@ impl SpecCore {
         let Some(req) = self.requests.get_mut(&req_id) else {
             return;
         };
-        let Some(caller_slot) = req.waiting_callers.remove(&callee_slot) else {
+        let Some(callee) = req.pipeline.slot_mut(callee_slot) else {
             return;
         };
-        let Some(&caller_inst) = req.slot_inst.get(&caller_slot) else {
+        let caller_slot = match callee.role {
+            SlotRole::Callee { caller, .. } if callee.caller_waiting => caller,
+            _ => return,
+        };
+        callee.caller_waiting = false;
+        let Some(caller_inst) = req.pipeline.slot(caller_slot).and_then(|s| s.run.inst) else {
             // The caller was squashed while this callee ran; it will
             // re-issue the call against fresh state, so this completed
             // callee is an orphan — drop it (buffered writes included).
             req.buffer.squash(callee_slot);
-            if let Some(callee_func) = req.pipeline.slot(callee_slot).map(|s| s.func) {
-                req.pipeline.remove(callee_slot);
-                req.extended.remove(&callee_slot);
-                let wasted = req.slot_cpu.remove(&callee_slot);
-                req.functions_squashed += 1;
-                if let Some(t) = wasted {
-                    self.rt
-                        .charge_squashed(req_id, callee_func, "orphan_callee", 0, t);
-                }
+            let callee = req.pipeline.remove(callee_slot);
+            req.functions_squashed += 1;
+            if let Some(t) = callee.run.cpu {
+                self.rt
+                    .charge_squashed(req_id, callee.func, "orphan_callee", 0, t);
             }
             return;
         };
@@ -281,9 +278,8 @@ impl SpecCore {
         // Flush buffered writes to global storage.
         let flush = req.buffer.commit(slot_id);
         let slot = req.pipeline.remove(slot_id);
-        req.extended.remove(&slot_id);
         // Credit the committed work (including merged callee stints).
-        if let Some(t) = req.slot_cpu.remove(&slot_id) {
+        if let Some(t) = slot.run.cpu {
             self.rt.metrics.useful_core_time += t;
         }
         for (k, v) in flush {
@@ -356,7 +352,7 @@ impl SpecCore {
         // Promote the call observations bubbled up from consumed callees:
         // each carries its own direct callee structure, so mid-tier
         // functions get memoization rows and sequence-table edges too.
-        for rec in req.call_records.remove(&slot_id).unwrap_or_default() {
+        for rec in slot.run.call_records {
             req.learned.push(Learned::Memo {
                 func: rec.func,
                 input: rec.input,

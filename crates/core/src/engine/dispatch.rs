@@ -44,23 +44,10 @@ impl SpecCore {
                 return;
             }
             // Find the first unextended entry slot (program order).
-            let candidate = req
-                .pipeline
-                .iter_order()
-                .find(|s| {
-                    !req.extended.contains(s)
-                        && matches!(
-                            req.pipeline.slot(*s).expect("live").role,
-                            SlotRole::Entry { .. }
-                        )
-                })
-                .map(|s| {
-                    let slot = req.pipeline.slot(s).expect("live");
-                    let SlotRole::Entry { entry } = slot.role else {
-                        unreachable!()
-                    };
-                    (s, entry)
-                });
+            let candidate = req.pipeline.iter().find_map(|s| match s.role {
+                SlotRole::Entry { entry } if !s.run.extended => Some((s.id, entry)),
+                _ => None,
+            });
             let Some((slot_id, entry)) = candidate else {
                 return;
             };
@@ -184,18 +171,15 @@ impl SpecCore {
         s.input = Some(payload);
         s.input_speculative = payload_spec;
         s.non_speculative = non_speculative;
-        req.extended.insert(slot_id);
+        req.pipeline.slot_mut(slot_id).expect("live").run.extended = true;
         // Memo-predict the new slot's own output so extension can continue.
         self.refresh_prediction(req_id, new_id);
         true
     }
 
     pub(super) fn mark_extended(&mut self, req_id: RequestId, slot_id: SlotId) {
-        self.requests
-            .get_mut(&req_id)
-            .expect("live")
-            .extended
-            .insert(slot_id);
+        let req = self.requests.get_mut(&req_id).expect("live");
+        req.pipeline.slot_mut(slot_id).expect("live").run.extended = true;
     }
 
     /// Looks up the memoization table for a slot's input and stores the
@@ -305,14 +289,14 @@ impl SpecCore {
         };
         let ready: Vec<SlotId> = req
             .pipeline
-            .iter_order()
-            .filter(|s| {
-                let slot = req.pipeline.slot(*s).expect("live");
+            .iter()
+            .filter(|slot| {
                 slot.state == SlotState::Created
                     && slot.input.is_some()
-                    && (!slot.non_speculative || req.pipeline.is_head(*s))
-                    && !req.retry_hold.contains(s)
+                    && (!slot.non_speculative || req.pipeline.is_head(slot.id))
+                    && !slot.retry_hold
             })
+            .map(|slot| slot.id)
             .collect();
         for s in ready {
             self.launch_slot(req_id, s);
@@ -420,7 +404,7 @@ impl SpecCore {
         let id = self.rt.spawn_instance(req_id, ctrl, service, func, input);
         self.slot_of.insert(id, slot_id);
         let req = self.requests.get_mut(&req_id).expect("live");
-        req.slot_inst.insert(slot_id, id);
+        req.pipeline.slot_mut(slot_id).expect("live").run.inst = Some(id);
         req.functions_run += 1;
         if speculative && self.rt.registry.enabled() {
             self.spec_live.insert(id);
@@ -488,11 +472,8 @@ impl SpecCore {
                     .annotations
                     .non_speculative;
             }
-            req.call_state
-                .entry(caller_slot)
-                .or_default()
-                .prefetched
-                .push(id);
+            let caller = req.pipeline.slot_mut(caller_slot).expect("live");
+            caller.run.prefetched.push(id);
             anchor = req.pipeline.block_end(id);
             created.push(id);
         }

@@ -27,7 +27,8 @@ impl SpecCore {
                 } else {
                     // Deferred until the function turns non-speculative
                     // (§VI, "Side-effect Handling").
-                    req.deferred_http.insert(slot_id, id);
+                    let slot = req.pipeline.slot_mut(slot_id).expect("live");
+                    slot.run.http_deferred = true;
                     self.rt.block_instance(id);
                 }
             }
@@ -89,13 +90,12 @@ impl SpecCore {
             let producers = self.stall_list.producers_for(my_func, &key);
             if !producers.is_empty() {
                 let my_pos = req.pipeline.position(slot_id).expect("live");
-                let pending_producer = req.pipeline.iter_order().take(my_pos).find(|p| {
-                    let s = req.pipeline.slot(*p).expect("live");
+                let pending_producer = req.pipeline.iter().take(my_pos).find(|s| {
                     producers.contains(&s.func)
                         && s.state != SlotState::Completed
-                        && !req.buffer.has_write(*p, &key)
+                        && !req.buffer.has_write(s.id, &key)
                 });
-                if let Some(producer) = pending_producer {
+                if let Some(producer) = pending_producer.map(|s| s.id) {
                     req.stalled_reads.push(StalledRead {
                         slot: slot_id,
                         inst: id,
@@ -206,23 +206,24 @@ impl SpecCore {
         let Some(req) = self.requests.get_mut(&req_id) else {
             return;
         };
-        if req.pipeline.slot(caller_slot).is_none() {
+        let Some(caller) = req.pipeline.slot(caller_slot) else {
             return; // caller squashed while the call was in flight
-        }
-        let cs = req.call_state.entry(caller_slot).or_default();
-        let site = cs.cursor;
-        cs.cursor += 1;
-
-        // Drop leading prefetch entries whose slots were squashed away.
-        while let Some(&h) = cs.prefetched.first() {
-            if req.pipeline.slot(h).is_none() {
-                cs.prefetched.remove(0);
-            } else {
-                break;
-            }
-        }
-        // Is there a prefetched callee slot for this site?
-        let prefetched = cs.prefetched.first().copied();
+        };
+        let site = caller.run.cursor;
+        // Is there a prefetched callee slot for this site? Leading entries
+        // whose slots were squashed away are dropped, and the call takes
+        // the next one whether or not it matches.
+        let squashed = caller
+            .run
+            .prefetched
+            .iter()
+            .take_while(|h| req.pipeline.slot(**h).is_none())
+            .count();
+        let prefetched = caller.run.prefetched.get(squashed).copied();
+        let run = &mut req.pipeline.slot_mut(caller_slot).expect("live").run;
+        run.cursor += 1;
+        run.prefetched
+            .drain(..squashed + usize::from(prefetched.is_some()));
         if let Some(cslot) = prefetched {
             let matches = req
                 .pipeline
@@ -234,15 +235,13 @@ impl SpecCore {
                 })
                 .unwrap_or(false);
             if matches {
-                let cs = req.call_state.get_mut(&caller_slot).expect("present");
-                cs.prefetched.remove(0);
-                let state = req.pipeline.slot(cslot).expect("live").state;
-                if state == SlotState::Completed {
+                let callee = req.pipeline.slot_mut(cslot).expect("live");
+                if callee.state == SlotState::Completed {
                     self.consume_callee(req_id, caller_slot, caller_inst, cslot);
                 } else {
                     // Stall the caller until the callee completes (§V-D);
                     // the blocked caller yields its execution slot.
-                    req.waiting_callers.insert(cslot, caller_slot);
+                    callee.caller_waiting = true;
                     self.rt.block_instance(caller_inst);
                     // The callee may just have become the non-speculative
                     // execution point: release its deferred side effects.
@@ -251,8 +250,6 @@ impl SpecCore {
                 return;
             }
             // Mismatch: squash the wrong prefetch (and everything after).
-            let cs = req.call_state.get_mut(&caller_slot).expect("present");
-            cs.prefetched.remove(0);
             self.squash_from(req_id, cslot, SquashKind::WrongPath);
         }
 
@@ -269,23 +266,17 @@ impl SpecCore {
             },
             caller_path,
         );
-        {
-            let s = req.pipeline.slot_mut(cslot).expect("fresh");
-            s.input = Some(args);
-            s.non_speculative = self
-                .rt
-                .app
-                .registry
-                .spec(callee_func)
-                .annotations
-                .non_speculative;
-        }
-        req.waiting_callers.insert(cslot, caller_slot);
-        let launchable = {
-            let req = self.requests.get(&req_id).expect("live");
-            let slot = req.pipeline.slot(cslot).expect("live");
-            !slot.non_speculative || req.pipeline.is_head(cslot)
-        };
+        let s = req.pipeline.slot_mut(cslot).expect("fresh");
+        s.input = Some(args);
+        s.non_speculative = self
+            .rt
+            .app
+            .registry
+            .spec(callee_func)
+            .annotations
+            .non_speculative;
+        s.caller_waiting = true;
+        let launchable = !s.non_speculative || req.pipeline.is_head(cslot);
         self.rt.block_instance(caller_inst);
         if launchable {
             self.launch_slot(req_id, cslot);
@@ -307,11 +298,7 @@ impl SpecCore {
                 return false;
             };
             match s.role {
-                SlotRole::Callee { caller, .. }
-                    if req.waiting_callers.get(&cur) == Some(&caller) =>
-                {
-                    cur = caller;
-                }
+                SlotRole::Callee { caller, .. } if s.caller_waiting => cur = caller,
                 _ => return false,
             }
         }
@@ -331,20 +318,21 @@ impl SpecCore {
     }
 
     /// Resumes any deferred side effects whose slot has become
-    /// effectively non-speculative.
+    /// effectively non-speculative, in program order.
     pub(super) fn release_deferred_http(&mut self, req_id: RequestId) {
-        let Some(req) = self.requests.get(&req_id) else {
+        let Some(req) = self.requests.get_mut(&req_id) else {
             return;
         };
-        let ready: Vec<(SlotId, InstanceId)> = req
-            .deferred_http
+        let ready: Vec<SlotId> = req
+            .pipeline
             .iter()
-            .filter(|(slot, _)| Self::effectively_head(req, **slot))
-            .map(|(s, i)| (*s, *i))
+            .filter(|s| s.run.http_deferred && Self::effectively_head(req, s.id))
+            .map(|s| s.id)
             .collect();
-        let req = self.requests.get_mut(&req_id).expect("live");
-        for (slot, inst) in ready {
-            req.deferred_http.remove(&slot);
+        for slot in ready {
+            let slot = req.pipeline.slot_mut(slot).expect("live");
+            slot.run.http_deferred = false;
+            let inst = slot.run.inst.expect("a deferred slot's handler is live");
             self.rt.resume_in(self.rt.model.http_latency, inst, None);
         }
     }
@@ -362,16 +350,17 @@ impl SpecCore {
         let req = self.requests.get_mut(&req_id).expect("live");
         req.buffer.merge(callee_slot, caller_slot);
         let callee = req.pipeline.remove(callee_slot);
-        req.extended.remove(&callee_slot);
-        req.waiting_callers.remove(&callee_slot);
         let input = callee.input.expect("callee input");
         let output = callee.output.expect("completed callee");
         req.committed_sequence.push(callee.func.0);
+        let caller = req.pipeline.slot_mut(caller_slot).expect("live");
         // The caller's memo row records its *direct* calls only.
-        if let Some(caller) = req.pipeline.slot_mut(caller_slot) {
-            caller
-                .learned_calls
-                .push((callee.func, input.clone(), output.clone()));
+        caller
+            .learned_calls
+            .push((callee.func, input.clone(), output.clone()));
+        // Move callee CPU accounting into the caller's bucket.
+        if let Some(t) = callee.run.cpu {
+            caller.run.cpu = Some(caller.run.cpu.unwrap_or(SimDuration::ZERO) + t);
         }
         // Bubble the callee's own observation (with its direct callee
         // list) to the owning entry slot for commit-time promotion.
@@ -381,18 +370,14 @@ impl SpecCore {
                 .into_iter()
                 .map(|(f, i, _)| (f, i))
                 .unzip();
-            req.call_records.entry(entry).or_default().push(CallRecord {
+            let entry = req.pipeline.slot_mut(entry).expect("live");
+            entry.run.call_records.push(CallRecord {
                 func: callee.func,
                 input,
                 output: output.clone(),
                 callee_funcs,
                 callee_inputs,
             });
-        }
-        req.call_state.remove(&callee_slot);
-        // Move callee CPU accounting into the caller's bucket.
-        if let Some(t) = req.slot_cpu.remove(&callee_slot) {
-            *req.slot_cpu.entry(caller_slot).or_insert(SimDuration::ZERO) += t;
         }
         let hop = self.rt.model.data_buffer_hop;
         self.rt.resume_in(hop, caller_inst, Some(output));

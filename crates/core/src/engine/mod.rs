@@ -13,7 +13,8 @@
 //!
 //! Beneath the controller, instances live in the shared runtime's table
 //! and follow its lifecycle ([`specfaas_platform::exec`]); this core maps
-//! each one to the pipeline slot it executes.
+//! each one to the pipeline slot it executes, and each slot records its
+//! own execution state ([`crate::pipeline::Slot`]).
 
 use specfaas_sim::hash::{FxHashMap, FxHashSet};
 use std::sync::Arc;
@@ -31,7 +32,7 @@ use specfaas_workflow::{AppSpec, EntryKind, FuncId, Interp, Program};
 use crate::config::{SpecConfig, SquashMechanism};
 use crate::databuffer::{DataBuffer, ReadResult};
 use crate::memo::MemoTables;
-use crate::pipeline::{Pipeline, SlotId, SlotRole, SlotState};
+use crate::pipeline::{CallRecord, Pipeline, SlotId, SlotRole, SlotState};
 use crate::predictor::{BranchPredictor, BranchSite, PathHistory, Prediction};
 use crate::seqtable::SequenceTable;
 use crate::stall::StallList;
@@ -78,14 +79,6 @@ enum SquashKind {
     Fault,
 }
 
-#[derive(Debug, Default)]
-struct CallState {
-    /// Call-site cursor (how many calls the caller has issued).
-    cursor: usize,
-    /// Prefetched callee slots, in call order, not yet consumed.
-    prefetched: Vec<SlotId>,
-}
-
 #[derive(Debug)]
 struct StalledRead {
     slot: SlotId,
@@ -116,46 +109,19 @@ enum Learned {
     },
 }
 
-/// A committed call observation bubbled up from a consumed callee:
-/// its own input/output plus its *direct* callee list, promoted to the
-/// persistent tables when the owning top-level entry slot commits.
-#[derive(Debug)]
-struct CallRecord {
-    func: FuncId,
-    input: Value,
-    output: Value,
-    callee_funcs: Vec<FuncId>,
-    callee_inputs: Vec<Value>,
-}
-
 #[derive(Debug)]
 struct Req {
     arrived: SimTime,
     ctrl: NodeId,
     measured: bool,
+    /// The in-flight slots, each holding its own execution state.
     pipeline: Pipeline,
     buffer: DataBuffer,
-    slot_inst: FxHashMap<SlotId, InstanceId>,
-    call_state: FxHashMap<SlotId, CallState>,
-    /// Callee slot → caller slot blocked waiting for it.
-    waiting_callers: FxHashMap<SlotId, SlotId>,
     stalled_reads: Vec<StalledRead>,
-    /// Slots whose HTTP request is deferred until they are head.
-    deferred_http: FxHashMap<SlotId, InstanceId>,
-    /// Slots whose program-order successor has been created.
-    extended: FxHashSet<SlotId>,
-    /// Core-time consumed by completed-but-uncommitted slots.
-    slot_cpu: FxHashMap<SlotId, SimDuration>,
     /// Fork-join contributions: join entry → (payloads by pipeline pos).
     fork_joins: FxHashMap<usize, Vec<Value>>,
-    /// Call observations per top-level entry slot, promoted at commit.
-    call_records: FxHashMap<SlotId, Vec<CallRecord>>,
     /// Commit currently being processed.
     committing: Option<SlotId>,
-    /// Failed attempts per slot (fault-injection retry accounting).
-    attempts: FxHashMap<SlotId, u32>,
-    /// Slots whose relaunch is held until their retry backoff elapses.
-    retry_hold: FxHashSet<SlotId>,
     learned: Vec<Learned>,
     committed_sequence: Vec<u32>,
     functions_run: u32,
@@ -307,27 +273,27 @@ impl EngineCore for SpecCore {
                 let req = &self.requests[&rid];
                 let slots: Vec<String> = req
                     .pipeline
-                    .iter_order()
-                    .map(|sid| {
-                        let sl = req.pipeline.slot(sid).expect("live");
+                    .iter()
+                    .map(|sl| {
                         format!(
-                            "{sid}:{:?}:{:?}(in={} spec={})",
+                            "{}:{:?}:{:?}(in={} spec={} waited={} defhttp={})",
+                            sl.id,
                             sl.func,
                             sl.state,
                             sl.input.is_some(),
-                            sl.input_speculative
+                            sl.input_speculative,
+                            sl.caller_waiting,
+                            sl.run.http_deferred
                         )
                     })
                     .collect();
                 format!(
-                    "req {:?}: committing={:?} end={} slots=[{}] waiting={:?} stalls={} defhttp={}",
+                    "req {:?}: committing={:?} end={} slots=[{}] stalls={}",
                     rid.0,
                     req.committing,
                     req.end_committed,
                     slots.join(", "),
-                    req.waiting_callers,
                     req.stalled_reads.len(),
-                    req.deferred_http.len(),
                 )
             })
             .collect()
@@ -427,18 +393,9 @@ impl SpecCore {
             measured: now >= self.rt.measure_from,
             pipeline: Pipeline::new(),
             buffer: DataBuffer::new(),
-            slot_inst: FxHashMap::default(),
-            call_state: FxHashMap::default(),
-            waiting_callers: FxHashMap::default(),
             stalled_reads: Vec::new(),
-            deferred_http: FxHashMap::default(),
-            extended: FxHashSet::default(),
-            slot_cpu: FxHashMap::default(),
             fork_joins: FxHashMap::default(),
-            call_records: FxHashMap::default(),
             committing: None,
-            attempts: FxHashMap::default(),
-            retry_hold: FxHashSet::default(),
             learned: Vec::new(),
             committed_sequence: Vec::new(),
             functions_run: 0,

@@ -12,8 +12,7 @@ impl SpecCore {
         let Some(pos) = req.pipeline.position(first) else {
             return;
         };
-        let order: Vec<SlotId> = req.pipeline.iter_order().collect();
-        let victims: Vec<SlotId> = order[pos..].to_vec();
+        let victims: Vec<SlotId> = req.pipeline.iter_order().skip(pos).collect();
 
         let cause = match kind {
             SquashKind::WrongPath => SquashCause::WrongPath,
@@ -42,32 +41,21 @@ impl SpecCore {
         if kind == SquashKind::Fault {
             self.rt.metrics.faults.squashed_due_to_fault += victims.len() as u64 - 1;
         }
-        // Fork-branch heads are spawned exactly once, at their fork's
-        // commit (extend_one defers fan-out). A head caught in the squash
-        // suffix is a *parallel* sibling, not a dependent: removing it
-        // would lose it forever and starve the join, so reset it in place
-        // instead.
-        let mut fork_heads: FxHashSet<usize> = FxHashSet::default();
-        for i in 0..self.seqtable.compiled().entries.len() {
-            if let EntryKind::Fork { branches, .. } = self.seqtable.kind_at(i) {
-                fork_heads.extend(branches.iter().copied());
-            }
-        }
         for (i, v) in victims.iter().enumerate() {
             let req = self.requests.get(&req_id).expect("live");
+            // Fork-branch heads are spawned exactly once, at their fork's
+            // commit (extend_one defers fan-out). A head caught in the
+            // squash suffix is a *parallel* sibling, not a dependent:
+            // removing it would lose it forever and starve the join, so
+            // reset it in place instead.
             let is_fork_head = matches!(
                 req.pipeline.slot(*v).map(|s| s.role),
-                Some(SlotRole::Entry { entry }) if fork_heads.contains(&entry)
+                Some(SlotRole::Entry { entry }) if self.seqtable.is_fork_head(entry)
             );
             let reset_in_place = (i == 0 && kind != SquashKind::WrongPath) || is_fork_head;
             self.squash_slot(req_id, *v, reset_in_place, cause.name(), cascade);
         }
-        // Callers waiting on removed callees: their Call will be
-        // re-issued when the caller (also squashed) re-executes, or the
-        // callee slot is respawned on demand. Clean any dangling waits.
         let req = self.requests.get_mut(&req_id).expect("live");
-        req.waiting_callers
-            .retain(|callee, _| req.pipeline.slot(*callee).is_some());
         req.stalled_reads
             .retain(|sr| req.pipeline.slot(sr.slot).is_some());
         if kind == SquashKind::Fault {
@@ -78,14 +66,15 @@ impl SpecCore {
             // mark so the successor is recreated. Re-extending a
             // terminally-extended slot just re-marks it, so this is safe
             // even when nothing was lost.
-            let order: Vec<SlotId> = req.pipeline.iter_order().collect();
-            if let Some(&last_entry) = order.iter().rev().find(|s| {
-                matches!(
-                    req.pipeline.slot(**s).expect("live").role,
-                    SlotRole::Entry { .. }
-                )
-            }) {
-                req.extended.remove(&last_entry);
+            let last_entry = req
+                .pipeline
+                .iter()
+                .rev()
+                .find(|s| matches!(s.role, SlotRole::Entry { .. }))
+                .map(|s| s.id);
+            if let Some(last_entry) = last_entry {
+                let slot = req.pipeline.slot_mut(last_entry).expect("live");
+                slot.run.extended = false;
             }
         }
         self.pump(req_id);
@@ -100,17 +89,12 @@ impl SpecCore {
         cascade: u32,
     ) {
         let req = self.requests.get_mut(&req_id).expect("live");
-        let Some(func) = req.pipeline.slot(slot_id).map(|s| s.func) else {
+        let Some(slot) = req.pipeline.slot_mut(slot_id) else {
             return;
         };
+        let (func, wasted, inst) = (slot.func, slot.run.cpu.take(), slot.run.inst.take());
         req.functions_squashed += 1;
         req.buffer.squash(slot_id);
-        req.extended.remove(&slot_id);
-        req.deferred_http.remove(&slot_id);
-        req.call_state.remove(&slot_id);
-        req.call_records.remove(&slot_id);
-        let wasted = req.slot_cpu.remove(&slot_id);
-        let inst = req.slot_inst.remove(&slot_id);
         // CPU spent on a now-squashed execution is wasted work.
         if let Some(t) = wasted {
             self.rt.charge_squashed(req_id, func, site, cascade, t);
@@ -121,13 +105,8 @@ impl SpecCore {
         }
         let req = self.requests.get_mut(&req_id).expect("live");
         if reset_in_place {
-            let slot = req.pipeline.slot_mut(slot_id).expect("live");
-            slot.state = SlotState::Created;
-            slot.output = None;
-            slot.predicted_output = None;
-            slot.predicted_taken = None;
-            slot.learned_calls.clear();
             // input/input_speculative left to the caller to fix up.
+            req.pipeline.slot_mut(slot_id).expect("live").reset();
             self.refresh_prediction(req_id, slot_id);
         } else {
             req.pipeline.remove(slot_id);
@@ -286,41 +265,36 @@ impl SpecCore {
         let inst = self
             .requests
             .get_mut(&req_id)
-            .and_then(|r| r.slot_inst.remove(&slot_id));
+            .and_then(|r| r.pipeline.slot_mut(slot_id))
+            .and_then(|s| s.run.inst.take());
         if let Some(inst_id) = inst {
             self.teardown_instance(inst_id);
         }
-        let Some(req) = self.requests.get_mut(&req_id) else {
-            return;
-        };
-        if req.pipeline.slot(slot_id).is_none() {
+        let Some(slot) = self
+            .requests
+            .get_mut(&req_id)
+            .and_then(|r| r.pipeline.slot_mut(slot_id))
+        else {
             return; // already squashed away
-        }
-        let failures = req.attempts.entry(slot_id).or_insert(0);
-        *failures += 1;
-        let failures = *failures;
+        };
+        slot.attempts += 1;
+        // Hold the relaunch until the backoff elapses; squash the slot
+        // (reset in place, keeping its input) and its dependents now.
+        slot.retry_hold = true;
+        let (failures, func) = (slot.attempts, slot.func);
         if failures >= self.rt.retry.max_attempts {
             self.abort_request(req_id);
             return;
         }
-        // Hold the relaunch until the backoff elapses; squash the slot
-        // (reset in place, keeping its input) and its dependents now.
-        req.retry_hold.insert(slot_id);
         self.rt.metrics.faults.retried += 1;
         let backoff = self.rt.retry.backoff(failures);
         if self.rt.tracer.enabled() {
-            let func = self
-                .requests
-                .get(&req_id)
-                .and_then(|r| r.pipeline.slot(slot_id))
-                .map(|s| s.func.0)
-                .unwrap_or(u32::MAX);
             let now = self.rt.sim.now();
             self.rt.tracer.emit(
                 now,
                 TraceEventKind::RetryBackoff {
                     req: req_id.0,
-                    func,
+                    func: func.0,
                     attempt: failures + 1,
                     backoff,
                 },
@@ -338,7 +312,9 @@ impl SpecCore {
         let Some(req) = self.requests.get_mut(&req_id) else {
             return;
         };
-        req.retry_hold.remove(&slot_id);
+        if let Some(slot) = req.pipeline.slot_mut(slot_id) {
+            slot.retry_hold = false;
+        }
         if self.rt.tracer.enabled() {
             let now = self.rt.sim.now();
             self.rt.tracer.emit(
@@ -362,20 +338,20 @@ impl SpecCore {
         let Some(req) = self.requests.remove(&req_id) else {
             return;
         };
-        let mut victims: Vec<InstanceId> = req.slot_inst.values().copied().collect();
-        victims.sort(); // HashMap order is not deterministic
+        // Instances go down in id order and uncommitted core time is
+        // charged in slot-id order, neither of which is program order.
+        let mut victims: Vec<InstanceId> = req.pipeline.iter().filter_map(|s| s.run.inst).collect();
+        victims.sort();
         for id in victims {
             self.teardown_instance(id);
         }
-        let mut wasted: Vec<(SlotId, SimDuration)> =
-            req.slot_cpu.iter().map(|(s, t)| (*s, *t)).collect();
-        wasted.sort_by_key(|(s, _)| *s); // HashMap order is not deterministic
-        for (slot, t) in wasted {
-            let func = req
-                .pipeline
-                .slot(slot)
-                .map(|s| s.func)
-                .unwrap_or(FuncId(u32::MAX));
+        let mut wasted: Vec<(SlotId, FuncId, SimDuration)> = req
+            .pipeline
+            .iter()
+            .filter_map(|s| Some((s.id, s.func, s.run.cpu?)))
+            .collect();
+        wasted.sort_by_key(|(s, ..)| *s);
+        for (_, func, t) in wasted {
             self.rt.charge_squashed(req_id, func, "abort", 0, t);
         }
         if self.rt.tracer.enabled() {

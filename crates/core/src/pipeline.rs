@@ -9,10 +9,18 @@
 //! Slots form a *dynamic program order*: explicit workflow entries unroll
 //! branches and loops; implicit callees are inserted between their caller
 //! and the caller's successors (§V-D).
+//!
+//! A slot is the whole record of one in-flight function, like a reorder
+//! buffer entry: besides its program-order facts it holds the engine's
+//! state for it (instance, core time, call cursor, deferred side effect,
+//! retry accounting). Removing a slot drops that state; a squash that
+//! re-executes a slot clears it with `Slot::reset`.
 
 use std::fmt;
 
+use specfaas_platform::exec::InstanceId;
 use specfaas_sim::hash::FxHashMap;
+use specfaas_sim::SimDuration;
 use specfaas_storage::Value;
 use specfaas_workflow::FuncId;
 
@@ -60,6 +68,40 @@ pub enum SlotRole {
     },
 }
 
+/// What the engine core keeps for a slot's current execution. A squash
+/// that re-executes the slot clears all of it ([`Slot::reset`]).
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Run {
+    /// The instance executing the slot.
+    pub(crate) inst: Option<InstanceId>,
+    /// Core time of the completed execution and the callees it consumed,
+    /// until commit credits it or a squash charges it as wasted.
+    pub(crate) cpu: Option<SimDuration>,
+    /// Entry slots: the program-order successor exists (or never will).
+    pub(crate) extended: bool,
+    /// The HTTP request waits until the slot turns non-speculative.
+    pub(crate) http_deferred: bool,
+    /// Calls issued so far (the call-site cursor, §V-D).
+    pub(crate) cursor: usize,
+    /// Prefetched callee slots, in call order, not yet consumed.
+    pub(crate) prefetched: Vec<SlotId>,
+    /// Entry slots: call observations of the callees consumed beneath
+    /// the slot, promoted at commit.
+    pub(crate) call_records: Vec<CallRecord>,
+}
+
+/// A committed call observation bubbled up from a consumed callee:
+/// its own input/output plus its *direct* callee list, promoted to the
+/// persistent tables when the owning top-level entry slot commits.
+#[derive(Debug, Clone)]
+pub(crate) struct CallRecord {
+    pub(crate) func: FuncId,
+    pub(crate) input: Value,
+    pub(crate) output: Value,
+    pub(crate) callee_funcs: Vec<FuncId>,
+    pub(crate) callee_inputs: Vec<Value>,
+}
+
 /// One pipeline slot.
 #[derive(Debug, Clone)]
 pub struct Slot {
@@ -91,6 +133,30 @@ pub struct Slot {
     /// True for slots whose function carries the `non-speculative`
     /// annotation.
     pub non_speculative: bool,
+    /// Engine state of the current execution.
+    pub(crate) run: Run,
+    /// Callee slots: the caller is blocked waiting for this callee (and
+    /// keeps waiting across a reset).
+    pub(crate) caller_waiting: bool,
+    /// Failed attempts (fault-injection retry accounting).
+    pub(crate) attempts: u32,
+    /// Relaunch held until the retry backoff elapses.
+    pub(crate) retry_hold: bool,
+}
+
+impl Slot {
+    /// Clears everything the slot's last execution produced so it can run
+    /// again in place. What identifies the slot (function, role, path,
+    /// input, annotation) and what outlives one execution (retry
+    /// accounting, a waiting caller) stays.
+    pub(crate) fn reset(&mut self) {
+        self.state = SlotState::Created;
+        self.output = None;
+        self.predicted_output = None;
+        self.predicted_taken = None;
+        self.learned_calls.clear();
+        self.run = Run::default();
+    }
 }
 
 /// The pipeline of in-progress slots for one application invocation.
@@ -140,6 +206,10 @@ impl Pipeline {
             path,
             learned_calls: Vec::new(),
             non_speculative: false,
+            run: Run::default(),
+            caller_waiting: false,
+            attempts: 0,
+            retry_hold: false,
         }
     }
 
@@ -216,6 +286,11 @@ impl Pipeline {
     /// Program order, oldest first.
     pub fn iter_order(&self) -> impl Iterator<Item = SlotId> + '_ {
         self.order.iter().copied()
+    }
+
+    /// The live slots in program order, oldest first.
+    pub fn iter(&self) -> impl DoubleEndedIterator<Item = &Slot> + '_ {
+        self.order.iter().map(|id| &self.slots[id])
     }
 
     /// Slots strictly after `id` in program order, oldest first.
@@ -407,6 +482,30 @@ mod tests {
         for (anchor, end) in ends {
             assert_eq!(p.block_end(anchor), end, "block of {anchor}");
         }
+    }
+
+    /// A reset clears what the last execution produced and keeps what
+    /// outlives it: the input, the retry accounting and a waiting caller.
+    #[test]
+    fn reset_clears_only_execution_state() {
+        let (mut p, a, ..) = pipe3();
+        let s = p.slot_mut(a).unwrap();
+        s.input = Some(Value::Int(1));
+        s.state = SlotState::Completed;
+        s.output = Some(Value::Int(2));
+        s.run.cpu = Some(SimDuration::from_millis(3));
+        s.run.extended = true;
+        s.run.prefetched.push(SlotId(9));
+        s.caller_waiting = true;
+        s.attempts = 2;
+        s.retry_hold = true;
+        s.reset();
+        assert_eq!(s.state, SlotState::Created);
+        assert!(s.output.is_none() && s.run.cpu.is_none());
+        assert!(!s.run.extended && s.run.prefetched.is_empty());
+        assert_eq!(s.input, Some(Value::Int(1)));
+        assert!(s.caller_waiting && s.retry_hold);
+        assert_eq!(s.attempts, 2);
     }
 
     #[test]

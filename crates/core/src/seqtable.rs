@@ -39,15 +39,26 @@ pub struct SequenceTable {
     /// Committed invocation count per caller (denominator for call
     /// probabilities).
     caller_commits: FxHashMap<FuncId, u64>,
+    /// Per entry: whether it heads a branch of some fork.
+    fork_head: Vec<bool>,
 }
 
 impl SequenceTable {
     /// Builds the table from a compiled workflow.
     pub fn new(compiled: CompiledWorkflow) -> Self {
+        let mut fork_head = vec![false; compiled.entries.len()];
+        for e in &compiled.entries {
+            if let EntryKind::Fork { branches, .. } = &e.kind {
+                for &b in branches {
+                    fork_head[b] = true;
+                }
+            }
+        }
         SequenceTable {
             compiled,
             calls: FxHashMap::default(),
             caller_commits: FxHashMap::default(),
+            fork_head,
         }
     }
 
@@ -67,6 +78,15 @@ impl SequenceTable {
     /// Panics if `entry` is out of range.
     pub fn func_at(&self, entry: usize) -> FuncId {
         self.compiled.entries[entry].func
+    }
+
+    /// True if `entry` is the first entry of a fork branch. Fork-branch
+    /// heads are spawned once, when their fork commits.
+    ///
+    /// # Panics
+    /// Panics if `entry` is out of range.
+    pub fn is_fork_head(&self, entry: usize) -> bool {
+        self.fork_head[entry]
     }
 
     /// The continuation kind at `entry`.
@@ -190,6 +210,23 @@ mod tests {
         assert_eq!(t.callees_of(f).len(), 1);
         assert_eq!(t.callees_of(f)[0].callee, FuncId(2));
         assert_eq!(t.callees_of(f)[0].observations, 1);
+    }
+
+    #[test]
+    fn fork_heads_are_flagged_once_at_build() {
+        let mut reg = FunctionRegistry::new();
+        for n in ["pre", "b1", "b2", "join"] {
+            reg.register(FunctionSpec::new(n, Program::builder().ret(lit(1i64))));
+        }
+        let wf = Workflow::sequence(vec![
+            Workflow::task("pre"),
+            Workflow::parallel(vec![Workflow::task("b1"), Workflow::task("b2")]),
+            Workflow::task("join"),
+        ]);
+        let t = SequenceTable::new(CompiledWorkflow::compile(&wf, &reg).unwrap());
+        let heads: Vec<bool> = (0..4).map(|e| t.is_fork_head(e)).collect();
+        assert_eq!(heads, [false, true, true, false]);
+        assert!((0..3).all(|e| !table().is_fork_head(e)));
     }
 
     #[test]

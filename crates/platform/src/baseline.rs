@@ -83,6 +83,15 @@ pub enum InstCtx {
     Callee(InstanceId),
 }
 
+/// What the baseline tracks per live instance.
+#[derive(Debug)]
+struct Launch {
+    /// Why the instance runs.
+    ctx: InstCtx,
+    /// The retry attempt it executes (1 = first).
+    attempt: u32,
+}
+
 #[derive(Debug)]
 struct ReqState {
     arrived: SimTime,
@@ -147,10 +156,8 @@ pub struct BaselineCore {
     /// KV, faults, tracer, registry, metrics, generation state, instance
     /// table).
     rt: Runtime<Ev>,
-    /// Retry attempt the instance is executing (absent = first attempt).
-    attempt_of: FxHashMap<InstanceId, u32>,
-    /// Why each live instance runs.
-    ctxs: FxHashMap<InstanceId, InstCtx>,
+    /// Why each live instance runs, and which attempt it is.
+    launches: FxHashMap<InstanceId, Launch>,
     requests: FxHashMap<RequestId, ReqState>,
 }
 
@@ -239,8 +246,7 @@ impl BaselineCore {
     pub fn new(app: Arc<AppSpec>, seed: u64) -> Self {
         BaselineCore {
             rt: Runtime::new(app, seed),
-            attempt_of: FxHashMap::default(),
-            ctxs: FxHashMap::default(),
+            launches: FxHashMap::default(),
             requests: FxHashMap::default(),
         }
     }
@@ -314,22 +320,24 @@ impl BaselineCore {
             // arrival continues as the single join cursor.
             input = Value::from(outputs.into_iter().map(|(_, v)| v).collect::<Vec<_>>());
         }
-        self.spawn_named(req, InstCtx::Entry(entry), func, input);
+        self.spawn_named(req, InstCtx::Entry(entry), func, input, 1);
     }
 
-    /// Creates the instance and charges platform overhead.
+    /// Creates the instance for retry `attempt` and charges platform
+    /// overhead.
     fn spawn_named(
         &mut self,
         req: RequestId,
         ctx: InstCtx,
         func: FuncId,
         input: Value,
+        attempt: u32,
     ) -> InstanceId {
         let now = self.rt.sim.now();
         let ctrl = self.requests[&req].ctrl;
         let service = self.rt.model.controller_service;
         let id = self.rt.spawn_instance(req, ctrl, service, func, input);
-        self.ctxs.insert(id, ctx);
+        self.launches.insert(id, Launch { ctx, attempt });
         if let Some(r) = self.requests.get_mut(&req) {
             r.functions_run += 1;
         }
@@ -371,7 +379,7 @@ impl BaselineCore {
                 self.rt.block_instance(id);
                 match self.rt.app.registry.lookup(&func) {
                     Some(callee) => {
-                        self.spawn_named(req, InstCtx::Callee(id), callee, args);
+                        self.spawn_named(req, InstCtx::Callee(id), callee, args, 1);
                     }
                     // Unknown callee: resolve to Null after an RPC hop.
                     None => {
@@ -388,8 +396,7 @@ impl BaselineCore {
     /// onward.
     fn finish_instance(&mut self, id: InstanceId, output: Value) {
         let now = self.rt.sim.now();
-        let ctx = self.ctxs.remove(&id).expect("instance context");
-        self.attempt_of.remove(&id);
+        let ctx = self.launches.remove(&id).expect("instance context").ctx;
         let (inst, core_time) = self.rt.finish_instance(id);
         self.rt.metrics.useful_core_time += core_time;
         let req = inst.req;
@@ -485,7 +492,7 @@ impl BaselineCore {
                     if let Some(inst) = self.rt.instances.get_mut(&i) {
                         inst.externalized = true;
                     }
-                    cur = match self.ctxs.get(&i) {
+                    cur = match self.launches.get(&i).map(|l| &l.ctx) {
                         Some(InstCtx::Callee(caller)) => Some(*caller),
                         _ => None,
                     };
@@ -505,10 +512,9 @@ impl BaselineCore {
         let Some(inst) = self.rt.teardown_instance(id) else {
             return;
         };
-        let Some(ctx) = self.ctxs.remove(&id) else {
+        let Some(Launch { ctx, attempt }) = self.launches.remove(&id) else {
             return;
         };
-        let attempt = self.attempt_of.remove(&id).unwrap_or(1);
         let req = inst.req;
         if !self.requests.contains_key(&req) {
             return; // request already aborted
@@ -551,8 +557,7 @@ impl BaselineCore {
         };
         for id in self.instances_of(req) {
             self.rt.teardown_instance(id);
-            self.ctxs.remove(&id);
-            self.attempt_of.remove(&id);
+            self.launches.remove(&id);
         }
         if self.rt.tracer.enabled() {
             self.rt.tracer.emit(
@@ -653,8 +658,7 @@ impl BaselineCore {
                 attempt,
             } => {
                 if self.requests.contains_key(&req) {
-                    let id = self.spawn_named(req, ctx, func, input);
-                    self.attempt_of.insert(id, attempt);
+                    let id = self.spawn_named(req, ctx, func, input, attempt);
                     if self.rt.tracer.enabled() {
                         let now = self.rt.sim.now();
                         self.rt.tracer.emit(

@@ -116,20 +116,6 @@ impl Cluster {
         self.prewarm = cfg.build_prewarm();
     }
 
-    /// `placement/keepalive/prewarm` names of the installed policies.
-    pub fn policy_names(&self) -> (&'static str, &'static str, &'static str) {
-        (
-            self.placement.name(),
-            self.keepalive.name(),
-            self.prewarm.name(),
-        )
-    }
-
-    /// The installed keep-alive policy (shared with the container pools).
-    pub fn keepalive_policy(&self) -> &dyn KeepAlivePolicy {
-        &*self.keepalive
-    }
-
     /// Number of nodes.
     pub fn nodes(&self) -> usize {
         self.nodes.len()
@@ -311,24 +297,26 @@ impl Cluster {
         self.nodes.iter().map(|n| n.containers.idle_total()).sum()
     }
 
-    /// Per-function container-lifecycle counters aggregated across all
-    /// nodes, sorted by function id (deterministic output order).
+    /// Per-function container-lifecycle counters summed across all
+    /// nodes, for every function some node served, in function-id order.
     pub fn func_container_stats(&self) -> Vec<(FuncId, FuncContainerStats)> {
-        let mut agg: Vec<(FuncId, FuncContainerStats)> = Vec::new();
+        let mut agg: Vec<FuncContainerStats> = Vec::new();
         for n in &self.nodes {
             for (f, s) in n.containers.per_func_stats() {
-                match agg.iter_mut().find(|(g, _)| *g == f) {
-                    Some((_, a)) => {
-                        a.cold += s.cold;
-                        a.warm += s.warm;
-                        a.evicted += s.evicted;
-                    }
-                    None => agg.push((f, s)),
+                let i = f.0 as usize;
+                if i >= agg.len() {
+                    agg.resize(i + 1, FuncContainerStats::default());
                 }
+                agg[i].cold += s.cold;
+                agg[i].warm += s.warm;
+                agg[i].evicted += s.evicted;
             }
         }
-        agg.sort_by_key(|(f, _)| *f);
-        agg
+        (0..)
+            .map(FuncId)
+            .zip(agg)
+            .filter(|(_, s)| *s != FuncContainerStats::default())
+            .collect()
     }
 
     /// Per-node `(node index, busy execution slots, idle warm

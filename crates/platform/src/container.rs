@@ -26,10 +26,12 @@
 //! [`crate::policy::PrewarmPolicy`]): an acquisition that finds one
 //! in-flight pays only the remaining creation time instead of a full
 //! cold start.
+//!
+//! A node's pool is dense: one record per function id in a `Vec`, grown
+//! on demand, holding that function's idle and warming containers, its
+//! busy count and its lifecycle counters.
 
 use std::collections::VecDeque;
-
-use specfaas_sim::hash::FxHashMap;
 
 use specfaas_sim::{SimDuration, SimTime};
 use specfaas_workflow::FuncId;
@@ -63,26 +65,34 @@ pub struct FuncContainerStats {
     pub evicted: u64,
 }
 
-/// The container pool of one node.
+/// One function's containers on one node.
+#[derive(Debug, Clone, Default)]
+struct FuncPool {
+    /// Release instants of idle warm containers, ascending (front
+    /// oldest).
+    idle: VecDeque<SimTime>,
+    /// Ready instants of containers being created ahead of demand,
+    /// ascending.
+    warming: VecDeque<SimTime>,
+    /// Containers currently executing a handler.
+    busy: u32,
+    /// Lifecycle counters; the pool's totals are their sums.
+    stats: FuncContainerStats,
+}
+
+/// The container pool of one node: one record per function id, holding
+/// its idle and warming containers, busy count and lifecycle counters.
 ///
-/// Tracks, per function: the release instants of idle warm containers
-/// (ascending; front oldest), the ready instants of containers being
-/// created ahead of demand, and how many are currently executing a
-/// handler. Containers consume memory, not execution slots — but how
-/// many idle ones survive is the [`KeepAlivePolicy`]'s call, and
-/// creation is never free.
+/// Containers consume memory, not execution slots — but how many idle
+/// ones survive is the [`KeepAlivePolicy`]'s call, and creation is never
+/// free.
 #[derive(Debug, Clone, Default)]
 pub struct ContainerPool {
-    idle: FxHashMap<FuncId, VecDeque<SimTime>>,
-    /// Sum of the `idle` queues' lengths, kept up to date at every site
-    /// that changes a queue so the warm-pool gauge never walks the map.
+    /// Indexed by function id; functions past the end have no containers.
+    funcs: Vec<FuncPool>,
+    /// Sum of the idle queues' lengths, kept up to date at every site
+    /// that changes a queue so the warm-pool gauge never walks the pool.
     idle_total: u64,
-    warming: FxHashMap<FuncId, VecDeque<SimTime>>,
-    busy: FxHashMap<FuncId, u32>,
-    stats: FxHashMap<FuncId, FuncContainerStats>,
-    cold_starts: u64,
-    warm_starts: u64,
-    evictions: u64,
     prewarm_hits: u64,
 }
 
@@ -100,46 +110,58 @@ impl ContainerPool {
     pub fn prewarmed(funcs: impl IntoIterator<Item = FuncId>, count: u32) -> Self {
         let mut pool = ContainerPool::new();
         for f in funcs {
-            pool.idle
-                .insert(f, (0..count).map(|_| SimTime::ZERO).collect());
+            pool.func_mut(f).idle = (0..count).map(|_| SimTime::ZERO).collect();
         }
-        pool.idle_total = pool.idle.values().map(|q| q.len() as u64).sum();
+        pool.idle_total = pool.funcs.iter().map(|p| p.idle.len() as u64).sum();
         pool
+    }
+
+    /// The record of `func`, growing the pool to reach it.
+    fn func_mut(&mut self, func: FuncId) -> &mut FuncPool {
+        let i = func.0 as usize;
+        if i >= self.funcs.len() {
+            self.funcs.resize_with(i + 1, FuncPool::default);
+        }
+        &mut self.funcs[i]
+    }
+
+    /// The record of `func`, if the pool has reached it.
+    fn func(&self, func: FuncId) -> Option<&FuncPool> {
+        self.funcs.get(func.0 as usize)
     }
 
     /// Moves warming containers whose creation finished by `now` into
     /// the idle set (idle since their ready instant). The per-function
-    /// idle cap is enforced afterwards so prewarm promotions can never
-    /// grow the pool past what the keep-alive policy allows (warming is
-    /// only ever populated by a prewarm policy, so this is unreachable
-    /// under the defaults).
+    /// idle cap is enforced after a promotion so prewarm promotions can
+    /// never grow the pool past what the keep-alive policy allows
+    /// (warming is only ever populated by a prewarm policy, so this is
+    /// unreachable under the defaults).
     fn promote_ready(&mut self, func: FuncId, now: SimTime, policy: &dyn KeepAlivePolicy) {
-        let Some(w) = self.warming.get_mut(&func) else {
-            return;
-        };
-        while w.front().is_some_and(|ready| *ready <= now) {
-            let ready = w.pop_front().expect("checked front");
-            let q = self.idle.entry(func).or_default();
+        let p = self.func_mut(func);
+        let mut promoted = 0;
+        while p.warming.front().is_some_and(|ready| *ready <= now) {
+            let ready = p.warming.pop_front().expect("checked front");
             // Promotions can interleave with ordinary releases, so keep
             // the queue sorted by idle-since instant.
-            let at = q.partition_point(|t| *t <= ready);
-            q.insert(at, ready);
-            self.idle_total += 1;
+            let at = p.idle.partition_point(|t| *t <= ready);
+            p.idle.insert(at, ready);
+            promoted += 1;
         }
-        self.evict_over_cap(func, policy);
+        if promoted > 0 {
+            self.idle_total += promoted;
+            self.evict_over_cap(func, policy);
+        }
     }
 
     /// Reclaims the oldest idle containers of `func` beyond the policy's
     /// per-function cap.
     fn evict_over_cap(&mut self, func: FuncId, policy: &dyn KeepAlivePolicy) {
         let cap = policy.per_func_idle_cap() as usize;
-        let q = self.idle.entry(func).or_default();
-        while q.len() > cap {
-            q.pop_front();
-            self.idle_total -= 1;
-            self.evictions += 1;
-            self.stats.entry(func).or_default().evicted += 1;
-        }
+        let p = self.func_mut(func);
+        let excess = p.idle.len().saturating_sub(cap);
+        p.idle.drain(..excess);
+        p.stats.evicted += excess as u64;
+        self.idle_total -= excess as u64;
     }
 
     /// Reclaims idle containers of `func` whose TTL elapsed by `now`.
@@ -147,15 +169,15 @@ impl ContainerPool {
         let Some(ttl) = policy.ttl() else {
             return;
         };
-        let Some(q) = self.idle.get_mut(&func) else {
-            return;
-        };
-        while q.front().is_some_and(|released| *released + ttl <= now) {
-            q.pop_front();
-            self.idle_total -= 1;
-            self.evictions += 1;
-            self.stats.entry(func).or_default().evicted += 1;
-        }
+        let p = self.func_mut(func);
+        let expired = p
+            .idle
+            .iter()
+            .take_while(|released| **released + ttl <= now)
+            .count();
+        p.idle.drain(..expired);
+        p.stats.evicted += expired as u64;
+        self.idle_total -= expired as u64;
     }
 
     /// Acquires a container for `func` at `now`, preferring warm ones,
@@ -171,20 +193,16 @@ impl ContainerPool {
     ) -> ContainerAcquire {
         self.promote_ready(func, now, policy);
         self.expire(func, now, policy);
-        *self.busy.entry(func).or_insert(0) += 1;
-        if self
-            .idle
-            .get_mut(&func)
-            .is_some_and(|q| q.pop_back().is_some())
-        {
+        let p = self.func_mut(func);
+        p.busy += 1;
+        if p.idle.pop_back().is_some() {
+            p.stats.warm += 1;
             self.idle_total -= 1;
-            self.warm_starts += 1;
-            self.stats.entry(func).or_default().warm += 1;
             return ContainerAcquire::Warm;
         }
-        self.cold_starts += 1;
-        self.stats.entry(func).or_default().cold += 1;
-        if let Some(ready) = self.warming.get_mut(&func).and_then(|w| w.pop_front()) {
+        p.stats.cold += 1;
+        let warming = p.warming.pop_front();
+        if let Some(ready) = warming {
             // A prewarm creation is already in flight: piggyback on it
             // and pay only the remaining creation time.
             self.prewarm_hits += 1;
@@ -208,21 +226,20 @@ impl ContainerPool {
         reusable: bool,
         policy: &dyn KeepAlivePolicy,
     ) {
-        let busy = self
-            .busy
-            .get_mut(&func)
-            .filter(|n| **n > 0)
+        let p = self
+            .funcs
+            .get_mut(func.0 as usize)
+            .filter(|p| p.busy > 0)
             .expect("release of a container that was never acquired");
-        *busy -= 1;
+        p.busy -= 1;
         if !reusable {
             return;
         }
         if !policy.keep_idle() {
-            self.evictions += 1;
-            self.stats.entry(func).or_default().evicted += 1;
+            p.stats.evicted += 1;
             return;
         }
-        self.idle.entry(func).or_default().push_back(now);
+        p.idle.push_back(now);
         self.idle_total += 1;
         self.expire(func, now, policy);
         self.evict_over_cap(func, policy);
@@ -231,7 +248,7 @@ impl ContainerPool {
     /// Starts creating a container for `func` ahead of demand; it
     /// becomes idle (or serves a piggybacking acquisition) at `ready`.
     pub fn begin_warming(&mut self, func: FuncId, ready: SimTime) {
-        let w = self.warming.entry(func).or_default();
+        let w = &mut self.func_mut(func).warming;
         let at = w.partition_point(|t| *t <= ready);
         w.insert(at, ready);
     }
@@ -240,17 +257,17 @@ impl ContainerPool {
     /// raw idle set — TTL expiry is lazy, so recently-expired containers
     /// may still be counted until the next acquire/release touches them.
     pub fn idle_count(&self, func: FuncId) -> u32 {
-        self.idle.get(&func).map_or(0, |q| q.len() as u32)
+        self.func(func).map_or(0, |p| p.idle.len() as u32)
     }
 
     /// Containers currently being created ahead of demand for `func`.
     pub fn warming_count(&self, func: FuncId) -> u32 {
-        self.warming.get(&func).map_or(0, |q| q.len() as u32)
+        self.func(func).map_or(0, |p| p.warming.len() as u32)
     }
 
     /// Containers currently running handlers for `func`.
     pub fn busy_count(&self, func: FuncId) -> u32 {
-        self.busy.get(&func).copied().unwrap_or(0)
+        self.func(func).map_or(0, |p| p.busy)
     }
 
     /// Warm idle containers across every function — the node's warm-pool
@@ -259,7 +276,7 @@ impl ContainerPool {
     pub fn idle_total(&self) -> u64 {
         debug_assert_eq!(
             self.idle_total,
-            self.idle.values().map(|q| q.len() as u64).sum::<u64>(),
+            self.funcs.iter().map(|p| p.idle.len() as u64).sum::<u64>(),
             "idle total drifted from the idle queues"
         );
         self.idle_total
@@ -267,17 +284,17 @@ impl ContainerPool {
 
     /// Total cold starts served (including prewarm piggybacks).
     pub fn cold_starts(&self) -> u64 {
-        self.cold_starts
+        self.funcs.iter().map(|p| p.stats.cold).sum()
     }
 
     /// Total warm starts served.
     pub fn warm_starts(&self) -> u64 {
-        self.warm_starts
+        self.funcs.iter().map(|p| p.stats.warm).sum()
     }
 
     /// Idle containers reclaimed by the keep-alive policy.
     pub fn evictions(&self) -> u64 {
-        self.evictions
+        self.funcs.iter().map(|p| p.stats.evicted).sum()
     }
 
     /// Acquisitions that piggybacked on an in-flight prewarm creation.
@@ -287,13 +304,18 @@ impl ContainerPool {
 
     /// Lifecycle counters for one function.
     pub fn func_stats(&self, func: FuncId) -> FuncContainerStats {
-        self.stats.get(&func).copied().unwrap_or_default()
+        self.func(func)
+            .map_or_else(FuncContainerStats::default, |p| p.stats)
     }
 
-    /// Per-function lifecycle counters, in arbitrary (hash-map) order —
-    /// callers aggregate and sort.
+    /// Lifecycle counters of every function this pool ever served, in
+    /// function-id order.
     pub fn per_func_stats(&self) -> impl Iterator<Item = (FuncId, FuncContainerStats)> + '_ {
-        self.stats.iter().map(|(f, s)| (*f, *s))
+        self.funcs
+            .iter()
+            .enumerate()
+            .filter(|(_, p)| p.stats != FuncContainerStats::default())
+            .map(|(i, p)| (FuncId(i as u32), p.stats))
     }
 }
 

@@ -542,8 +542,7 @@ pub struct ScaleConfig {
     /// Fleet-wide execution cores. 0 = auto-size from the fleet's mean
     /// core demand at peak rate (~50 % target utilization).
     pub cores: u32,
-    /// Warm-pool idle capacity. 0 = auto: the keep-alive policy's
-    /// `pool_capacity` if it sets one, else 2 × the fleet's distinct
+    /// Warm-pool idle capacity. 0 = auto: 2 × the fleet's distinct
     /// function count + 4096, clamped to `[256, 262144]` — one keep-alive
     /// slot per function, doubled, plus headroom for the duplicates hot
     /// functions accumulate. Smaller values turn on LRU churn: the Zipf
@@ -892,8 +891,6 @@ impl ScaleEngine {
         let prewarm = cfg.policy.build_prewarm();
         let warm_capacity = if cfg.warm_capacity > 0 {
             cfg.warm_capacity
-        } else if let Some(c) = keepalive.pool_capacity() {
-            c.max(1)
         } else {
             // One keep-alive slot per function, doubled plus headroom for
             // the concurrency duplicates hot functions accumulate

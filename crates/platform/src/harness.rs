@@ -600,11 +600,6 @@ impl<E: EngineCore> Harness<E> {
         rt.retry = retry;
     }
 
-    /// The fault injector (per-site injection counts for reporting).
-    pub fn fault_injector(&self) -> &FaultInjector {
-        &self.core.rt().faults
-    }
-
     /// Installs a flight recorder. Call before the runs it should cover:
     /// the conservation check windows start here.
     pub fn set_tracer(&mut self, tracer: Tracer) {

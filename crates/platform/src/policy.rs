@@ -145,11 +145,6 @@ pub trait KeepAlivePolicy: std::fmt::Debug + Send {
     fn per_func_idle_cap(&self) -> u32 {
         DEFAULT_PER_FUNC_IDLE_CAP
     }
-    /// Fleet-wide idle-capacity override for the shared [`crate::fleet::WarmPool`];
-    /// `None` keeps the engine's auto-sizing.
-    fn pool_capacity(&self) -> Option<u32> {
-        None
-    }
 }
 
 /// Today's behaviour: containers stay warm until capacity pressure —
@@ -547,6 +542,5 @@ mod tests {
         assert!(ka.keep_idle());
         assert_eq!(ka.ttl(), None);
         assert_eq!(ka.per_func_idle_cap(), DEFAULT_PER_FUNC_IDLE_CAP);
-        assert_eq!(ka.pool_capacity(), None);
     }
 }

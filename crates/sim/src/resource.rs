@@ -73,11 +73,6 @@ impl<T> CorePool<T> {
         self.capacity - self.busy
     }
 
-    /// Number of queued waiters.
-    pub fn queue_len(&self) -> usize {
-        self.waiters.len()
-    }
-
     /// Largest queue length observed.
     pub fn peak_queue(&self) -> usize {
         self.peak_queue

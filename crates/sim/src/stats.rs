@@ -412,42 +412,6 @@ impl UtilizationTracker {
     }
 }
 
-/// Counts discrete occurrences (requests completed, squashes, hits/misses)
-/// and derives rates over the simulated window.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Counter(u64);
-
-impl Counter {
-    /// Creates a zeroed counter.
-    pub fn new() -> Self {
-        Counter(0)
-    }
-
-    /// Adds one.
-    pub fn incr(&mut self) {
-        self.0 += 1;
-    }
-
-    /// Adds `n`.
-    pub fn add(&mut self, n: u64) {
-        self.0 += n;
-    }
-
-    /// Current count.
-    pub fn get(&self) -> u64 {
-        self.0
-    }
-
-    /// Events per second across `window`.
-    pub fn rate_per_sec(&self, window: SimDuration) -> f64 {
-        let secs = window.as_secs_f64();
-        if secs == 0.0 {
-            return 0.0;
-        }
-        self.0 as f64 / secs
-    }
-}
-
 /// Ratio helper for hit-rate style metrics (branch predictor, memoization).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct HitRate {
@@ -696,14 +660,6 @@ mod tests {
             u.busy_core_time_total(SimTime::from_millis(20)),
             SimDuration::from_millis(30)
         );
-    }
-
-    #[test]
-    fn counter_rate() {
-        let mut c = Counter::new();
-        c.add(500);
-        assert_eq!(c.rate_per_sec(SimDuration::from_secs(5)), 100.0);
-        assert_eq!(c.rate_per_sec(SimDuration::ZERO), 0.0);
     }
 
     #[test]

@@ -68,14 +68,6 @@ impl KvStore {
         KvStore::default()
     }
 
-    /// Creates an empty store with a custom latency model.
-    pub fn with_latency(latency: StorageLatency) -> Self {
-        KvStore {
-            latency,
-            ..KvStore::default()
-        }
-    }
-
     /// The latency model.
     pub fn latency(&self) -> StorageLatency {
         self.latency

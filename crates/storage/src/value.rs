@@ -145,14 +145,6 @@ impl Value {
         }
     }
 
-    /// Borrow as `bool` if this is a `Bool`.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// Borrow as `i64` if this is an `Int`.
     pub fn as_int(&self) -> Option<i64> {
         match self {

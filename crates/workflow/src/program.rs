@@ -33,11 +33,6 @@ impl DurationSpec {
         DurationSpec::Fixed(SimDuration::from_millis(ms))
     }
 
-    /// Fixed duration in microseconds.
-    pub fn micros(us: u64) -> DurationSpec {
-        DurationSpec::Fixed(SimDuration::from_micros(us))
-    }
-
     /// Draws a concrete duration.
     pub fn sample(&self, rng: &mut SimRng) -> SimDuration {
         match self {
@@ -237,11 +232,6 @@ impl ProgramBuilder {
     /// Compute for a fixed number of milliseconds.
     pub fn compute_ms(self, ms: u64) -> Self {
         self.stmt(Stmt::Compute(DurationSpec::millis(ms)))
-    }
-
-    /// Compute for a fixed number of microseconds.
-    pub fn compute_us(self, us: u64) -> Self {
-        self.stmt(Stmt::Compute(DurationSpec::micros(us)))
     }
 
     /// Compute with jitter (mean milliseconds, coefficient of variation).
