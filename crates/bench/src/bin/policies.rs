@@ -1,5 +1,5 @@
-//! Policy sweep: platform policies × engines (DESIGN.md, "Pluggable
-//! platform policies").
+//! Policy sweep: platform policies × engines (DESIGN.md, "Platform
+//! policies").
 //!
 //! ```text
 //! cargo run --release --bin policies -- [--full] [--requests N] [--train N]
@@ -8,7 +8,7 @@
 //!     [--default-guard]
 //! ```
 //!
-//! Sweeps the pluggable platform-policy layer — keep-alive and prewarm
+//! Sweeps the platform policies — keep-alive and prewarm
 //! selection — over both execution engines. For each policy the sweep
 //! runs one representative application per registered suite (all apps
 //! with `--full`) through a closed loop on the baseline and the

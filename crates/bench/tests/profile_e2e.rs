@@ -9,17 +9,18 @@
 //! * two same-seed runs produce byte-identical Prometheus and CSV
 //!   exports,
 //! * the Prometheus exposition for a fixed app and seed matches a
-//!   checked-in golden file per engine and spec squash mechanism
-//!   (re-bless with `BLESS_GOLDEN=1`),
+//!   checked-in golden file per engine and spec squash mechanism, and
+//!   per engine under non-default placement, keep-alive and prewarm
+//!   policies (re-bless with `BLESS_GOLDEN=1`),
 //! * squash attribution recovered from the trace reconciles exactly
 //!   with the engine's squashed-CPU ledger (Table IV), and
 //! * per-request critical-path phase buckets sum exactly to the
 //!   end-to-end latency.
 
 use specfaas_bench::analysis::{analyze, check_paths_exact};
-use specfaas_bench::runner::{instrumented_closed, prepared_baseline, prepared_spec};
+use specfaas_bench::runner::{instrumented_closed, prepared_baseline_with, prepared_spec_with};
 use specfaas_core::{SpecConfig, SquashMechanism};
-use specfaas_platform::RunMetrics;
+use specfaas_platform::{PolicyConfig, RunMetrics};
 use specfaas_sim::timeseries::MetricsRegistry;
 use specfaas_sim::trace::Tracer;
 use specfaas_sim::{FaultPlan, RetryPolicy, SimDuration};
@@ -42,11 +43,25 @@ fn policy() -> RetryPolicy {
         .with_timeout(SimDuration::from_secs(2))
 }
 
+/// The platform policies of the `*-policies` inputs: round-robin
+/// placement, per-container TTL expiry and seq-table prewarm piggybacks
+/// on the node pools.
+fn platform(engine: &str) -> PolicyConfig {
+    if engine.ends_with("-policies") {
+        PolicyConfig::parse("place=round-robin+keepalive=ttl:100ms+prewarm=seq-table")
+            .expect("valid policy spec")
+    } else {
+        PolicyConfig::default()
+    }
+}
+
 /// One instrumented measurement pass. `engine` is `"spec"`,
 /// `"spec-lazy"` (the spec engine with lazily squashed orphans),
 /// `"spec-container-kill"` (the spec engine tearing down a squashed
-/// handler's container) or `"baseline"`; `record` arms the registry (a
-/// disabled registry is installed otherwise, which must be a no-op).
+/// handler's container) or `"baseline"`, or `"spec-policies"` /
+/// `"baseline-policies"` (that engine under [`platform`]'s non-default
+/// policies); `record` arms the registry (a disabled registry is
+/// installed otherwise, which must be a no-op).
 fn instrumented_run(
     bundle: &specfaas_apps::AppBundle,
     engine: &str,
@@ -59,15 +74,16 @@ fn instrumented_run(
     };
     let gen = bundle.make_input.clone();
     let mut config = SpecConfig::full();
+    let platform = platform(engine);
     match engine {
-        "spec" | "spec-lazy" | "spec-container-kill" => {
+        "spec" | "spec-lazy" | "spec-container-kill" | "spec-policies" => {
             match engine {
                 "spec-lazy" => config.squash = SquashMechanism::Lazy,
                 "spec-container-kill" => config.squash = SquashMechanism::ContainerKill,
                 _ => {}
             }
             instrumented_closed(
-                &mut prepared_spec(bundle, config, SEED, TRAIN),
+                &mut prepared_spec_with(bundle, config, SEED, TRAIN, &platform),
                 plan(),
                 policy(),
                 registry,
@@ -75,8 +91,8 @@ fn instrumented_run(
                 move |r| gen(r),
             )
         }
-        "baseline" => instrumented_closed(
-            &mut prepared_baseline(bundle, SEED),
+        "baseline" | "baseline-policies" => instrumented_closed(
+            &mut prepared_baseline_with(bundle, SEED, &platform),
             plan(),
             policy(),
             registry,
@@ -99,8 +115,8 @@ fn assert_metrics_eq(a: &RunMetrics, b: &RunMetrics, label: &str) {
         "{label}: squashed core-time diverged"
     );
     assert_eq!(
-        a.latency.mean_ms(),
-        b.latency.mean_ms(),
+        a.mean_response_ms(),
+        b.mean_response_ms(),
         "{label}: latency diverged"
     );
     assert_eq!(
@@ -147,7 +163,14 @@ fn same_seed_runs_emit_byte_identical_exports() {
 #[test]
 fn prometheus_exposition_matches_golden_file() {
     let bundle = specfaas_apps::faaschain::hotel_booking();
-    for engine in ["spec", "spec-lazy", "spec-container-kill", "baseline"] {
+    for engine in [
+        "spec",
+        "spec-lazy",
+        "spec-container-kill",
+        "baseline",
+        "spec-policies",
+        "baseline-policies",
+    ] {
         let (_, registry, _) = instrumented_run(&bundle, engine, true);
         let got = registry.export_prometheus();
 

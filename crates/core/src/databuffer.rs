@@ -426,8 +426,8 @@ mod tests {
     #[test]
     fn repeated_read_by_same_function_not_exposed() {
         // The paper: the Data Buffer is only accessed on *exposed* reads.
-        // The engine consults the local cache first; here we just check
-        // re-reading after own write forwards nothing new.
+        // A slot's own buffered write is never forwarded back to it, so
+        // re-reading after its own write forwards nothing new.
         let order = vec![s(0)];
         let mut db = DataBuffer::new();
         db.write(s(0), "k", Value::Int(1), &order);

@@ -129,7 +129,7 @@ impl SpecCore {
             return; // never speculated past
         };
         let output = slot.output.as_ref().expect("completed");
-        let actual = Self::branch_outcome(output, field.as_deref());
+        let actual = branch_outcome(output, field.as_deref());
         slot.predicted_taken = None; // resolved
         self.predictor.record_outcome(predicted == actual);
         if self.rt.tracer.enabled() {
@@ -324,7 +324,7 @@ impl SpecCore {
                     taken,
                     not_taken,
                 } => {
-                    let dir = Self::branch_outcome(&output, field.as_deref());
+                    let dir = branch_outcome(&output, field.as_deref());
                     branch_taken = Some(dir);
                     match if dir { *taken } else { *not_taken } {
                         Some(n) if joins_at(n) => join_target = Some((n, input.clone())),

@@ -98,7 +98,7 @@ impl SpecCore {
             } => {
                 let (taken, not_taken) = (*taken, *not_taken);
                 let outcome = if completed {
-                    Some(Self::branch_outcome(
+                    Some(branch_outcome(
                         slot.output.as_ref().expect("completed"),
                         field.as_deref(),
                     ))
@@ -217,13 +217,6 @@ impl SpecCore {
         }
     }
 
-    pub(super) fn branch_outcome(output: &Value, field: Option<&str>) -> bool {
-        match field {
-            Some(f) => output.get_field(f).map(Value::truthy).unwrap_or(false),
-            None => output.truthy(),
-        }
-    }
-
     /// Predicts an unresolved branch, honouring forced-accuracy mode.
     pub(super) fn predict_branch(
         &mut self,
@@ -279,7 +272,7 @@ impl SpecCore {
             EntryKind::Branch { field, .. } => field.clone(),
             _ => None,
         };
-        Some(Self::branch_outcome(&out, field.as_deref()))
+        Some(branch_outcome(&out, field.as_deref()))
     }
 
     /// Launches every launchable slot.

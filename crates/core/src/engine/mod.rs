@@ -27,7 +27,7 @@ use specfaas_sim::trace::{Phase, SquashCause, TraceEventKind};
 use specfaas_sim::FaultSite;
 use specfaas_sim::{SimDuration, SimTime};
 use specfaas_storage::Value;
-use specfaas_workflow::{AppSpec, EntryKind, FuncId, Interp, Program};
+use specfaas_workflow::{branch_outcome, AppSpec, EntryKind, FuncId, Interp, Program};
 
 use crate::config::{SpecConfig, SquashMechanism};
 use crate::databuffer::{DataBuffer, ReadResult};

@@ -25,7 +25,7 @@ use std::sync::Arc;
 use specfaas_sim::trace::{Phase, TraceEventKind};
 use specfaas_sim::SimTime;
 use specfaas_storage::Value;
-use specfaas_workflow::{AppSpec, EntryKind, FuncId};
+use specfaas_workflow::{branch_outcome, AppSpec, EntryKind, FuncId};
 
 use crate::cluster::NodeId;
 use crate::exec::{InstEv, InstanceId, KvOp, KvRoll, Step};
@@ -431,11 +431,11 @@ impl BaselineCore {
                 taken,
                 not_taken,
             } => {
-                let cond = match &field {
-                    Some(f) => output.get_field(f).cloned().unwrap_or(Value::Null),
-                    None => output,
+                let target = if branch_outcome(&output, field.as_deref()) {
+                    taken
+                } else {
+                    not_taken
                 };
-                let target = if cond.truthy() { taken } else { not_taken };
                 // Branch functions route: the selected target receives the
                 // branch's *input* payload (§VIII-B: successors of a branch
                 // take the same input as the branch).
@@ -953,7 +953,7 @@ mod tests {
             );
             (
                 m.completed,
-                m.latency.mean_ms().to_bits(),
+                m.mean_response_ms().to_bits(),
                 m.useful_core_time,
             )
         };

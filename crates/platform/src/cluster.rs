@@ -8,13 +8,13 @@
 //! FIFO service station; controller queueing is what inflates platform and
 //! transfer overheads under load.
 //!
-//! The cluster is also where the platform-policy layer plugs into the
-//! single-app engines: it owns one [`PlacementPolicy`] (consulted by
-//! [`Cluster::pick_node`]), one [`KeepAlivePolicy`] (threaded into every
-//! container acquire/release), and one [`PrewarmPolicy`] (consulted on
-//! each acquisition; fed committed function sequences through
-//! [`Cluster::observe_sequence`]). The defaults reproduce the
-//! pre-policy-layer behaviour bit for bit.
+//! The cluster is also where the platform policies reach the single-app
+//! engines: it holds the [`PlacementChoice`] (with its round-robin
+//! cursor) that [`Cluster::pick_node`] consults, the [`KeepAliveChoice`]
+//! handed to every container acquire/release, and, under seq-table
+//! prewarm, the [`SeqTablePrewarm`] consulted on each acquisition and fed
+//! committed function sequences through [`Cluster::observe_sequence`].
+//! The defaults reproduce the pre-policy-layer behaviour bit for bit.
 //!
 //! The cluster also records which nodes changed since their gauges were
 //! last read, so the metrics sampler that runs after every event reads
@@ -27,7 +27,9 @@ use specfaas_workflow::FuncId;
 use crate::container::{ContainerAcquire, ContainerPool, FuncContainerStats};
 use crate::exec::InstanceId;
 use crate::overheads::OverheadModel;
-use crate::policy::{KeepAlivePolicy, PlacementPolicy, PolicyConfig, PrewarmPolicy};
+use crate::policy::{
+    KeepAliveChoice, PlacementChoice, PolicyConfig, PrewarmChoice, SeqTablePrewarm,
+};
 
 /// Index of a node in the cluster.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -64,15 +66,14 @@ pub struct Cluster {
     /// touched, else its controller's next job completion
     /// ([`SimTime::MAX`] when none is in flight).
     gauges_due: Vec<SimTime>,
+    /// Round-robin cursor of [`Cluster::pick_controller`].
     rr_next: usize,
-    placement: Box<dyn PlacementPolicy>,
-    keepalive: Box<dyn KeepAlivePolicy>,
-    prewarm: Box<dyn PrewarmPolicy>,
-    /// Scratch free-slot snapshot handed to the placement policy
-    /// (reused so placement never allocates).
-    free_scratch: Vec<u64>,
-    /// Scratch prewarm-target list (reused per acquisition).
-    prewarm_scratch: Vec<u32>,
+    placement: PlacementChoice,
+    /// Round-robin cursor of [`PlacementChoice::RoundRobin`].
+    place_next: usize,
+    keepalive: KeepAliveChoice,
+    /// The successor table, under seq-table prewarm only.
+    prewarm: Option<SeqTablePrewarm>,
 }
 
 impl Cluster {
@@ -83,7 +84,6 @@ impl Cluster {
     /// Panics if either argument is zero.
     pub fn new(nodes: usize, slots_per_node: u64) -> Self {
         assert!(nodes > 0 && slots_per_node > 0);
-        let cfg = PolicyConfig::default();
         Cluster {
             nodes: (0..nodes)
                 .map(|_| Node {
@@ -94,11 +94,10 @@ impl Cluster {
                 .collect(),
             gauges_due: vec![SimTime::ZERO; nodes],
             rr_next: 0,
-            placement: cfg.build_placement(),
-            keepalive: cfg.build_keepalive(),
-            prewarm: cfg.build_prewarm(),
-            free_scratch: Vec::with_capacity(nodes),
-            prewarm_scratch: Vec::new(),
+            placement: PlacementChoice::default(),
+            place_next: 0,
+            keepalive: KeepAliveChoice::default(),
+            prewarm: None,
         }
     }
 
@@ -107,13 +106,16 @@ impl Cluster {
         Cluster::new(5, 48)
     }
 
-    /// Replaces the installed platform policies. Call before the runs it
-    /// should govern (existing idle containers keep their timestamps, so
-    /// a newly installed TTL applies to them retroactively).
+    /// Replaces the installed platform policies, starting a fresh
+    /// round-robin cursor and an empty successor table. Call before the
+    /// runs it should govern (existing idle containers keep their
+    /// timestamps, so a newly installed TTL applies to them
+    /// retroactively).
     pub fn set_policies(&mut self, cfg: &PolicyConfig) {
-        self.placement = cfg.build_placement();
-        self.keepalive = cfg.build_keepalive();
-        self.prewarm = cfg.build_prewarm();
+        self.placement = cfg.placement;
+        self.place_next = 0;
+        self.keepalive = cfg.keepalive;
+        self.prewarm = (cfg.prewarm == PrewarmChoice::SeqTable).then(SeqTablePrewarm::new);
     }
 
     /// Number of nodes.
@@ -153,15 +155,12 @@ impl Cluster {
     }
 
     /// Picks the node to run `func`, as decided by the installed
-    /// placement policy over a snapshot of per-node free execution
-    /// slots. The default ([`crate::policy::LeastLoaded`]) picks the
-    /// node with the most free slots, ties broken by lowest index.
+    /// placement over the nodes' free execution slots. The default
+    /// ([`PlacementChoice::LeastLoaded`]) picks the node with the most
+    /// free slots, ties broken by lowest index.
     pub fn pick_node(&mut self, func: FuncId) -> NodeId {
-        self.free_scratch.clear();
-        self.free_scratch
-            .extend(self.nodes.iter().map(|n| n.cores.free()));
-        let best = self.placement.place(func.0, &self.free_scratch);
-        NodeId(best.min(self.nodes.len() - 1))
+        let free = self.nodes.iter().map(|n| n.cores.free());
+        NodeId(self.placement.place(func.0, &mut self.place_next, free))
     }
 
     /// Assigns a home controller round-robin (requests spread evenly).
@@ -184,10 +183,10 @@ impl Cluster {
 
     /// Acquires a container for `func` on `node` at `now`.
     ///
-    /// Also gives the prewarm policy its per-invocation hook: functions
-    /// it predicts will run next begin warming on the same node (so the
-    /// successor's creation overlaps this function's execution), unless
-    /// that node already holds an idle or warming container for them.
+    /// Under seq-table prewarm, the function predicted to run next
+    /// also begins warming on the same node (so the successor's creation
+    /// overlaps this function's execution), unless that node already
+    /// holds an idle or warming container for it.
     pub fn acquire_container(
         &mut self,
         node: NodeId,
@@ -195,19 +194,15 @@ impl Cluster {
         now: SimTime,
         model: &OverheadModel,
     ) -> ContainerAcquire {
-        let mut targets = std::mem::take(&mut self.prewarm_scratch);
-        targets.clear();
-        self.prewarm.on_invoke(func.0, &mut targets);
         self.gauges_due[node.0] = SimTime::ZERO;
         let pool = &mut self.nodes[node.0].containers;
-        for &t in &targets {
-            let f = FuncId(t);
+        if let Some(next) = self.prewarm.as_ref().and_then(|t| t.predict(func.0)) {
+            let f = FuncId(next);
             if pool.idle_count(f) == 0 && pool.warming_count(f) == 0 {
                 pool.begin_warming(f, now + model.cold_start());
             }
         }
-        self.prewarm_scratch = targets;
-        pool.acquire(func, now, model, &*self.keepalive)
+        pool.acquire(func, now, model, &self.keepalive)
     }
 
     /// Releases a container for `func` on `node` at `now`. `reusable ==
@@ -217,14 +212,16 @@ impl Cluster {
         self.gauges_due[node.0] = SimTime::ZERO;
         self.nodes[node.0]
             .containers
-            .release(func, now, reusable, &*self.keepalive);
+            .release(func, now, reusable, &self.keepalive);
     }
 
     /// Feeds one committed request's function sequence (in commit order)
-    /// to the prewarm policy's successor-learning hook.
+    /// to the successor table, under seq-table prewarm.
     pub fn observe_sequence(&mut self, sequence: &[u32]) {
-        for w in sequence.windows(2) {
-            self.prewarm.observe(w[0], w[1]);
+        if let Some(table) = &mut self.prewarm {
+            for w in sequence.windows(2) {
+                table.observe(w[0], w[1]);
+            }
         }
     }
 
@@ -353,7 +350,6 @@ impl Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::{PlacementChoice, PrewarmChoice};
 
     #[test]
     fn paper_testbed_shape() {

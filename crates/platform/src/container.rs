@@ -16,16 +16,16 @@
 //!   holding its container (and core) hostage until then.
 //!
 //! Which idle containers *survive* is not the pool's decision: it asks
-//! the installed [`KeepAlivePolicy`] (idle TTL, per-function cap, or no
-//! keep-alive at all) and applies the answer lazily at acquire/release
-//! time. Idle containers are held newest-last with their release
-//! instants, so TTL expiry pops the front and warm reuse pops the back —
-//! an expired container can never be handed out, because staleness is
-//! checked before any warm handout. The pool also tracks *warming*
-//! containers (creations begun ahead of demand by a
-//! [`crate::policy::PrewarmPolicy`]): an acquisition that finds one
-//! in-flight pays only the remaining creation time instead of a full
-//! cold start.
+//! the installed [`KeepAliveChoice`] (kept at all? expired yet?) and
+//! applies the answer lazily at acquire/release time, and it bounds each
+//! function's idle stock by [`PER_FUNC_IDLE_CAP`]. Idle containers are
+//! held newest-last with their release instants, so TTL expiry pops the
+//! front and warm reuse pops the back — an expired container can never
+//! be handed out, because staleness is checked before any warm handout.
+//! The pool also tracks *warming* containers (creations begun ahead of
+//! demand by seq-table prewarm, [`crate::policy::SeqTablePrewarm`]): an
+//! acquisition that finds one in-flight pays only the remaining creation
+//! time instead of a full cold start.
 //!
 //! A node's pool is dense: one record per function id in a `Vec`, grown
 //! on demand, holding that function's idle and warming containers, its
@@ -37,7 +37,7 @@ use specfaas_sim::{SimDuration, SimTime};
 use specfaas_workflow::FuncId;
 
 use crate::overheads::OverheadModel;
-use crate::policy::KeepAlivePolicy;
+use crate::policy::{KeepAliveChoice, PER_FUNC_IDLE_CAP};
 
 /// Result of asking the pool for a container.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -84,7 +84,7 @@ struct FuncPool {
 /// its idle and warming containers, busy count and lifecycle counters.
 ///
 /// Containers consume memory, not execution slots — but how many idle
-/// ones survive is the [`KeepAlivePolicy`]'s call, and creation is never
+/// ones survive is the [`KeepAliveChoice`]'s call, and creation is never
 /// free.
 #[derive(Debug, Clone, Default)]
 pub struct ContainerPool {
@@ -133,10 +133,9 @@ impl ContainerPool {
     /// Moves warming containers whose creation finished by `now` into
     /// the idle set (idle since their ready instant). The per-function
     /// idle cap is enforced after a promotion so prewarm promotions can
-    /// never grow the pool past what the keep-alive policy allows
-    /// (warming is only ever populated by a prewarm policy, so this is
-    /// unreachable under the defaults).
-    fn promote_ready(&mut self, func: FuncId, now: SimTime, policy: &dyn KeepAlivePolicy) {
+    /// never grow the pool past it (warming is only ever populated by
+    /// seq-table prewarm, so this is unreachable under the defaults).
+    fn promote_ready(&mut self, func: FuncId, now: SimTime) {
         let p = self.func_mut(func);
         let mut promoted = 0;
         while p.warming.front().is_some_and(|ready| *ready <= now) {
@@ -149,35 +148,35 @@ impl ContainerPool {
         }
         if promoted > 0 {
             self.idle_total += promoted;
-            self.evict_over_cap(func, policy);
+            self.evict_over_cap(func);
         }
     }
 
-    /// Reclaims the oldest idle containers of `func` beyond the policy's
-    /// per-function cap.
-    fn evict_over_cap(&mut self, func: FuncId, policy: &dyn KeepAlivePolicy) {
-        let cap = policy.per_func_idle_cap() as usize;
+    /// Reclaims the oldest idle containers of `func` beyond
+    /// [`PER_FUNC_IDLE_CAP`].
+    fn evict_over_cap(&mut self, func: FuncId) {
         let p = self.func_mut(func);
-        let excess = p.idle.len().saturating_sub(cap);
+        let excess = p.idle.len().saturating_sub(PER_FUNC_IDLE_CAP as usize);
         p.idle.drain(..excess);
         p.stats.evicted += excess as u64;
         self.idle_total -= excess as u64;
     }
 
-    /// Reclaims idle containers of `func` whose TTL elapsed by `now`.
-    fn expire(&mut self, func: FuncId, now: SimTime, policy: &dyn KeepAlivePolicy) {
-        let Some(ttl) = policy.ttl() else {
-            return;
-        };
+    /// Reclaims idle containers of `func` that expired by `now` (oldest
+    /// first, so they form a prefix of the idle queue).
+    fn expire(&mut self, func: FuncId, now: SimTime, policy: &KeepAliveChoice) {
         let p = self.func_mut(func);
-        let expired = p
+        let mut expired = 0;
+        while p
             .idle
-            .iter()
-            .take_while(|released| **released + ttl <= now)
-            .count();
-        p.idle.drain(..expired);
-        p.stats.evicted += expired as u64;
-        self.idle_total -= expired as u64;
+            .front()
+            .is_some_and(|&released| policy.expired(released, now))
+        {
+            p.idle.pop_front();
+            expired += 1;
+        }
+        p.stats.evicted += expired;
+        self.idle_total -= expired;
     }
 
     /// Acquires a container for `func` at `now`, preferring warm ones,
@@ -189,9 +188,9 @@ impl ContainerPool {
         func: FuncId,
         now: SimTime,
         model: &OverheadModel,
-        policy: &dyn KeepAlivePolicy,
+        policy: &KeepAliveChoice,
     ) -> ContainerAcquire {
-        self.promote_ready(func, now, policy);
+        self.promote_ready(func, now);
         self.expire(func, now, policy);
         let p = self.func_mut(func);
         p.busy += 1;
@@ -224,7 +223,7 @@ impl ContainerPool {
         func: FuncId,
         now: SimTime,
         reusable: bool,
-        policy: &dyn KeepAlivePolicy,
+        policy: &KeepAliveChoice,
     ) {
         let p = self
             .funcs
@@ -242,7 +241,7 @@ impl ContainerPool {
         p.idle.push_back(now);
         self.idle_total += 1;
         self.expire(func, now, policy);
-        self.evict_over_cap(func, policy);
+        self.evict_over_cap(func);
     }
 
     /// Starts creating a container for `func` ahead of demand; it
@@ -322,13 +321,12 @@ impl ContainerPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::{DefaultKeepAlive, FixedTtlKeepAlive, NoKeepAlive};
 
     fn model() -> OverheadModel {
         OverheadModel::default()
     }
 
-    const KA: DefaultKeepAlive = DefaultKeepAlive;
+    const KA: KeepAliveChoice = KeepAliveChoice::Default;
 
     #[test]
     fn cold_then_warm() {
@@ -405,12 +403,12 @@ mod tests {
 
     #[test]
     fn default_policy_bounds_idle_growth() {
-        // Satellite regression test: the pre-policy pool had no eviction
-        // at all, so idle_total grew monotonically. The default policy
-        // caps idle containers per function.
+        // Regression test: the pre-policy pool had no eviction at all, so
+        // idle_total grew monotonically. Under the default keep-alive the
+        // pool still caps idle containers per function.
         let f = FuncId(0);
         let mut p = ContainerPool::new();
-        let churn = crate::policy::DEFAULT_PER_FUNC_IDLE_CAP + 100;
+        let churn = PER_FUNC_IDLE_CAP + 100;
         for i in 0..churn {
             // Burst of cold starts...
             p.acquire(f, SimTime::from_millis(u64::from(i)), &model(), &KA);
@@ -419,19 +417,14 @@ mod tests {
             // ...all released back: only the cap survives.
             p.release(f, SimTime::from_millis(u64::from(churn + i)), true, &KA);
         }
-        assert_eq!(
-            p.idle_total(),
-            u64::from(crate::policy::DEFAULT_PER_FUNC_IDLE_CAP)
-        );
+        assert_eq!(p.idle_total(), u64::from(PER_FUNC_IDLE_CAP));
         assert_eq!(p.evictions(), 100);
         assert_eq!(p.func_stats(f).evicted, 100);
     }
 
     #[test]
     fn ttl_expires_idle_containers() {
-        let ka = FixedTtlKeepAlive {
-            ttl: SimDuration::from_millis(10),
-        };
+        let ka = KeepAliveChoice::FixedTtl(SimDuration::from_millis(10));
         let f = FuncId(0);
         let mut p = ContainerPool::prewarmed([f], 2);
         // Within TTL: warm.
@@ -449,7 +442,7 @@ mod tests {
 
     #[test]
     fn no_keepalive_destroys_on_release() {
-        let ka = NoKeepAlive;
+        let ka = KeepAliveChoice::Disabled;
         let f = FuncId(0);
         let mut p = ContainerPool::new();
         p.acquire(f, SimTime::ZERO, &model(), &ka);

@@ -28,10 +28,10 @@
 //!
 //! This is a *flow-level* model: stages carry their template's mean
 //! compute (±15 % jitter) rather than interpreted bodies, branch
-//! mispredictions and memo hits are drawn from configured probabilities
-//! rather than replayed data, and a mispredicted branch squashes its
-//! immediate successor (deeper cascades are second-order at fleet
-//! scale). Overhead constants, cold-start costs, and pool dynamics are
+//! mispredictions and memo hits are drawn with fixed probabilities
+//! (`MISPREDICT` 0.10, `MEMO_HIT` 0.25) rather than replayed data, and a
+//! mispredicted branch squashes its immediate successor (deeper cascades
+//! are second-order at fleet scale). Overhead constants, cold-start costs, and pool dynamics are
 //! shared with the full-fidelity engines via [`OverheadModel`], so the
 //! speculation win it reports tracks the shape — not the third decimal —
 //! of the paper's results.
@@ -43,13 +43,14 @@
 //! [`WarmPool`]'s slots with their intrusive LRU list, the engine's
 //! per-function cold-start slots (creations in flight and a FIFO of
 //! waiting stages threaded through one shared node arena), and the
-//! successor table of [`crate::policy::SeqTablePrewarm`]. Per-request
-//! state lives in a pooled slab: completed requests return their slot
-//! (and their per-stage `Vec`'s capacity) to a free list, so steady state
-//! performs no allocation per request, and queueing for a cold container
-//! allocates nothing either. Arrivals are pulled from the trace generator
-//! in large batches, and all metrics are streaming ([`LogHistogram`] /
-//! [`SpaceSaving`]) — memory stays flat in the request count.
+//! successor table of [`SeqTablePrewarm`] (held only under seq-table
+//! prewarm). Per-request state lives in a pooled slab: completed requests
+//! return their slot (and their per-stage `Vec`'s capacity) to a free
+//! list, so steady state performs no allocation per request, and queueing
+//! for a cold container allocates nothing either. Arrivals are pulled
+//! from the trace generator in large batches, and all metrics are
+//! streaming ([`LogHistogram`] / [`SpaceSaving`]) — memory stays flat in
+//! the request count.
 //!
 //! Everything is deterministic for a given [`ScaleConfig`]: same seed,
 //! same stats, bit for bit.
@@ -62,7 +63,7 @@ use specfaas_sim::{LogHistogram, SimDuration, SimRng, SimTime, Simulator, SpaceS
 use specfaas_workflow::{AppSpec, EntryKind};
 
 use crate::overheads::OverheadModel;
-use crate::policy::{KeepAlivePolicy, PolicyConfig, PrewarmPolicy};
+use crate::policy::{KeepAliveChoice, PolicyConfig, PrewarmChoice, SeqTablePrewarm};
 
 /// Floor on a stage's mean compute so zero-compute glue functions still
 /// cost something (they do in reality: interpreter spin-up, marshalling).
@@ -82,6 +83,20 @@ const MEM_SAMPLE_EVERY: u64 = 8192;
 /// magnitude and evicting the entire warm tail when those releases hit a
 /// bounded pool.
 const MAX_CONCURRENT_COLD_STARTS: u32 = 4;
+
+/// Probability a branch stage mispredicts, squashing its successor
+/// (speculative engine only).
+const MISPREDICT: f64 = 0.10;
+
+/// Probability a stage is served from the memo table (speculative engine
+/// only).
+const MEMO_HIT: f64 = 0.25;
+
+/// The first `requests / WARMUP_DIVISOR` (5 %) trace requests warm the
+/// pool: they complete and count in the pool counters but are left out of
+/// the latency distribution, so reported means are steady-state rather
+/// than dominated by the initial cold-start herd.
+const WARMUP_DIVISOR: u64 = 20;
 
 /// One stage of a flow-level application profile.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -361,11 +376,11 @@ impl PoolSlot {
 /// is O(1) apart from the sweep, which stops at the first live entry, and
 /// the eviction order is fully determined by the operation sequence.
 ///
-/// The pool consults the same [`KeepAlivePolicy`] trait as the
-/// single-app container pools: no-keep-alive destroys containers at
-/// release, and a fixed TTL reclaims a function's idle stock once its
-/// most recent release is `ttl` old (whole-entry expiry — at flow level,
-/// a function's duplicates recycle together, so per-container tracking
+/// The pool asks the same [`KeepAliveChoice`] as the single-app container
+/// pools: no-keep-alive destroys containers at release, and a fixed TTL
+/// reclaims a function's idle stock once its most recent release has
+/// [`KeepAliveChoice::expired`] (whole-entry expiry — at flow level, a
+/// function's duplicates recycle together, so per-container tracking
 /// would only duplicate the recency key). Expiry runs before any warm
 /// handout, so an expired container is never revived.
 #[derive(Debug, Clone)]
@@ -456,10 +471,9 @@ impl WarmPool {
     /// Takes a warm container for `gfunc` if one is idle and not expired
     /// at `now`. Returns true on a warm hit; false means the caller pays
     /// a cold start.
-    pub fn acquire(&mut self, gfunc: u32, now: SimTime, policy: &dyn KeepAlivePolicy) -> bool {
+    pub fn acquire(&mut self, gfunc: u32, now: SimTime, policy: &KeepAliveChoice) -> bool {
         if self.idle_count(gfunc) > 0 {
-            let released = self.slots[gfunc as usize].released;
-            if policy.ttl().is_some_and(|ttl| released + ttl <= now) {
+            if policy.expired(self.slots[gfunc as usize].released, now) {
                 self.expire(gfunc);
             } else {
                 self.take_one(gfunc);
@@ -476,7 +490,7 @@ impl WarmPool {
     /// recent end of the LRU list, sweeping TTL-expired entries from the
     /// least recent end, and evicting the least-recently-used function's
     /// container if the pool is at capacity.
-    pub fn release(&mut self, gfunc: u32, now: SimTime, policy: &dyn KeepAlivePolicy) {
+    pub fn release(&mut self, gfunc: u32, now: SimTime, policy: &KeepAliveChoice) {
         if !policy.keep_idle() {
             self.evictions += 1;
             return;
@@ -495,12 +509,10 @@ impl WarmPool {
         slot.idle += 1;
         slot.released = now;
         self.total_idle += 1;
-        if let Some(ttl) = policy.ttl() {
-            // The list is in release order, so expired entries cluster
-            // at the head.
-            while self.head != NIL && self.slots[self.head as usize].released + ttl <= now {
-                self.expire(self.head);
-            }
+        // The list is in release order, so expired entries cluster at
+        // the head.
+        while self.head != NIL && policy.expired(self.slots[self.head as usize].released, now) {
+            self.expire(self.head);
         }
         while self.total_idle > self.capacity {
             self.evictions += 1;
@@ -552,22 +564,6 @@ pub struct ScaleConfig {
     /// (keep-alive budgets do behave that way) but not the regime the
     /// committed artifact reports.
     pub warm_capacity: u32,
-    /// Requests to exclude from the latency distribution while the pool
-    /// warms up. 0 = auto (5 % of the trace). Completions and pool
-    /// counters still include the warmup; only latency recording is
-    /// gated, so reported means are steady-state rather than dominated by
-    /// the initial cold-start herd.
-    pub warmup_requests: u64,
-    /// Seed one warm container per fleet function before the trace
-    /// starts (subject to the pool's capacity bound), exactly like the
-    /// paper benches' `prewarm_all`. Without it a cold fleet must
-    /// bootstrap through a thundering herd whose queueing can lock the
-    /// pool into an eviction-thrash equilibrium for the whole run.
-    pub prewarm: bool,
-    /// Probability a branch stage mispredicts, squashing its successor.
-    pub mispredict: f64,
-    /// Probability a stage is served from the memo table (spec only).
-    pub memo_hit: f64,
     /// Platform policies (keep-alive and prewarm; placement has no
     /// meaning against the fleet's single shared pool and is ignored).
     /// The default reproduces the pre-policy-layer behaviour bit for
@@ -576,19 +572,25 @@ pub struct ScaleConfig {
 }
 
 impl ScaleConfig {
-    /// A config with the default flow-model probabilities (10 %
-    /// misprediction, 25 % memo hits), auto-sized resources, and the
-    /// default platform policies.
+    /// A config with auto-sized resources and the default platform
+    /// policies.
+    ///
+    /// The rest of the model is fixed: a branch stage mispredicts with
+    /// probability 0.10 and a stage hits the memo table with probability
+    /// 0.25 (speculative engine only); the first 5 % of the trace's
+    /// requests warm the pool and are left out of the latency
+    /// distribution; and one warm container per fleet function is seeded
+    /// before the trace starts (subject to the pool's capacity bound and
+    /// the keep-alive policy), exactly like the paper benches'
+    /// `prewarm_all`. Without that seed stock a cold fleet must bootstrap
+    /// through a thundering herd whose queueing can lock the pool into an
+    /// eviction-thrash equilibrium for the whole run.
     pub fn new(trace: TraceConfig, speculative: bool) -> ScaleConfig {
         ScaleConfig {
             trace,
             speculative,
             cores: 0,
             warm_capacity: 0,
-            warmup_requests: 0,
-            prewarm: true,
-            mispredict: 0.10,
-            memo_hit: 0.25,
             policy: PolicyConfig::default(),
         }
     }
@@ -845,12 +847,9 @@ pub struct ScaleEngine {
     pool: WarmPool,
     /// Per-function cold creations in flight and waiter queues.
     cold: ColdStarts,
-    /// Keep-alive policy threaded into every pool acquire/release.
-    keepalive: Box<dyn KeepAlivePolicy>,
-    /// Prewarm policy consulted at each container acquisition.
-    prewarm: Box<dyn PrewarmPolicy>,
-    /// Scratch prewarm-target list (reused per acquisition).
-    prewarm_scratch: Vec<u32>,
+    /// The successor table consulted at each container acquisition,
+    /// under seq-table prewarm only.
+    prewarm: Option<SeqTablePrewarm>,
     /// Container creations started ahead of demand.
     prewarm_issued: u64,
     warmup_requests: u64,
@@ -887,8 +886,6 @@ impl ScaleEngine {
             ((demand / 0.5).ceil() as u32).max(64)
         }
         .max(fleet.max_stage_width());
-        let keepalive = cfg.policy.build_keepalive();
-        let prewarm = cfg.policy.build_prewarm();
         let warm_capacity = if cfg.warm_capacity > 0 {
             cfg.warm_capacity
         } else {
@@ -900,23 +897,18 @@ impl ScaleEngine {
             let g = fleet.total_gfuncs() as u64;
             (g * 2 + 4096).clamp(256, 262_144) as u32
         };
-        let warmup_requests = if cfg.warmup_requests > 0 {
-            cfg.warmup_requests
-        } else {
-            cfg.trace.requests / 20
-        };
+        let warmup_requests = cfg.trace.requests / WARMUP_DIVISOR;
         let gen = TraceGen::new(cfg.trace.clone());
         let rng = SimRng::seed(cfg.trace.seed ^ 0x5CA1_E0E0_F1EE_7001);
         let cold = ColdStarts::new(fleet.total_gfuncs());
         let mut pool = WarmPool::new(warm_capacity);
-        if cfg.prewarm {
-            // Seeded through the policy: no-keep-alive fleets start cold
-            // (their seed containers are torn down on the spot), and a
-            // TTL decays the seed stock like any other idle container.
-            for g in 0..fleet.total_gfuncs() {
-                pool.release(g, SimTime::ZERO, &*keepalive);
-            }
+        // Seeded through the policy: no-keep-alive fleets start cold
+        // (their seed containers are torn down on the spot), and a TTL
+        // decays the seed stock like any other idle container.
+        for g in 0..fleet.total_gfuncs() {
+            pool.release(g, SimTime::ZERO, &cfg.policy.keepalive);
         }
+        let prewarm = (cfg.policy.prewarm == PrewarmChoice::SeqTable).then(SeqTablePrewarm::new);
         ScaleEngine {
             cfg,
             fleet,
@@ -928,9 +920,7 @@ impl ScaleEngine {
             batch_pos: 0,
             pool,
             cold,
-            keepalive,
             prewarm,
-            prewarm_scratch: Vec::new(),
             prewarm_issued: 0,
             warmup_requests,
             cores,
@@ -1034,10 +1024,10 @@ impl ScaleEngine {
             let sp = self.fleet.templates[template as usize].stages[s];
             let mut rt = StageRt {
                 exec: sp.exec.mul_f64(0.85 + 0.3 * u_jit),
-                memo: speculative && u_memo < self.cfg.memo_hit,
+                memo: speculative && u_memo < MEMO_HIT,
                 ..StageRt::default()
             };
-            if speculative && sp.branch && u_mis < self.cfg.mispredict {
+            if speculative && sp.branch && u_mis < MISPREDICT {
                 rt.mispredict = true;
             }
             self.slab[idx as usize].stages.push(rt);
@@ -1100,7 +1090,7 @@ impl ScaleEngine {
         if !rt.held_container {
             let g = self.fleet.gfunc(tenant, stage);
             self.maybe_prewarm(now, g);
-            if self.pool.acquire(g, now, &*self.keepalive) {
+            if self.pool.acquire(g, now, &self.cfg.policy.keepalive) {
                 self.slab[req as usize].stages[stage as usize].held_container = true;
             } else {
                 self.cold.push(g, req, stage);
@@ -1128,30 +1118,27 @@ impl ScaleEngine {
     fn on_cold_ready(&mut self, now: SimTime, gfunc: u32) {
         self.cold.slots[gfunc as usize].creating -= 1;
         if !self.handoff(gfunc) {
-            self.pool.release(gfunc, now, &*self.keepalive);
+            self.pool.release(gfunc, now, &self.cfg.policy.keepalive);
         }
     }
 
-    /// Gives the prewarm policy its per-acquisition hook: predicted
-    /// successors of `gfunc` with no idle container and no creation in
-    /// flight begin warming through the ordinary cold-start machinery
-    /// (so a prewarmed container hands off to queued waiters exactly
-    /// like a demand-started one, and pooling it on completion respects
-    /// the capacity bound by construction).
+    /// Under seq-table prewarm, the predicted successor of `gfunc`, if it
+    /// has no idle container and no creation in flight, begins warming
+    /// through the ordinary cold-start machinery (so a prewarmed
+    /// container hands off to queued waiters exactly like a
+    /// demand-started one, and pooling it on completion respects the
+    /// capacity bound by construction).
     fn maybe_prewarm(&mut self, now: SimTime, gfunc: u32) {
-        let mut targets = std::mem::take(&mut self.prewarm_scratch);
-        targets.clear();
-        self.prewarm.on_invoke(gfunc, &mut targets);
-        for &p in &targets {
-            let creating = &mut self.cold.slots[p as usize].creating;
-            if *creating == 0 && self.pool.idle_count(p) == 0 {
-                *creating = 1;
-                self.prewarm_issued += 1;
-                self.sim
-                    .schedule_at(now + self.model.cold_start(), Ev::ColdReady { gfunc: p });
-            }
+        let Some(p) = self.prewarm.as_ref().and_then(|t| t.predict(gfunc)) else {
+            return;
+        };
+        let creating = &mut self.cold.slots[p as usize].creating;
+        if *creating == 0 && self.pool.idle_count(p) == 0 {
+            *creating = 1;
+            self.prewarm_issued += 1;
+            self.sim
+                .schedule_at(now + self.model.cold_start(), Ev::ColdReady { gfunc: p });
         }
-        self.prewarm_scratch = targets;
     }
 
     /// Pops the next per-function cold waiter, if any, gives it the
@@ -1197,7 +1184,7 @@ impl ScaleEngine {
             // Recycle directly to a queued waiter when one exists; the
             // container only returns to the idle pool otherwise.
             if !self.handoff(g) {
-                self.pool.release(g, now, &*self.keepalive);
+                self.pool.release(g, now, &self.cfg.policy.keepalive);
             }
             let r = &mut self.slab[req as usize].stages[stage as usize];
             r.held_container = false;
@@ -1222,13 +1209,13 @@ impl ScaleEngine {
         // Valid completion.
         self.slab[req as usize].stages[stage as usize].valid_done = true;
         let n = self.slab[req as usize].stages.len() as u16;
-        if stage + 1 < n {
-            // Feed the observed chain edge to the prewarm policy (a
-            // no-op under the default no-prewarm policy).
+        if let Some(table) = self.prewarm.as_mut().filter(|_| stage + 1 < n) {
+            // Feed the observed chain edge to the successor table.
             let tenant = self.slab[req as usize].tenant;
-            let from = self.fleet.gfunc(tenant, stage);
-            let to = self.fleet.gfunc(tenant, stage + 1);
-            self.prewarm.observe(from, to);
+            table.observe(
+                self.fleet.gfunc(tenant, stage),
+                self.fleet.gfunc(tenant, stage + 1),
+            );
         }
         if self.cfg.speculative {
             // Wake a squashed successor waiting on this resolution.
@@ -1380,7 +1367,7 @@ mod tests {
 
     #[test]
     fn warm_pool_caps_idle_and_evicts_lru() {
-        let ka = crate::policy::DefaultKeepAlive;
+        let ka = KeepAliveChoice::Default;
         let t = SimTime::ZERO;
         let mut p = WarmPool::new(2);
         p.release(10, t, &ka);
@@ -1398,7 +1385,7 @@ mod tests {
 
     #[test]
     fn warm_pool_refreshes_recency_on_release() {
-        let ka = crate::policy::DefaultKeepAlive;
+        let ka = KeepAliveChoice::Default;
         let t = SimTime::ZERO;
         let mut p = WarmPool::new(2);
         p.release(1, t, &ka);
@@ -1413,9 +1400,7 @@ mod tests {
 
     #[test]
     fn warm_pool_ttl_expires_whole_entries() {
-        let ka = crate::policy::FixedTtlKeepAlive {
-            ttl: SimDuration::from_millis(10),
-        };
+        let ka = KeepAliveChoice::FixedTtl(SimDuration::from_millis(10));
         let mut p = WarmPool::new(8);
         p.release(5, SimTime::ZERO, &ka);
         // Within the TTL the container is still warm.
@@ -1428,7 +1413,7 @@ mod tests {
 
     #[test]
     fn warm_pool_no_keepalive_never_pools() {
-        let ka = crate::policy::NoKeepAlive;
+        let ka = KeepAliveChoice::Disabled;
         let mut p = WarmPool::new(8);
         p.release(3, SimTime::ZERO, &ka);
         assert_eq!(p.idle_total(), 0);
@@ -1472,31 +1457,13 @@ mod tests {
     #[test]
     fn scale_seq_table_prewarm_issues_creations() {
         let mut cfg = ScaleConfig::new(toy_trace(10, 4_000, 7), false);
-        cfg.prewarm = false; // start cold so the policy has work to do
-        cfg.policy.prewarm = crate::policy::PrewarmChoice::SeqTable;
+        cfg.policy.prewarm = PrewarmChoice::SeqTable;
         let stats = ScaleEngine::new(cfg, toy_templates()).run();
         assert_eq!(stats.completed, 4_000);
         assert!(
             stats.prewarm_issued > 0,
             "chained stages must trigger seq-table prewarms"
         );
-    }
-
-    #[test]
-    fn scale_default_policy_matches_legacy_behaviour() {
-        // The pluggable default policy must leave the flow-level engine's
-        // results exactly where the hard-coded LRU pool had them.
-        let mk = |policy: PolicyConfig| {
-            let mut cfg = ScaleConfig::new(toy_trace(16, 3_000, 23), true);
-            cfg.policy = policy;
-            ScaleEngine::new(cfg, toy_templates()).run()
-        };
-        let a = mk(PolicyConfig::default());
-        let b = mk(PolicyConfig::platform_default());
-        assert_eq!(a.latency.sum(), b.latency.sum());
-        assert_eq!(a.cold_starts, b.cold_starts);
-        assert_eq!(a.evictions, b.evictions);
-        assert_eq!(a.prewarm_issued, 0);
     }
 
     #[test]

@@ -29,10 +29,10 @@
 //!   engine-agnostic state embedded in each engine core, the
 //!   [`EngineCore`] trait, and the generic [`Harness`] driver that owns
 //!   the load drivers and all instrument attachment.
-//! * [`policy`] — the pluggable platform-policy layer: placement,
-//!   keep-alive and prewarm as traits, with the paper's fixed platform as
-//!   the bit-identical defaults, threaded through both the single-app
-//!   cluster path and the multi-tenant fleet.
+//! * [`policy`] — the platform policies: placement, keep-alive and
+//!   prewarm as one enum each, with the paper's fixed platform as the
+//!   bit-identical defaults, consulted by both the single-app cluster
+//!   path and the multi-tenant fleet.
 //! * [`baseline`] — the conventional OpenWhisk execution engine: strictly
 //!   sequential function scheduling through controller + conductor,
 //!   expressed as an [`EngineCore`].
@@ -61,9 +61,6 @@ pub use fleet::{Fleet, ScaleConfig, ScaleEngine, ScaleStats, TemplateProfile, Wa
 pub use harness::{EngineCore, Harness, Runtime};
 pub use metrics::{Breakdown, FaultStats, InvocationRecord, RequestOutcome, RunMetrics};
 pub use overheads::OverheadModel;
-pub use policy::{
-    KeepAliveChoice, KeepAlivePolicy, PlacementChoice, PlacementPolicy, PolicyConfig,
-    PrewarmChoice, PrewarmPolicy,
-};
+pub use policy::{KeepAliveChoice, PlacementChoice, PolicyConfig, PrewarmChoice};
 pub use scoreboard::ScoreboardRow;
 pub use workload::{Load, RequestId, Workload};

@@ -5,7 +5,7 @@
 //! Fig. 3, CPU utilization including the share attributable to squashed
 //! speculative work (Table IV), throughput, and speculation statistics.
 
-use specfaas_sim::stats::{HitRate, LatencyRecorder};
+use specfaas_sim::stats::HitRate;
 use specfaas_sim::{LogHistogram, SimDuration, SimTime};
 
 /// Terminal outcome of one application request.
@@ -163,16 +163,14 @@ impl InvocationRecord {
 /// Aggregated metrics of one simulation run.
 #[derive(Debug, Clone, Default)]
 pub struct RunMetrics {
-    /// Exact response-time recorder over completed requests. Stores every
-    /// sample; kept for tests and error-bound comparisons against the
-    /// streaming histogram below.
-    pub latency: LatencyRecorder,
     /// Constant-memory response-time histogram (microseconds). The
     /// reporting path ([`RunMetrics::p99_response_ms`] and friends) reads
     /// percentiles from here, bounded within
-    /// [`LogHistogram::RELATIVE_ERROR`] of the exact recorder.
+    /// [`LogHistogram::RELATIVE_ERROR`] of the exact percentiles of the
+    /// completed records.
     pub latency_hist: LogHistogram,
-    /// Per-request records.
+    /// Per-request records, completed and failed, in the order the
+    /// requests ended.
     pub records: Vec<InvocationRecord>,
     /// Per-function-invocation breakdowns (Fig. 3).
     pub breakdowns: Vec<Breakdown>,
@@ -211,7 +209,6 @@ impl RunMetrics {
     /// Records a completed request.
     pub fn record_completion(&mut self, rec: InvocationRecord) {
         debug_assert_eq!(rec.outcome, RequestOutcome::Completed);
-        self.latency.record(rec.response_time());
         self.latency_hist.record_duration(rec.response_time());
         self.completed += 1;
         self.records.push(rec);
@@ -220,7 +217,7 @@ impl RunMetrics {
     /// Records a request that terminated with [`RequestOutcome::Failed`]
     /// (retry budget exhausted, or unrecoverable hang). Failed requests
     /// are kept in `records` for inspection but excluded from the latency
-    /// recorder — response time of an abort is not a service time.
+    /// statistics — response time of an abort is not a service time.
     pub fn record_failure(&mut self, rec: InvocationRecord) {
         debug_assert_eq!(rec.outcome, RequestOutcome::Failed);
         self.failed += 1;
@@ -235,9 +232,24 @@ impl RunMetrics {
         self.throughput_rps()
     }
 
-    /// Mean response time in milliseconds.
+    /// The records of completed requests, in completion order.
+    fn completed_records(&self) -> impl Iterator<Item = &InvocationRecord> {
+        self.records
+            .iter()
+            .filter(|r| r.outcome == RequestOutcome::Completed)
+    }
+
+    /// Mean response time of the completed requests in milliseconds, or 0
+    /// if none completed.
     pub fn mean_response_ms(&self) -> f64 {
-        self.latency.mean_ms()
+        if self.completed == 0 {
+            return 0.0;
+        }
+        let total: f64 = self
+            .completed_records()
+            .map(|r| r.response_time().as_millis_f64())
+            .sum();
+        total / self.completed as f64
     }
 
     /// P99 response time in milliseconds, answered by the streaming
@@ -283,11 +295,7 @@ impl RunMetrics {
         use std::collections::HashMap;
         // Failed requests carry partial sequences; only committed runs
         // describe the application's real control flow.
-        let done: Vec<&InvocationRecord> = self
-            .records
-            .iter()
-            .filter(|r| r.outcome == RequestOutcome::Completed)
-            .collect();
+        let done: Vec<&InvocationRecord> = self.completed_records().collect();
         if done.is_empty() {
             return None;
         }
@@ -394,7 +402,7 @@ mod tests {
         let mut m = RunMetrics::new();
         m.record_completion(rec(0, 7, vec![0]));
         assert_eq!(m.p99_response_ms(), 7.0);
-        assert_eq!(m.latency.p50_ms(), 7.0);
+        assert_eq!(m.p50_response_ms(), 7.0);
         assert_eq!(m.mean_response_ms(), 7.0);
         assert_eq!(m.completed, 1);
     }
@@ -409,10 +417,21 @@ mod tests {
             let dur_ms = 1 + rng.uniform_u64(10) * rng.uniform_u64(1_000);
             m.record_completion(rec(i, dur_ms, vec![0]));
         }
-        for (q, exact) in [
-            (0.50, m.latency.percentile_ms(50.0)),
-            (0.99, m.latency.percentile_ms(99.0)),
-        ] {
+        // Exact reference: sort the completed response times and
+        // interpolate linearly between the two closest ranks.
+        let mut sorted: Vec<f64> = m
+            .records
+            .iter()
+            .map(|r| r.response_time().as_millis_f64())
+            .collect();
+        sorted.sort_by(f64::total_cmp);
+        let exact_quantile = |q: f64| {
+            let rank = q * (sorted.len() - 1) as f64;
+            let (lo, hi) = (rank.floor() as usize, rank.ceil() as usize);
+            let frac = rank - lo as f64;
+            sorted[lo] * (1.0 - frac) + sorted[hi] * frac
+        };
+        for (q, exact) in [(0.50, exact_quantile(0.50)), (0.99, exact_quantile(0.99))] {
             let streamed = m.latency_hist.quantile_ms(q);
             let err = (streamed - exact).abs() / exact.max(1e-9);
             assert!(

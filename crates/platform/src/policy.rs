@@ -1,229 +1,147 @@
-//! The pluggable platform-policy layer: placement, keep-alive, prewarm.
+//! Platform policies: placement, keep-alive, prewarm.
 //!
 //! SpecFaaS (the paper) evaluates speculation under one fixed platform
-//! policy: least-loaded placement, containers kept warm forever, no
-//! predictive prewarming. This module turns those three hard-coded
-//! decisions into traits — mirroring the `scheduler`/`coldstart` split of
-//! dslab-faas — so ablations become a policy sweep instead of code edits:
+//! policy: least-loaded placement, containers kept warm until capacity
+//! pressure, no predictive prewarming. This module makes each of those
+//! three decisions a plain value, so ablations become a policy sweep
+//! instead of code edits:
 //!
-//! * [`PlacementPolicy`] — which node serves an invocation;
-//! * [`KeepAlivePolicy`] — which idle containers survive, and for how
-//!   long;
-//! * [`PrewarmPolicy`] — which functions get containers created ahead of
-//!   demand.
+//! * [`PlacementChoice`] — which node serves an invocation
+//!   ([`PlacementChoice::place`]);
+//! * [`KeepAliveChoice`] — which idle containers survive, and for how
+//!   long ([`KeepAliveChoice::keep_idle`], [`KeepAliveChoice::expired`]);
+//! * [`PrewarmChoice`] — which functions get containers created ahead
+//!   of demand. Its one learning choice keeps its state in a
+//!   [`SeqTablePrewarm`], which the cluster and the fleet engine hold as
+//!   an `Option`.
 //!
-//! The same three traits drive **both** execution paths: the
-//! full-fidelity single-app engines (through [`crate::cluster::Cluster`]
-//! and [`crate::container::ContainerPool`]) and the multi-tenant
-//! flow-level fleet (through [`crate::fleet::WarmPool`] and the scale
-//! engine). The default impls ([`LeastLoaded`], [`DefaultKeepAlive`],
-//! [`NoPrewarm`]) reproduce the pre-policy-layer behaviour **bit for
-//! bit** — the committed bench artifacts are the regression oracle.
+//! The same values drive **both** execution paths: the full-fidelity
+//! single-app engines (through [`crate::cluster::Cluster`] and
+//! [`crate::container::ContainerPool`]) and the multi-tenant flow-level
+//! fleet (through [`crate::fleet::WarmPool`] and the scale engine). The
+//! two pools keep their own mechanisms (per-container vs whole-entry
+//! expiry, a per-function cap vs one fleet-wide LRU) but ask
+//! [`KeepAliveChoice`] the same two questions. The defaults reproduce the
+//! paper's platform **bit for bit** — the committed bench artifacts are
+//! the regression oracle.
 //!
 //! ## Determinism contract
 //!
-//! Policies must be pure functions of their own state and the inputs they
-//! are handed: no wall-clock, no ambient randomness, no host-dependent
-//! iteration order. Every provided impl is deterministic by construction
-//! (plain counters, dense maps keyed by function id, explicit
-//! tie-breaks), which is what keeps same-seed runs byte-identical under
-//! any policy, at any `--jobs`.
+//! Every decision is a pure function of the choice, its explicit state
+//! (the cluster's round-robin cursor, the successor table) and the inputs
+//! it is handed: no wall-clock, no ambient randomness, no host-dependent
+//! iteration order. That is what keeps same-seed runs byte-identical
+//! under any policy, at any `--jobs`.
 
-use specfaas_sim::SimDuration;
+use specfaas_sim::{SimDuration, SimTime};
 
-/// Idle containers kept per (node, function) by [`DefaultKeepAlive`].
+/// Idle containers kept per (node, function) in the single-app container
+/// pools; a release beyond it destroys the oldest idle container.
 ///
 /// The pre-policy pool had **no** bound at all, so `idle_total` grew
 /// monotonically on long runs (every burst's cold-started containers
 /// stayed resident forever). 256 is far above any per-function
 /// concurrency the committed benches reach — a node has 48 execution
-/// slots — so the default stays bit-identical to the unbounded artifacts
-/// while actually bounding memory.
-pub const DEFAULT_PER_FUNC_IDLE_CAP: u32 = 256;
+/// slots — so the bound leaves their outputs bit-identical while actually
+/// bounding memory.
+pub const PER_FUNC_IDLE_CAP: u32 = 256;
 
-// ---------------------------------------------------------------------------
-// Placement
-// ---------------------------------------------------------------------------
+/// Which node serves an invocation.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub enum PlacementChoice {
+    /// The paper's placement: most free execution slots, ties broken by
+    /// the lowest node index (default).
+    #[default]
+    LeastLoaded,
+    /// Round-robin over nodes: invocations spread evenly regardless of
+    /// load.
+    RoundRobin,
+    /// `func mod nodes`: every invocation of a function lands on the
+    /// same node, so its warm containers concentrate there — the
+    /// placement that maximizes warm reuse under keep-alive pressure, at
+    /// the cost of load imbalance.
+    Affinity,
+}
 
-/// Decides which node serves an invocation.
+impl PlacementChoice {
+    /// Picks the index of the node to run `func`, given each node's free
+    /// execution slots in node order. `next` is the round-robin cursor;
+    /// only [`PlacementChoice::RoundRobin`] reads and advances it.
+    ///
+    /// # Panics
+    /// Panics if there are no nodes.
+    pub fn place(
+        self,
+        func: u32,
+        next: &mut usize,
+        free_slots: impl ExactSizeIterator<Item = u64>,
+    ) -> usize {
+        let nodes = free_slots.len();
+        match self {
+            PlacementChoice::LeastLoaded => free_slots
+                .enumerate()
+                .max_by_key(|&(i, free)| (free, usize::MAX - i))
+                .map(|(i, _)| i)
+                .expect("cluster has nodes"),
+            PlacementChoice::RoundRobin => {
+                let i = *next % nodes;
+                *next = (i + 1) % nodes;
+                i
+            }
+            PlacementChoice::Affinity => func as usize % nodes,
+        }
+    }
+}
+
+/// Which idle (warm) containers survive, and for how long.
 ///
-/// `free_slots[i]` is node *i*'s free execution-slot count at decision
-/// time; `func` is the raw function id (single-app engines pass
-/// `FuncId.0`). Implementations must be deterministic; `&mut self` allows
-/// stateful policies (round-robin cursors).
-pub trait PlacementPolicy: std::fmt::Debug + Send {
-    /// Short policy name for labels and artifacts.
-    fn name(&self) -> &'static str;
-    /// Picks the index of the node to run `func`.
-    fn place(&mut self, func: u32, free_slots: &[u64]) -> usize;
+/// The pools own the mechanism (timestamped idle lists, LRU order) and
+/// ask the choice the two policy questions, [`KeepAliveChoice::keep_idle`]
+/// and [`KeepAliveChoice::expired`], which keeps the hot paths
+/// allocation-free and the behaviour trivially deterministic.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub enum KeepAliveChoice {
+    /// Containers stay warm until capacity pressure evicts them — the
+    /// per-function cap [`PER_FUNC_IDLE_CAP`] on the single-app path, the
+    /// fleet pool's LRU bound on the fleet path (default).
+    #[default]
+    Default,
+    /// Every idle container is reclaimed this long after its release, the
+    /// fixed keep-alive window of production FaaS platforms (the
+    /// *serverless-in-the-wild* unloading model).
+    FixedTtl(SimDuration),
+    /// Every release destroys the container, so every acquisition after
+    /// the initial prewarm stock drains pays a full cold start — the worst
+    /// case speculation must survive.
+    Disabled,
 }
 
-/// The paper's placement: most free execution slots, ties broken by the
-/// lowest node index. This is the default, bit-identical to the
-/// pre-policy `Cluster::pick_node`.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct LeastLoaded;
-
-impl PlacementPolicy for LeastLoaded {
-    fn name(&self) -> &'static str {
-        "least-loaded"
+impl KeepAliveChoice {
+    /// Whether released containers are kept warm at all.
+    pub fn keep_idle(self) -> bool {
+        self != KeepAliveChoice::Disabled
     }
-    fn place(&mut self, _func: u32, free_slots: &[u64]) -> usize {
-        free_slots
-            .iter()
-            .enumerate()
-            .max_by_key(|(i, free)| (**free, usize::MAX - i))
-            .map(|(i, _)| i)
-            .expect("cluster has nodes")
-    }
-}
 
-/// Round-robin placement: invocations spread evenly regardless of load.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RoundRobinPlacement {
-    next: usize,
-}
-
-impl PlacementPolicy for RoundRobinPlacement {
-    fn name(&self) -> &'static str {
-        "round-robin"
-    }
-    fn place(&mut self, _func: u32, free_slots: &[u64]) -> usize {
-        let n = free_slots.len().max(1);
-        let i = self.next % n;
-        self.next = (self.next + 1) % n;
-        i
-    }
-}
-
-/// Function-affinity placement: `func mod nodes`, so every invocation of
-/// a function lands on the same node and its warm containers concentrate
-/// there — the placement that maximizes warm reuse under keep-alive
-/// pressure, at the cost of load imbalance.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct AffinityPlacement;
-
-impl PlacementPolicy for AffinityPlacement {
-    fn name(&self) -> &'static str {
-        "affinity"
-    }
-    fn place(&mut self, func: u32, free_slots: &[u64]) -> usize {
-        func as usize % free_slots.len().max(1)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Keep-alive
-// ---------------------------------------------------------------------------
-
-/// Decides which idle (warm) containers survive, and for how long.
-///
-/// The trait is declarative — the pools own the mechanism (timestamped
-/// idle lists, LRU order) and consult the policy for the parameters —
-/// which keeps the hot paths allocation-free and the behaviour trivially
-/// deterministic.
-pub trait KeepAlivePolicy: std::fmt::Debug + Send {
-    /// Short policy name for labels and artifacts.
-    fn name(&self) -> &'static str;
-    /// Whether released containers are kept warm at all. `false` models
-    /// a platform that tears every container down immediately after use
-    /// (the cold-start worst case).
-    fn keep_idle(&self) -> bool {
-        true
-    }
-    /// How long an idle container survives before reclamation, measured
-    /// from its release instant. `None` = until capacity pressure evicts
-    /// it. Expiry is applied lazily (at the next acquisition / release
+    /// Whether an idle container released at `released` has expired by
+    /// `now`. Expiry is applied lazily (at the next acquisition or release
     /// touching the pool), which cannot revive an expired container: the
-    /// staleness check runs *before* any warm handout.
-    fn ttl(&self) -> Option<SimDuration> {
-        None
-    }
-    /// Idle containers kept per (node, function) in the single-app
-    /// container pools; releases beyond the cap destroy the oldest idle
-    /// container.
-    fn per_func_idle_cap(&self) -> u32 {
-        DEFAULT_PER_FUNC_IDLE_CAP
+    /// pools ask before any warm handout.
+    pub fn expired(self, released: SimTime, now: SimTime) -> bool {
+        match self {
+            KeepAliveChoice::FixedTtl(ttl) => released + ttl <= now,
+            KeepAliveChoice::Default | KeepAliveChoice::Disabled => false,
+        }
     }
 }
 
-/// Today's behaviour: containers stay warm until capacity pressure —
-/// per-function cap [`DEFAULT_PER_FUNC_IDLE_CAP`] on the single-app
-/// path, the auto-sized LRU bound on the fleet path. The default.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct DefaultKeepAlive;
-
-impl KeepAlivePolicy for DefaultKeepAlive {
-    fn name(&self) -> &'static str {
-        "default"
-    }
-}
-
-/// Fixed-TTL keep-alive: every idle container is reclaimed `ttl` after
-/// its release, the fixed keep-alive window of production FaaS platforms
-/// (the *serverless-in-the-wild* unloading model).
-#[derive(Debug, Clone, Copy)]
-pub struct FixedTtlKeepAlive {
-    /// Idle lifetime before reclamation.
-    pub ttl: SimDuration,
-}
-
-impl KeepAlivePolicy for FixedTtlKeepAlive {
-    fn name(&self) -> &'static str {
-        "ttl"
-    }
-    fn ttl(&self) -> Option<SimDuration> {
-        Some(self.ttl)
-    }
-}
-
-/// No keep-alive at all: every release destroys the container, so every
-/// acquisition after the initial prewarm stock drains pays a full cold
-/// start — the worst case speculation must survive.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoKeepAlive;
-
-impl KeepAlivePolicy for NoKeepAlive {
-    fn name(&self) -> &'static str {
-        "none"
-    }
-    fn keep_idle(&self) -> bool {
-        false
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Prewarm
-// ---------------------------------------------------------------------------
-
-/// Decides which functions get containers created *ahead* of demand.
-///
-/// The pools call [`PrewarmPolicy::on_invoke`] when a function begins an
-/// acquisition; the policy appends function ids that should start warming
-/// now. Learning policies are fed observed execution-order edges through
-/// [`PrewarmPolicy::observe`] (the engines report each committed
-/// request's function sequence).
-pub trait PrewarmPolicy: std::fmt::Debug + Send {
-    /// Short policy name for labels and artifacts.
-    fn name(&self) -> &'static str;
-    /// Observes that `to` ran directly after `from` in a committed
-    /// request (sequence-table learning input).
-    fn observe(&mut self, from: u32, to: u32);
-    /// `func` just began an acquisition; append functions to warm ahead
-    /// of demand into `out` (which arrives empty).
-    fn on_invoke(&mut self, func: u32, out: &mut Vec<u32>);
-}
-
-/// No predictive prewarming (the paper's platform; the default).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoPrewarm;
-
-impl PrewarmPolicy for NoPrewarm {
-    fn name(&self) -> &'static str {
-        "off"
-    }
-    fn observe(&mut self, _from: u32, _to: u32) {}
-    fn on_invoke(&mut self, _func: u32, _out: &mut Vec<u32>) {}
+/// Which functions get containers created *ahead* of demand.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub enum PrewarmChoice {
+    /// No predictive prewarming (the paper's platform; default).
+    #[default]
+    Disabled,
+    /// Sequence-table majority-successor prewarming ([`SeqTablePrewarm`]).
+    SeqTable,
 }
 
 /// Sequence-table-driven prewarm: the same successor statistics that
@@ -231,13 +149,16 @@ impl PrewarmPolicy for NoPrewarm {
 /// *creation* only. When `func` starts, its majority successor (once seen
 /// at least [`SeqTablePrewarm::MIN_OBSERVATIONS`] times) begins warming,
 /// so the successor's cold start overlaps the current function's
-/// execution instead of serializing after it.
+/// execution instead of serializing after it. The engines feed it
+/// observed execution-order edges (each committed request's function
+/// sequence on the single-app path, each completed chain edge on the
+/// fleet path).
 #[derive(Debug, Clone, Default)]
 pub struct SeqTablePrewarm {
     /// Indexed by function id (grown on the first observation past the
     /// end): successor candidates as `(successor, observations)`, in
-    /// first-seen order (deterministic: ties break toward the earlier
-    /// edge).
+    /// first-seen order. Among equally observed candidates the later-seen
+    /// one is predicted.
     succ: Vec<Vec<(u32, u32)>>,
 }
 
@@ -252,19 +173,9 @@ impl SeqTablePrewarm {
         SeqTablePrewarm::default()
     }
 
-    /// The current majority successor of `func`, if confident.
-    pub fn predict(&self, func: u32) -> Option<u32> {
-        let cands = self.succ.get(func as usize)?;
-        let &(best, count) = cands.iter().max_by_key(|&&(_, c)| c)?;
-        (count >= Self::MIN_OBSERVATIONS).then_some(best)
-    }
-}
-
-impl PrewarmPolicy for SeqTablePrewarm {
-    fn name(&self) -> &'static str {
-        "seq-table"
-    }
-    fn observe(&mut self, from: u32, to: u32) {
+    /// Observes that `to` ran directly after `from` in a committed
+    /// request.
+    pub fn observe(&mut self, from: u32, to: u32) {
         let from = from as usize;
         if from >= self.succ.len() {
             self.succ.resize_with(from + 1, Vec::new);
@@ -275,55 +186,20 @@ impl PrewarmPolicy for SeqTablePrewarm {
             None => cands.push((to, 1)),
         }
     }
-    fn on_invoke(&mut self, func: u32, out: &mut Vec<u32>) {
-        if let Some(next) = self.predict(func) {
-            if next != func {
-                out.push(next);
-            }
-        }
+
+    /// The function to warm when `func` starts: its current majority
+    /// successor, if confident and not `func` itself.
+    pub fn predict(&self, func: u32) -> Option<u32> {
+        let cands = self.succ.get(func as usize)?;
+        let &(best, count) = cands.iter().max_by_key(|&&(_, c)| c)?;
+        (count >= Self::MIN_OBSERVATIONS && best != func).then_some(best)
     }
 }
 
-// ---------------------------------------------------------------------------
-// Selection plumbing
-// ---------------------------------------------------------------------------
-
-/// Placement-policy selection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PlacementChoice {
-    /// Most free slots, lowest index on ties (default).
-    LeastLoaded,
-    /// Round-robin over nodes.
-    RoundRobin,
-    /// `func mod nodes` affinity.
-    Affinity,
-}
-
-/// Keep-alive policy selection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum KeepAliveChoice {
-    /// Capacity-pressure-only eviction (default).
-    Default,
-    /// Fixed idle TTL.
-    FixedTtl(SimDuration),
-    /// Destroy on release.
-    Disabled,
-}
-
-/// Prewarm-policy selection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PrewarmChoice {
-    /// No predictive prewarming (default).
-    Disabled,
-    /// Sequence-table majority-successor prewarming.
-    SeqTable,
-}
-
 /// One platform-policy selection, plumbed through engines like faults
-/// and tracing: build it once, hand it to
-/// `Harness::set_policies` / `ScaleConfig::policy`, and every
-/// decision point consults the chosen impls.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// and tracing: build it once, hand it to `Harness::set_policies` /
+/// `ScaleConfig::policy`, and every decision point consults it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PolicyConfig {
     /// Which node serves an invocation.
     pub placement: PlacementChoice,
@@ -333,22 +209,7 @@ pub struct PolicyConfig {
     pub prewarm: PrewarmChoice,
 }
 
-impl Default for PolicyConfig {
-    fn default() -> Self {
-        PolicyConfig {
-            placement: PlacementChoice::LeastLoaded,
-            keepalive: KeepAliveChoice::Default,
-            prewarm: PrewarmChoice::Disabled,
-        }
-    }
-}
-
 impl PolicyConfig {
-    /// The pre-policy-layer platform (all defaults).
-    pub fn platform_default() -> Self {
-        PolicyConfig::default()
-    }
-
     /// Fixed-TTL keep-alive, everything else default.
     pub fn fixed_ttl(ttl: SimDuration) -> Self {
         PolicyConfig {
@@ -375,30 +236,11 @@ impl PolicyConfig {
         }
     }
 
-    /// Instantiates the placement policy.
-    pub fn build_placement(&self) -> Box<dyn PlacementPolicy> {
-        match self.placement {
-            PlacementChoice::LeastLoaded => Box::new(LeastLoaded),
-            PlacementChoice::RoundRobin => Box::new(RoundRobinPlacement::default()),
-            PlacementChoice::Affinity => Box::new(AffinityPlacement),
-        }
-    }
-
-    /// Instantiates the keep-alive policy.
-    pub fn build_keepalive(&self) -> Box<dyn KeepAlivePolicy> {
-        match self.keepalive {
-            KeepAliveChoice::Default => Box::new(DefaultKeepAlive),
-            KeepAliveChoice::FixedTtl(ttl) => Box::new(FixedTtlKeepAlive { ttl }),
-            KeepAliveChoice::Disabled => Box::new(NoKeepAlive),
-        }
-    }
-
-    /// Instantiates the prewarm policy.
-    pub fn build_prewarm(&self) -> Box<dyn PrewarmPolicy> {
-        match self.prewarm {
-            PrewarmChoice::Disabled => Box::new(NoPrewarm),
-            PrewarmChoice::SeqTable => Box::new(SeqTablePrewarm::new()),
-        }
+    /// The keep-alive choice, borrowed. Its only caller is the host-time
+    /// benchmark's warm-pool probe, which hands it to
+    /// [`crate::fleet::WarmPool`] directly.
+    pub fn build_keepalive(&self) -> &KeepAliveChoice {
+        &self.keepalive
     }
 
     /// Compact label for tables and artifacts, e.g.
@@ -466,31 +308,42 @@ impl PolicyConfig {
 mod tests {
     use super::*;
 
+    fn place_all(choice: PlacementChoice, func: u32, free: &[u64], picks: usize) -> Vec<usize> {
+        let mut next = 0;
+        (0..picks)
+            .map(|_| choice.place(func, &mut next, free.iter().copied()))
+            .collect()
+    }
+
     #[test]
     fn least_loaded_matches_legacy_tie_break() {
-        let mut p = LeastLoaded;
-        assert_eq!(p.place(0, &[2, 2, 2]), 0, "all equal: lowest index");
-        assert_eq!(p.place(0, &[0, 1, 2]), 2);
-        assert_eq!(p.place(0, &[3, 3, 1]), 0);
+        let p = PlacementChoice::LeastLoaded;
+        assert_eq!(
+            place_all(p, 0, &[2, 2, 2], 1),
+            [0],
+            "all equal: lowest index"
+        );
+        assert_eq!(place_all(p, 0, &[0, 1, 2], 1), [2]);
+        assert_eq!(place_all(p, 0, &[3, 3, 1], 1), [0]);
     }
 
     #[test]
     fn round_robin_cycles() {
-        let mut p = RoundRobinPlacement::default();
-        let free = [1u64, 1, 1];
-        assert_eq!(p.place(9, &free), 0);
-        assert_eq!(p.place(9, &free), 1);
-        assert_eq!(p.place(9, &free), 2);
-        assert_eq!(p.place(9, &free), 0);
+        assert_eq!(
+            place_all(PlacementChoice::RoundRobin, 9, &[1, 1, 1], 4),
+            [0, 1, 2, 0]
+        );
     }
 
     #[test]
     fn affinity_pins_functions() {
-        let mut p = AffinityPlacement;
         let free = [1u64, 1, 1];
-        assert_eq!(p.place(4, &free), 1);
-        assert_eq!(p.place(4, &free), 1, "same func, same node");
-        assert_eq!(p.place(5, &free), 2);
+        assert_eq!(
+            place_all(PlacementChoice::Affinity, 4, &free, 2),
+            [1, 1],
+            "same func, same node"
+        );
+        assert_eq!(place_all(PlacementChoice::Affinity, 5, &free, 1), [2]);
     }
 
     #[test]
@@ -502,12 +355,12 @@ mod tests {
         p.observe(1, 2);
         p.observe(1, 3);
         assert_eq!(p.predict(1), Some(2), "majority successor wins");
-        let mut out = Vec::new();
-        p.on_invoke(1, &mut out);
-        assert_eq!(out, vec![2]);
-        out.clear();
-        p.on_invoke(7, &mut out);
-        assert!(out.is_empty(), "unknown function: nothing to prewarm");
+        p.observe(1, 3);
+        assert_eq!(p.predict(1), Some(3), "a tie goes to the later-seen edge");
+        assert_eq!(p.predict(7), None, "unknown function: nothing to prewarm");
+        p.observe(4, 4);
+        p.observe(4, 4);
+        assert_eq!(p.predict(4), None, "a function never prewarms itself");
     }
 
     #[test]
@@ -535,12 +388,11 @@ mod tests {
     #[test]
     fn default_config_builds_default_policies() {
         let cfg = PolicyConfig::default();
-        assert_eq!(cfg.build_placement().name(), "least-loaded");
-        assert_eq!(cfg.build_keepalive().name(), "default");
-        assert_eq!(cfg.build_prewarm().name(), "off");
-        let ka = cfg.build_keepalive();
+        assert_eq!(cfg.placement, PlacementChoice::LeastLoaded);
+        assert_eq!(cfg.build_keepalive(), &KeepAliveChoice::Default);
+        assert_eq!(cfg.prewarm, PrewarmChoice::Disabled);
+        let ka = *cfg.build_keepalive();
         assert!(ka.keep_idle());
-        assert_eq!(ka.ttl(), None);
-        assert_eq!(ka.per_func_idle_cap(), DEFAULT_PER_FUNC_IDLE_CAP);
+        assert!(!ka.expired(SimTime::ZERO, SimTime::MAX), "never expires");
     }
 }

@@ -1,5 +1,5 @@
-//! Randomized property tests for the pluggable policy layer
-//! (DESIGN.md, "Pluggable platform policies").
+//! Randomized property tests for the platform policies
+//! (DESIGN.md, "Platform policies").
 //!
 //! Two safety properties the policies must uphold under arbitrary
 //! interleavings of acquisitions, releases and prewarm creations:
@@ -9,41 +9,21 @@
 //!   has not elapsed — checked against an independent reference model of
 //!   the idle set over thousands of random schedules.
 //! * **Prewarm never exceeds pool capacity.** However many creations a
-//!   prewarm policy starts, the idle stock never exceeds the keep-alive
-//!   policy's bound — per function on the single-node [`ContainerPool`],
-//!   and pool-wide on the fleet's [`WarmPool`].
+//!   prewarm policy starts, the idle stock never exceeds the pool's bound
+//!   — [`PER_FUNC_IDLE_CAP`] per function on the single-node
+//!   [`ContainerPool`], and the capacity pool-wide on the fleet's
+//!   [`WarmPool`]. The node-pool schedules start from a stock just below
+//!   the cap, so they hit it constantly.
 //!
 //! A third test pins the fleet [`WarmPool`]'s observable behaviour to a
 //! hash-map-and-B-tree reference implementation, operation by operation.
 
 use std::collections::BTreeSet;
 
-use specfaas_platform::policy::{
-    DefaultKeepAlive, FixedTtlKeepAlive, KeepAlivePolicy, NoKeepAlive,
-};
-use specfaas_platform::{ContainerAcquire, ContainerPool, WarmPool};
+use specfaas_platform::policy::PER_FUNC_IDLE_CAP;
+use specfaas_platform::{ContainerAcquire, ContainerPool, KeepAliveChoice, WarmPool};
 use specfaas_sim::{FxHashMap, SimDuration, SimRng, SimTime};
 use specfaas_workflow::FuncId;
-
-/// Keep-alive with a deliberately tiny idle cap so random schedules hit
-/// the bound constantly.
-#[derive(Debug)]
-struct TinyCap {
-    ttl: Option<SimDuration>,
-    cap: u32,
-}
-
-impl KeepAlivePolicy for TinyCap {
-    fn name(&self) -> &'static str {
-        "tiny-cap"
-    }
-    fn ttl(&self) -> Option<SimDuration> {
-        self.ttl
-    }
-    fn per_func_idle_cap(&self) -> u32 {
-        self.cap
-    }
-}
 
 /// TTL keep-alive against a reference model: the pool's warm/cold
 /// decision must match "some idle container's TTL has not elapsed", and
@@ -52,7 +32,7 @@ impl KeepAlivePolicy for TinyCap {
 #[test]
 fn ttl_keepalive_never_revives_an_evicted_container() {
     let ttl = SimDuration::from_millis(50);
-    let policy = FixedTtlKeepAlive { ttl };
+    let policy = KeepAliveChoice::FixedTtl(ttl);
     let model = specfaas_platform::OverheadModel::default();
     const FUNCS: u32 = 4;
 
@@ -107,18 +87,20 @@ fn ttl_keepalive_never_revives_an_evicted_container() {
 }
 
 /// Single-node pool: however many prewarm creations are issued, the
-/// idle stock per function never exceeds the keep-alive policy's cap —
+/// idle stock per function never exceeds [`PER_FUNC_IDLE_CAP`] —
 /// including at promote time, when several warming containers become
-/// idle at once.
+/// idle at once. Each function starts two containers below the cap, and
+/// every schedule must reach it (under the default keep-alive every
+/// eviction is a cap eviction).
 #[test]
 fn prewarm_never_exceeds_per_function_cap() {
-    let policy = TinyCap { ttl: None, cap: 3 };
+    let policy = KeepAliveChoice::Default;
     let model = specfaas_platform::OverheadModel::default();
     const FUNCS: u32 = 3;
 
     for seed in 0..20u64 {
         let mut rng = SimRng::seed(0x99_2000 + seed);
-        let mut pool = ContainerPool::new();
+        let mut pool = ContainerPool::prewarmed((0..FUNCS).map(FuncId), PER_FUNC_IDLE_CAP - 2);
         let mut busy: Vec<u32> = vec![0; FUNCS as usize];
         let mut now = SimTime::ZERO;
 
@@ -141,40 +123,52 @@ fn prewarm_never_exceeds_per_function_cap() {
             }
             for g in 0..FUNCS {
                 assert!(
-                    pool.idle_count(FuncId(g)) <= policy.cap,
-                    "seed {seed}: func {g} idle {} exceeds cap {} at {now:?}",
+                    pool.idle_count(FuncId(g)) <= PER_FUNC_IDLE_CAP,
+                    "seed {seed}: func {g} idle {} exceeds cap {PER_FUNC_IDLE_CAP} at {now:?}",
                     pool.idle_count(FuncId(g)),
-                    policy.cap
                 );
             }
         }
+        assert!(
+            pool.evictions() > 0,
+            "seed {seed}: the schedule never reached the cap"
+        );
     }
 }
 
 /// Single-node pool: the running idle total behind the warm-pool gauge
 /// equals the sum of the per-function idle counts after every operation
 /// of random acquire/release/prewarm schedules, under each keep-alive
-/// policy (capacity eviction, TTL expiry, no keep-alive, a tiny cap), on
-/// both empty and prewarmed pools.
+/// policy (never expire, TTL expiry, no keep-alive), on both empty and
+/// prewarmed pools, and on pools stocked just below
+/// [`PER_FUNC_IDLE_CAP`], whose schedules must reach the cap.
 #[test]
 fn idle_total_matches_per_function_idle_counts() {
     let model = specfaas_platform::OverheadModel::default();
     const FUNCS: u32 = 4;
-    let policies: [&dyn KeepAlivePolicy; 4] = [
-        &DefaultKeepAlive,
-        &FixedTtlKeepAlive {
-            ttl: SimDuration::from_millis(20),
-        },
-        &NoKeepAlive,
-        &TinyCap { ttl: None, cap: 2 },
+    // (name, keep-alive, stock on every seed; `None` alternates an empty
+    // pool with a stock of 3).
+    let inputs: [(&str, KeepAliveChoice, Option<u32>); 4] = [
+        ("default", KeepAliveChoice::Default, None),
+        (
+            "ttl:20ms",
+            KeepAliveChoice::FixedTtl(SimDuration::from_millis(20)),
+            None,
+        ),
+        ("none", KeepAliveChoice::Disabled, None),
+        (
+            "default near the cap",
+            KeepAliveChoice::Default,
+            Some(PER_FUNC_IDLE_CAP - 1),
+        ),
     ];
-    for (p, policy) in policies.into_iter().enumerate() {
+    for (p, (name, policy, stock)) in inputs.into_iter().enumerate() {
         for seed in 0..10u64 {
             let mut rng = SimRng::seed(0x1D_7000 + 100 * p as u64 + seed);
-            let mut pool = if seed % 2 == 0 {
-                ContainerPool::new()
-            } else {
-                ContainerPool::prewarmed((0..FUNCS).map(FuncId), 3)
+            let mut pool = match stock {
+                Some(n) => ContainerPool::prewarmed((0..FUNCS).map(FuncId), n),
+                None if seed % 2 == 0 => ContainerPool::new(),
+                None => ContainerPool::prewarmed((0..FUNCS).map(FuncId), 3),
             };
             let mut busy: Vec<u32> = vec![0; FUNCS as usize];
             let mut now = SimTime::ZERO;
@@ -185,11 +179,11 @@ fn idle_total_matches_per_function_idle_counts() {
                 match rng.uniform_u64(4) {
                     0 => pool.begin_warming(func, now + model.cold_start() / 4),
                     1 | 2 if busy[f] > 0 => {
-                        pool.release(func, now, rng.uniform_u64(8) != 0, policy);
+                        pool.release(func, now, rng.uniform_u64(8) != 0, &policy);
                         busy[f] -= 1;
                     }
                     _ => {
-                        pool.acquire(func, now, &model, policy);
+                        pool.acquire(func, now, &model, &policy);
                         busy[f] += 1;
                     }
                 }
@@ -199,8 +193,13 @@ fn idle_total_matches_per_function_idle_counts() {
                 assert_eq!(
                     pool.idle_total(),
                     sum,
-                    "{}: seed {seed} op {op}: idle total drifted at {now:?}",
-                    policy.name()
+                    "{name}: seed {seed} op {op}: idle total drifted at {now:?}"
+                );
+            }
+            if stock.is_some() {
+                assert!(
+                    pool.evictions() > 0,
+                    "{name}: seed {seed}: the schedule never reached the cap"
                 );
             }
         }
@@ -214,7 +213,7 @@ fn idle_total_matches_per_function_idle_counts() {
 fn fleet_warm_pool_never_exceeds_capacity() {
     const CAPACITY: u32 = 8;
     const GFUNCS: u64 = 16;
-    let policy = DefaultKeepAlive;
+    let policy = KeepAliveChoice::Default;
 
     for seed in 0..20u64 {
         let mut rng = SimRng::seed(0xAB_3000 + seed);
@@ -276,8 +275,8 @@ impl HashedPool {
         }
     }
 
-    fn acquire(&mut self, g: u32, now: SimTime, policy: &dyn KeepAlivePolicy) -> bool {
-        if let Some(ttl) = policy.ttl() {
+    fn acquire(&mut self, g: u32, now: SimTime, policy: &KeepAliveChoice) -> bool {
+        if let KeepAliveChoice::FixedTtl(ttl) = *policy {
             if self
                 .idle
                 .get(&g)
@@ -302,8 +301,8 @@ impl HashedPool {
         }
     }
 
-    fn release(&mut self, g: u32, now: SimTime, policy: &dyn KeepAlivePolicy) {
-        if !policy.keep_idle() {
+    fn release(&mut self, g: u32, now: SimTime, policy: &KeepAliveChoice) {
+        if *policy == KeepAliveChoice::Disabled {
             self.evictions += 1;
             return;
         }
@@ -322,7 +321,7 @@ impl HashedPool {
         }
         self.lru.insert((key, g));
         self.total_idle += 1;
-        if let Some(ttl) = policy.ttl() {
+        if let KeepAliveChoice::FixedTtl(ttl) = *policy {
             while let Some(&(_, victim)) = self.lru.iter().next() {
                 if self.idle[&victim].2 + ttl <= now {
                     self.expire_entry(victim);
@@ -386,21 +385,14 @@ fn view_hashed(p: &HashedPool, ids: &[u32]) -> PoolView {
 /// same-instant expiry boundaries are hit).
 #[test]
 fn dense_warm_pool_matches_hashed_reference() {
-    let policies: [(&str, &dyn KeepAlivePolicy); 4] = [
-        ("default", &DefaultKeepAlive),
-        (
-            "ttl:0",
-            &FixedTtlKeepAlive {
-                ttl: SimDuration::ZERO,
-            },
-        ),
+    let policies: [(&str, KeepAliveChoice); 4] = [
+        ("default", KeepAliveChoice::Default),
+        ("ttl:0", KeepAliveChoice::FixedTtl(SimDuration::ZERO)),
         (
             "ttl:20ms",
-            &FixedTtlKeepAlive {
-                ttl: SimDuration::from_millis(20),
-            },
+            KeepAliveChoice::FixedTtl(SimDuration::from_millis(20)),
         ),
-        ("none", &NoKeepAlive),
+        ("none", KeepAliveChoice::Disabled),
     ];
     for (name, policy) in policies {
         for capacity in [1u32, 2, 3, 7] {
@@ -428,13 +420,13 @@ fn dense_warm_pool_matches_hashed_reference() {
                         format!("{name} capacity {capacity} seed {seed} step {step} gfunc {g}");
                     if rng.uniform_u64(2) == 0 {
                         assert_eq!(
-                            dense.acquire(g, now, policy),
-                            reference.acquire(g, now, policy),
+                            dense.acquire(g, now, &policy),
+                            reference.acquire(g, now, &policy),
                             "acquire diverged: {ctx}"
                         );
                     } else {
-                        dense.release(g, now, policy);
-                        reference.release(g, now, policy);
+                        dense.release(g, now, &policy);
+                        reference.release(g, now, &policy);
                     }
                     // One id past the largest seen: never touched, so idle 0.
                     let mut probe = ids.clone();

@@ -1,7 +1,7 @@
 //! Mergeable log-linear histogram for constant-memory tail latencies.
 //!
-//! [`LogHistogram`] is the streaming replacement for the exact
-//! sort-every-sample [`crate::stats::LatencyRecorder`]: HDR-style
+//! [`LogHistogram`] is the streaming replacement for an exact
+//! sort-every-sample latency recorder: HDR-style
 //! bounded-relative-error buckets, O(1) record, an associative and
 //! commutative merge (so `--jobs` shards combine byte-identically no
 //! matter the shard count or merge order), and rank-based quantile

@@ -14,8 +14,9 @@
 //! number generation ([`SimRng`]), queued resources such as CPU core pools
 //! ([`resource::CorePool`]) and single-server stations
 //! ([`resource::ServiceStation`]), and the statistics machinery
-//! ([`stats`]) needed to report latency percentiles, CDFs, throughput and
-//! utilization exactly the way the paper's evaluation section does.
+//! ([`hist`], [`stats`]) needed to report latency percentiles, CDFs,
+//! throughput and utilization exactly the way the paper's evaluation
+//! section does.
 //!
 //! Everything is deterministic for a given seed: two runs of the same
 //! experiment produce identical timelines, which makes the reproduction's

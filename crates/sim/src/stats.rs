@@ -1,218 +1,11 @@
-//! Statistics collection: running moments, percentile histograms, CDFs and
-//! time-weighted utilization.
+//! Statistics collection: CDFs, time-weighted utilization and hit rates.
 //!
-//! The paper's evaluation reports average response times and speedups
-//! (Fig. 11/12/14), P99 tail latency (Fig. 13), effective throughput under a
-//! QoS bound (Table III), CPU-utilization CDFs (Fig. 4), and normalized CPU
-//! utilization (Table IV). This module supplies each of those measurements.
+//! The paper's evaluation reports CPU-utilization CDFs (Fig. 4),
+//! normalized CPU utilization (Table IV) and predictor and memoization
+//! hit rates; this module supplies those measurements. Response-time
+//! percentiles (Fig. 13) come from [`crate::hist::LogHistogram`].
 
 use crate::time::{SimDuration, SimTime};
-
-/// Online mean / variance / min / max accumulator (Welford's algorithm).
-///
-/// # Example
-///
-/// ```
-/// use specfaas_sim::stats::OnlineStats;
-///
-/// let mut s = OnlineStats::new();
-/// for x in [1.0, 2.0, 3.0] {
-///     s.record(x);
-/// }
-/// assert_eq!(s.mean(), 2.0);
-/// assert_eq!(s.count(), 3);
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct OnlineStats {
-    count: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl OnlineStats {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        OnlineStats {
-            count: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Adds one observation.
-    pub fn record(&mut self, x: f64) {
-        self.count += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.count as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Adds a duration observation in milliseconds.
-    pub fn record_duration(&mut self, d: SimDuration) {
-        self.record(d.as_millis_f64());
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sample mean, or 0 if empty.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Sample variance (n-1 denominator), or 0 with fewer than 2 samples.
-    pub fn variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / (self.count - 1) as f64
-        }
-    }
-
-    /// Sample standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Smallest observation, or `None` if empty.
-    pub fn min(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.min)
-    }
-
-    /// Largest observation, or `None` if empty.
-    pub fn max(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.max)
-    }
-
-    /// Merges another accumulator into this one (parallel Welford).
-    pub fn merge(&mut self, other: &OnlineStats) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = other.clone();
-            return;
-        }
-        let total = self.count + other.count;
-        let delta = other.mean - self.mean;
-        self.mean += delta * other.count as f64 / total as f64;
-        self.m2 +=
-            other.m2 + delta * delta * (self.count as f64 * other.count as f64) / total as f64;
-        self.count = total;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-}
-
-/// Exact-percentile latency recorder.
-///
-/// Stores every sample (experiments record at most a few hundred thousand
-/// response times, which is cheap) and computes percentiles by sorting on
-/// demand with linear interpolation between the two closest ranks — the
-/// way P99 tail latency (paper Fig. 13) is reported.
-#[derive(Debug, Clone, Default)]
-pub struct LatencyRecorder {
-    samples_ms: Vec<f64>,
-    sorted: bool,
-}
-
-impl LatencyRecorder {
-    /// Creates an empty recorder.
-    pub fn new() -> Self {
-        LatencyRecorder {
-            samples_ms: Vec::new(),
-            sorted: true,
-        }
-    }
-
-    /// Records one latency sample.
-    pub fn record(&mut self, d: SimDuration) {
-        self.samples_ms.push(d.as_millis_f64());
-        self.sorted = false;
-    }
-
-    /// Records a raw millisecond value.
-    pub fn record_ms(&mut self, ms: f64) {
-        self.samples_ms.push(ms);
-        self.sorted = false;
-    }
-
-    /// Number of samples recorded.
-    pub fn count(&self) -> usize {
-        self.samples_ms.len()
-    }
-
-    /// True if no samples were recorded.
-    pub fn is_empty(&self) -> bool {
-        self.samples_ms.is_empty()
-    }
-
-    /// Mean latency in milliseconds, or 0 if empty.
-    pub fn mean_ms(&self) -> f64 {
-        if self.samples_ms.is_empty() {
-            return 0.0;
-        }
-        self.samples_ms.iter().sum::<f64>() / self.samples_ms.len() as f64
-    }
-
-    fn ensure_sorted(&mut self) {
-        if !self.sorted {
-            self.samples_ms
-                .sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
-            self.sorted = true;
-        }
-    }
-
-    /// The `p`-th percentile in milliseconds (`p` in `[0, 100]`), using
-    /// linear interpolation between closest ranks. Returns 0 if empty.
-    ///
-    /// # Panics
-    /// Panics if `p` is outside `[0, 100]`.
-    pub fn percentile_ms(&mut self, p: f64) -> f64 {
-        assert!((0.0..=100.0).contains(&p), "percentile must be in [0,100]");
-        self.ensure_sorted();
-        let n = self.samples_ms.len();
-        if n == 0 {
-            return 0.0;
-        }
-        if n == 1 {
-            return self.samples_ms[0];
-        }
-        let rank = p / 100.0 * (n - 1) as f64;
-        let lo = rank.floor() as usize;
-        let hi = rank.ceil() as usize;
-        let frac = rank - lo as f64;
-        self.samples_ms[lo] * (1.0 - frac) + self.samples_ms[hi] * frac
-    }
-
-    /// Convenience: P50 in milliseconds.
-    pub fn p50_ms(&mut self) -> f64 {
-        self.percentile_ms(50.0)
-    }
-
-    /// Convenience: P99 in milliseconds.
-    pub fn p99_ms(&mut self) -> f64 {
-        self.percentile_ms(99.0)
-    }
-
-    /// Merges another recorder's samples into this one.
-    pub fn merge(&mut self, other: &LatencyRecorder) {
-        self.samples_ms.extend_from_slice(&other.samples_ms);
-        self.sorted = false;
-    }
-}
 
 /// An empirical CDF over arbitrary values, reported as (value, fraction ≤)
 /// points — the form used by the paper's Fig. 4 utilization CDFs.
@@ -462,114 +255,6 @@ impl HitRate {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn online_stats_basic_moments() {
-        let mut s = OnlineStats::new();
-        for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-            s.record(x);
-        }
-        assert!((s.mean() - 5.0).abs() < 1e-12);
-        assert!((s.variance() - 32.0 / 7.0).abs() < 1e-12);
-        assert_eq!(s.min(), Some(2.0));
-        assert_eq!(s.max(), Some(9.0));
-    }
-
-    #[test]
-    fn online_stats_merge_matches_sequential() {
-        let xs: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0).collect();
-        let mut all = OnlineStats::new();
-        for &x in &xs {
-            all.record(x);
-        }
-        let mut a = OnlineStats::new();
-        let mut b = OnlineStats::new();
-        for &x in &xs[..37] {
-            a.record(x);
-        }
-        for &x in &xs[37..] {
-            b.record(x);
-        }
-        a.merge(&b);
-        assert!((a.mean() - all.mean()).abs() < 1e-9);
-        assert!((a.variance() - all.variance()).abs() < 1e-9);
-        assert_eq!(a.count(), all.count());
-    }
-
-    /// Property test over seeded random partitions: merging per-chunk
-    /// accumulators must agree with recording every sample into one
-    /// accumulator, for any chunking. `OnlineStats` moments match to
-    /// floating-point tolerance; `LatencyRecorder` holds the same sample
-    /// multiset, so its percentiles match exactly.
-    #[test]
-    fn merge_equals_recording_together_for_random_partitions() {
-        use crate::rng::SimRng;
-
-        for seed in 0..20u64 {
-            let mut rng = SimRng::seed(0x57a7 ^ seed);
-            let n = rng.uniform_range(1, 400) as usize;
-            let xs: Vec<f64> = (0..n).map(|_| rng.uniform_f64() * 1e4).collect();
-
-            let mut together_stats = OnlineStats::new();
-            let mut together_lat = LatencyRecorder::new();
-            for &x in &xs {
-                together_stats.record(x);
-                together_lat.record_ms(x);
-            }
-
-            // Split into a random number of contiguous chunks, record each
-            // chunk into its own accumulator, then merge them all.
-            let chunks = rng.uniform_range(1, 8) as usize;
-            let mut merged_stats = OnlineStats::new();
-            let mut merged_lat = LatencyRecorder::new();
-            for c in xs.chunks(xs.len().div_ceil(chunks)) {
-                let mut s = OnlineStats::new();
-                let mut l = LatencyRecorder::new();
-                for &x in c {
-                    s.record(x);
-                    l.record_ms(x);
-                }
-                merged_stats.merge(&s);
-                merged_lat.merge(&l);
-            }
-
-            assert_eq!(merged_stats.count(), together_stats.count());
-            assert!((merged_stats.mean() - together_stats.mean()).abs() < 1e-7);
-            assert!((merged_stats.variance() - together_stats.variance()).abs() < 1e-6);
-            assert_eq!(merged_stats.min(), together_stats.min());
-            assert_eq!(merged_stats.max(), together_stats.max());
-
-            assert_eq!(merged_lat.count(), together_lat.count());
-            for p in [0.0, 25.0, 50.0, 90.0, 99.0, 100.0] {
-                assert_eq!(
-                    merged_lat.percentile_ms(p),
-                    together_lat.percentile_ms(p),
-                    "seed {seed}, percentile {p}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn latency_percentiles() {
-        let mut r = LatencyRecorder::new();
-        for i in 1..=100 {
-            r.record(SimDuration::from_millis(i));
-        }
-        assert!((r.p50_ms() - 50.5).abs() < 1e-9);
-        assert!((r.p99_ms() - 99.01).abs() < 0.02);
-        assert_eq!(r.percentile_ms(0.0), 1.0);
-        assert_eq!(r.percentile_ms(100.0), 100.0);
-    }
-
-    #[test]
-    fn latency_empty_and_single() {
-        let mut r = LatencyRecorder::new();
-        assert_eq!(r.p99_ms(), 0.0);
-        r.record_ms(42.0);
-        assert_eq!(r.p50_ms(), 42.0);
-        assert_eq!(r.mean_ms(), 42.0);
-    }
 
     #[test]
     fn cdf_fraction_and_quantile() {

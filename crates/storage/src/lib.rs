@@ -15,16 +15,12 @@
 //! * [`KvStore`] — the global key-value store with a latency model and
 //!   per-key version counters (the Data Buffer uses versions to detect
 //!   stale reads),
-//! * [`LocalCache`] — the per-node software cache that serverless nodes
-//!   keep in front of remote storage (§V-C),
 //! * [`blob`] — blob-access trace records and the statistics of the
 //!   paper's Observation 4 (Azure Functions blob traces).
 
 pub mod blob;
-pub mod cache;
 pub mod kv;
 pub mod value;
 
-pub use cache::LocalCache;
 pub use kv::{KvStore, StorageLatency, Version};
 pub use value::Value;

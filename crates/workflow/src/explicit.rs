@@ -14,6 +14,8 @@
 
 use std::fmt;
 
+use specfaas_storage::Value;
+
 use crate::function::{FuncId, FunctionRegistry};
 
 /// A workflow composition, mirroring OpenWhisk Composer directives.
@@ -253,6 +255,17 @@ pub enum EntryKind {
         /// Join entry index.
         join: Option<usize>,
     },
+}
+
+/// Whether a [`EntryKind::Branch`] entry whose function produced `output`
+/// goes to its `taken` target: `output` itself, or its `field` when the
+/// entry names one, is truthy. A missing field is falsy. Both engines
+/// resolve branches with this one rule.
+pub fn branch_outcome(output: &Value, field: Option<&str>) -> bool {
+    match field {
+        Some(f) => output.get_field(f).is_some_and(Value::truthy),
+        None => output.truthy(),
+    }
 }
 
 /// One entry of a compiled workflow (one row of the Sequence Table's

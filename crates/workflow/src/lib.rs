@@ -36,7 +36,7 @@ pub mod function;
 pub mod interp;
 pub mod program;
 
-pub use explicit::{CompiledWorkflow, EntryKind, SeqEntry, Workflow};
+pub use explicit::{branch_outcome, CompiledWorkflow, EntryKind, SeqEntry, Workflow};
 pub use expr::Expr;
 pub use function::{Annotations, AppSpec, FuncId, FunctionRegistry, FunctionSpec};
 pub use interp::{Effect, Interp, ProgError};

@@ -11,7 +11,8 @@
 //! The repository builds every layer from scratch:
 //!
 //! * [`sim`] — deterministic discrete-event simulation kernel,
-//! * [`storage`] — global key-value store, local caches, blob traces,
+//! * [`storage`] — the `Value` data model, global key-value store, blob
+//!   traces,
 //! * [`workflow`] — function programs (a small interpreted language),
 //!   explicit workflow DSL, annotations, side-effect analysis,
 //! * [`platform`] — an OpenWhisk-shaped platform substrate and the

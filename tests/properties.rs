@@ -8,7 +8,7 @@
 use specfaas::core::databuffer::{DataBuffer, ReadResult};
 use specfaas::core::pipeline::SlotId;
 use specfaas::core::{MemoTable, PathHistory};
-use specfaas::sim::stats::{Cdf, LatencyRecorder, OnlineStats};
+use specfaas::sim::stats::Cdf;
 use specfaas::sim::{SimDuration, SimRng, Simulator};
 use specfaas::storage::Value;
 
@@ -171,57 +171,6 @@ fn path_history_properties() {
     }
 }
 
-/// Latency percentiles are monotone in p and bounded by min/max.
-#[test]
-fn percentiles_monotone() {
-    for case in 0..CASES {
-        let mut rng = SimRng::seed(0x80 + case);
-        let samples = vec_f64(&mut rng, 0.0, 10_000.0, 2, 199);
-        let mut r = LatencyRecorder::new();
-        for s in &samples {
-            r.record_ms(*s);
-        }
-        let p50 = r.percentile_ms(50.0);
-        let p90 = r.percentile_ms(90.0);
-        let p99 = r.percentile_ms(99.0);
-        assert!(p50 <= p90 && p90 <= p99, "case {case}: not monotone");
-        let max = samples.iter().cloned().fold(f64::MIN, f64::max);
-        let min = samples.iter().cloned().fold(f64::MAX, f64::min);
-        assert!(
-            p99 <= max + 1e-9 && p50 >= min - 1e-9,
-            "case {case}: out of bounds"
-        );
-    }
-}
-
-/// Welford merge equals sequential accumulation.
-#[test]
-fn online_stats_merge_associative() {
-    for case in 0..CASES {
-        let mut rng = SimRng::seed(0x90 + case);
-        let a = vec_f64(&mut rng, -1e6, 1e6, 1, 49);
-        let b = vec_f64(&mut rng, -1e6, 1e6, 1, 49);
-        let mut all = OnlineStats::new();
-        for x in a.iter().chain(&b) {
-            all.record(*x);
-        }
-        let mut sa = OnlineStats::new();
-        let mut sb = OnlineStats::new();
-        for x in &a {
-            sa.record(*x);
-        }
-        for x in &b {
-            sb.record(*x);
-        }
-        sa.merge(&sb);
-        assert!((sa.mean() - all.mean()).abs() < 1e-6, "case {case}: mean");
-        assert!(
-            (sa.variance() - all.variance()).abs() / all.variance().max(1.0) < 1e-6,
-            "case {case}: variance"
-        );
-    }
-}
-
 // ---------------------------------------------------------------------
 // Fault-injection determinism
 // ---------------------------------------------------------------------
@@ -246,7 +195,7 @@ fn fingerprint(
         m.completed,
         m.failed,
         m.faults,
-        m.latency.mean_ms().to_bits(),
+        m.mean_response_ms().to_bits(),
         kv_map(kv),
     )
 }
