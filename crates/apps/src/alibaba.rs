@@ -9,7 +9,7 @@
 //! maximum DAG depth 5, and ≈90 % most-popular-sequence share
 //! (Observation 2 / the 90 % branch-predictor hit rate of §VIII-B).
 
-use specfaas_sim::SimRng;
+use specfaas_sim::{SimRng, Zipf};
 use specfaas_storage::Value;
 use specfaas_workflow::expr::*;
 use specfaas_workflow::{AppSpec, FunctionRegistry, FunctionSpec, Program, Workflow};
@@ -45,11 +45,12 @@ fn synth_app(name: &str, salt: u64, fanout: &[usize], leaf_ms: u64) -> AppBundle
     build_node(&mut reg, name, salt, 0, fanout, leaf_ms, "n");
     let root = format!("{name}_n");
     let app = AppSpec::new(name, "Alibaba", reg, Workflow::task(root));
+    let keys = Zipf::new(60, 1.4);
     AppBundle::new(
         app,
         move |rng: &mut SimRng| {
             Value::map([
-                ("key", Value::str(format!("k{}", rng.zipf(60, 1.4)))),
+                ("key", Value::str(format!("k{}", keys.sample(rng)))),
                 ("variant", Value::Int(i64::from(!rng.chance(CALL_BIAS)))),
             ])
         },

@@ -8,7 +8,7 @@
 //! properties so the Observation-4 analysis pipeline
 //! ([`specfaas_storage::blob::BlobTraceStats`]) runs on equivalent input.
 
-use specfaas_sim::{SimDuration, SimRng, SimTime};
+use specfaas_sim::{SimDuration, SimRng, SimTime, Zipf};
 use specfaas_storage::blob::{AccessKind, BlobAccess};
 
 /// Parameters of the synthetic blob workload.
@@ -56,6 +56,7 @@ pub fn generate(config: &BlobTraceConfig, rng: &mut SimRng) -> Vec<BlobAccess> {
         })
         .collect();
     let mut pending_read: Vec<Option<SimTime>> = vec![None; writable];
+    let popularity = Zipf::new(config.blobs, 1.1);
 
     for _ in 0..config.accesses {
         // Mean inter-access gap ~50ms: 200k accesses ≈ 2.8 hours.
@@ -103,7 +104,7 @@ pub fn generate(config: &BlobTraceConfig, rng: &mut SimRng) -> Vec<BlobAccess> {
             }
         }
         // Read of a (mostly read-only) blob, Zipf-popular.
-        let blob = rng.zipf(config.blobs, 1.1);
+        let blob = popularity.sample(rng);
         trace.push(BlobAccess {
             at: now,
             blob: format!("roblob:{blob}"),

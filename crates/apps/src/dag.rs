@@ -18,6 +18,7 @@
 //! explicit suite (see [`crate::faaschain::BRANCH_BIAS`]) so the
 //! predictor converges yet still mispredicts on real inputs.
 
+use specfaas_sim::Zipf;
 use specfaas_storage::Value;
 use specfaas_workflow::expr::*;
 use specfaas_workflow::{AppSpec, FunctionRegistry, FunctionSpec, Program, Workflow};
@@ -142,14 +143,16 @@ pub fn word_count() -> AppBundle {
         Workflow::task("Publish"),
     ]);
     let app = AppSpec::new("WordCount", "DAG", reg, wf);
+    let docs = Zipf::new(120, 1.2);
+    let doc_words = Zipf::new(5_000, 1.1);
     AppBundle::new(
         app,
-        move |rng| Value::map([("doc", Value::str(format!("doc:{}", rng.zipf(120, 1.2))))]),
+        move |rng| Value::map([("doc", Value::str(format!("doc:{}", docs.sample(rng))))]),
         move |kv, rng| {
             for d in 0..120 {
                 kv.set(
                     format!("doc:doc:{d}"),
-                    Value::Int(1_000 + rng.zipf(5_000, 1.1) as i64),
+                    Value::Int(1_000 + doc_words.sample(rng) as i64),
                 );
             }
         },
@@ -275,20 +278,23 @@ pub fn ml_pipeline() -> AppBundle {
         ),
     ]);
     let app = AppSpec::new("MLPipeline", "DAG", reg, wf);
+    let samples = Zipf::new(4_000, 1.1);
+    let model_mean = Zipf::new(64, 1.3);
+    let model_weight = Zipf::new(97, 1.2);
     AppBundle::new(
         app,
         move |rng| {
             Value::map([
-                ("sample", Value::Int(rng.zipf(4_000, 1.1) as i64)),
+                ("sample", Value::Int(samples.sample(rng) as i64)),
                 ("prior", Value::Bool(rng.chance(BRANCH_BIAS))),
             ])
         },
         move |kv, rng| {
-            kv.set("model:mean", Value::Int(64 + rng.zipf(64, 1.3) as i64));
+            kv.set("model:mean", Value::Int(64 + model_mean.sample(rng) as i64));
             for i in 0..MODEL_STAGES {
                 kv.set(
                     format!("model:w{i}"),
-                    Value::Int(3 + rng.zipf(97, 1.2) as i64),
+                    Value::Int(3 + model_weight.sample(rng) as i64),
                 );
             }
         },
@@ -459,15 +465,19 @@ pub fn finra_validate() -> AppBundle {
     let app = AppSpec::new("FinraValidate", "DAG", reg, wf);
     let pool = users();
     let seed_pool = pool.clone();
+    let amounts = [150i64, 400, 900, 2_200, 7_000, 180_000];
+    let amount_rank = Zipf::new(amounts.len(), 1.7);
+    let qty = Zipf::new(6, 1.5);
+    let symbols = Zipf::new(24, 1.3);
+    let risk = Zipf::new(50, 1.1);
     AppBundle::new(
         app,
         move |rng| {
-            let amounts = [150i64, 400, 900, 2_200, 7_000, 180_000];
             Value::map([
                 ("user", Value::str(pool.draw(rng))),
-                ("trade", Value::Int(amounts[rng.zipf(amounts.len(), 1.7)])),
-                ("qty", Value::Int(1 + rng.zipf(6, 1.5) as i64)),
-                ("sym", Value::str(format!("sym:{}", rng.zipf(24, 1.3)))),
+                ("trade", Value::Int(amounts[amount_rank.sample(rng)])),
+                ("qty", Value::Int(1 + qty.sample(rng) as i64)),
+                ("sym", Value::str(format!("sym:{}", symbols.sample(rng)))),
             ])
         },
         move |kv, rng| {
@@ -493,10 +503,7 @@ pub fn finra_validate() -> AppBundle {
                     format!("price:sym:{s}"),
                     Value::Int(90 + (s as i64 * 13) % 240),
                 );
-                kv.set(
-                    format!("risk:sym:{s}"),
-                    Value::Int(rng.zipf(50, 1.1) as i64),
-                );
+                kv.set(format!("risk:sym:{s}"), Value::Int(risk.sample(rng) as i64));
                 kv.set(format!("liquidity:sym:{s}"), Value::Int(1_000));
             }
         },

@@ -7,14 +7,13 @@
 //! their high hit rates (a 50-entry table reaches ~96 % on TrainTicket,
 //! 65–98 % on the more varied FaaSChain apps, §VIII-B).
 
-use specfaas_sim::SimRng;
+use specfaas_sim::{SimRng, Zipf};
 use specfaas_storage::{KvStore, Value};
 
 /// A pool of user identities with Zipf-distributed popularity.
 #[derive(Debug, Clone)]
 pub struct UserPool {
-    size: usize,
-    skew: f64,
+    popularity: Zipf,
 }
 
 impl UserPool {
@@ -23,18 +22,19 @@ impl UserPool {
     /// # Panics
     /// Panics if `size == 0`.
     pub fn new(size: usize, skew: f64) -> Self {
-        assert!(size > 0);
-        UserPool { size, skew }
+        UserPool {
+            popularity: Zipf::new(size, skew),
+        }
     }
 
     /// Draws a user id (e.g. `"user:17"`).
     pub fn draw(&self, rng: &mut SimRng) -> String {
-        format!("user:{}", rng.zipf(self.size, self.skew))
+        format!("user:{}", self.popularity.sample(rng))
     }
 
     /// Seeds credentials and balances for every user.
     pub fn seed(&self, kv: &mut KvStore, rng: &mut SimRng) {
-        for i in 0..self.size {
+        for i in 0..self.len() {
             kv.set(
                 format!("cred:user:{i}"),
                 Value::map([("secret", Value::Int(i as i64 * 31 + 7))]),
@@ -48,7 +48,7 @@ impl UserPool {
 
     /// Number of users in the pool.
     pub fn len(&self) -> usize {
-        self.size
+        self.popularity.len()
     }
 
     /// Always false (pools are non-empty by construction).
@@ -62,28 +62,31 @@ impl UserPool {
 /// skewed popularity.
 #[derive(Debug, Clone)]
 pub struct TicketDataset {
-    routes: usize,
-    skew: f64,
+    routes: Zipf,
+    dates: Zipf,
     fares: Vec<i64>,
+    fare_classes: Zipf,
 }
 
 impl TicketDataset {
-    /// The default dataset: 100 routes, Zipf 1.4, a handful of fare
+    /// The default dataset: 100 routes, Zipf 1.8, a handful of fare
     /// classes.
     pub fn standard() -> Self {
+        let fares = vec![45, 80, 120, 200, 350];
         TicketDataset {
-            routes: 100,
-            skew: 1.8,
-            fares: vec![45, 80, 120, 200, 350],
+            routes: Zipf::new(100, 1.8),
+            dates: Zipf::new(7, 2.0), // day-of-week bucket, strongly skewed
+            fare_classes: Zipf::new(fares.len(), 1.8),
+            fares,
         }
     }
 
     /// Draws a ticket request document: route, date bucket and fare class
     /// from small skewed pools so requests repeat.
     pub fn draw_request(&self, rng: &mut SimRng) -> Value {
-        let route = rng.zipf(self.routes, self.skew);
-        let date = rng.zipf(7, 2.0); // day-of-week bucket, strongly skewed
-        let fare = self.fares[rng.zipf(self.fares.len(), 1.8)];
+        let route = self.routes.sample(rng);
+        let date = self.dates.sample(rng);
+        let fare = self.fares[self.fare_classes.sample(rng)];
         Value::map([
             ("route", Value::str(format!("route:{route}"))),
             ("date", Value::Int(date as i64)),
@@ -93,7 +96,7 @@ impl TicketDataset {
 
     /// Seeds route metadata, seat inventory, and prices.
     pub fn seed(&self, kv: &mut KvStore, rng: &mut SimRng) {
-        for r in 0..self.routes {
+        for r in 0..self.routes() {
             kv.set(
                 format!("routeinfo:route:{r}"),
                 Value::map([
@@ -114,34 +117,32 @@ impl TicketDataset {
 
     /// Number of routes.
     pub fn routes(&self) -> usize {
-        self.routes
+        self.routes.len()
     }
 }
 
 /// A product catalog for the OnlinePurchase app.
 #[derive(Debug, Clone)]
 pub struct Catalog {
-    products: usize,
-    skew: f64,
+    products: Zipf,
 }
 
 impl Catalog {
     /// The default catalog: 200 products, Zipf 1.2.
     pub fn standard() -> Self {
         Catalog {
-            products: 200,
-            skew: 1.2,
+            products: Zipf::new(200, 1.2),
         }
     }
 
     /// Draws a product id.
     pub fn draw(&self, rng: &mut SimRng) -> String {
-        format!("prod:{}", rng.zipf(self.products, self.skew))
+        format!("prod:{}", self.products.sample(rng))
     }
 
     /// Seeds stock and price records.
     pub fn seed(&self, kv: &mut KvStore, rng: &mut SimRng) {
-        for p in 0..self.products {
+        for p in 0..self.products.len() {
             kv.set(
                 format!("stock:prod:{p}"),
                 Value::Int(50 + rng.uniform_u64(200) as i64),

@@ -7,6 +7,7 @@
 //! so a learned predictor converges to a ~90 % hit rate — the same
 //! assumption §VII makes for this suite.
 
+use specfaas_sim::Zipf;
 use specfaas_storage::Value;
 use specfaas_workflow::expr::*;
 use specfaas_workflow::{Annotations, AppSpec, FunctionRegistry, FunctionSpec, Program, Workflow};
@@ -153,11 +154,12 @@ pub fn smart_home() -> AppBundle {
         Some(Workflow::task("Fail")),
     );
     let app = AppSpec::new("SmartHome", "FaaSChain", reg, wf);
+    let homes = Zipf::new(80, 1.2);
     AppBundle::new(
         app,
         move |rng| {
             Value::map([
-                ("home", Value::str(format!("home:{}", rng.zipf(80, 1.2)))),
+                ("home", Value::str(format!("home:{}", homes.sample(rng)))),
                 ("valid", Value::Bool(rng.chance(BRANCH_BIAS))),
             ])
         },
@@ -264,13 +266,14 @@ pub fn banking() -> AppBundle {
     let app = AppSpec::new("Banking", "FaaSChain", reg, wf);
     let pool = users();
     let seed_pool = pool.clone();
+    // Amounts from a small pool; mostly small (fraud screen and balance
+    // check pass ~90-95% of the time).
+    let amounts = [20i64, 50, 120, 400, 900, 20_000];
+    let amount_rank = Zipf::new(amounts.len(), 1.8);
     AppBundle::new(
         app,
         move |rng| {
-            // Amounts from a small pool; mostly small (fraud screen and
-            // balance check pass ~90-95% of the time).
-            let amounts = [20i64, 50, 120, 400, 900, 20_000];
-            let a = amounts[rng.zipf(amounts.len(), 1.8)];
+            let a = amounts[amount_rank.sample(rng)];
             Value::map([
                 ("user", Value::str(pool.draw(rng))),
                 ("amount", Value::Int(a)),
@@ -541,12 +544,14 @@ pub fn hotel_booking() -> AppBundle {
     let app = AppSpec::new("HotelBooking", "FaaSChain", reg, wf);
     let pool = users();
     let seed_pool = pool.clone();
+    let hotels = Zipf::new(60, 1.3);
+    let nights = Zipf::new(5, 1.5);
     AppBundle::new(
         app,
         move |rng| {
             Value::map([
-                ("hotel", Value::str(format!("hotel:{}", rng.zipf(60, 1.3)))),
-                ("nights", Value::Int(1 + rng.zipf(5, 1.5) as i64)),
+                ("hotel", Value::str(format!("hotel:{}", hotels.sample(rng)))),
+                ("nights", Value::Int(1 + nights.sample(rng) as i64)),
                 ("user", Value::str(pool.draw(rng))),
             ])
         },
@@ -691,13 +696,14 @@ pub fn online_purchase() -> AppBundle {
     let catalog = Catalog::standard();
     let seed_pool = pool.clone();
     let seed_cat = catalog.clone();
+    let qty = Zipf::new(3, 1.5);
     AppBundle::new(
         app,
         move |rng| {
             Value::map([
                 ("user", Value::str(pool.draw(rng))),
                 ("item", Value::str(catalog.draw(rng))),
-                ("qty", Value::Int(1 + rng.zipf(3, 1.5) as i64)),
+                ("qty", Value::Int(1 + qty.sample(rng) as i64)),
                 ("valid", Value::Bool(rng.chance(BRANCH_BIAS))),
             ])
         },

@@ -31,6 +31,7 @@
 //! seeded [`specfaas_sim::SimRng`]; the produced programs are deterministic in their
 //! inputs and storage, and the same seed always yields the same app.
 
+use specfaas_sim::Zipf;
 use specfaas_storage::Value;
 use specfaas_workflow::expr::*;
 use specfaas_workflow::{AppSpec, FunctionRegistry, FunctionSpec, Program, Workflow};
@@ -229,12 +230,13 @@ pub fn random_bundle(seed: u64) -> AppBundle {
     }
     let wf = Workflow::sequence(parts);
     let app = AppSpec::new(format!("RandomDag{seed:x}"), "RandomDAG", g.reg, wf);
+    let users = Zipf::new(40, 1.2);
     AppBundle::new(
         app,
         move |rng| {
             Value::map([
                 ("k", Value::Int(rng.uniform_u64(50) as i64)),
-                ("u", Value::str(format!("u:{}", rng.zipf(40, 1.2)))),
+                ("u", Value::str(format!("u:{}", users.sample(rng)))),
             ])
         },
         move |kv, rng| {

@@ -638,6 +638,24 @@ mod tests {
     }
 
     #[test]
+    fn apps_run_under_pure_function_skip() {
+        // Under the skip a memoized pure callee completes at launch, and
+        // that completion pumps the request while a launch pass is still
+        // walking its list of ready slots.
+        use specfaas_core::{SpecConfig, SpecEngine};
+        for bundle in apps() {
+            let mut cfg = SpecConfig::full();
+            cfg.pure_function_skip = true;
+            let mut e = SpecEngine::new(bundle.app.clone(), cfg, 0xAB1A);
+            e.prewarm();
+            (bundle.seed)(&mut e.kv, &mut SimRng::seed(0xAB1A ^ 0x5eed));
+            let gen = bundle.make_input.clone();
+            let m = e.run_closed(300, move |r| gen(r));
+            assert_eq!(m.completed, 300, "{}", bundle.name());
+        }
+    }
+
+    #[test]
     fn seat_inventory_round_trip() {
         use specfaas_platform::BaselineEngine;
         let bundle = ticket_app();

@@ -18,7 +18,9 @@
 //! * **Read by function i** — scan predecessors of `i` in reverse program
 //!   order for a set W bit; the first hit forwards its buffered value
 //!   (in-order RAW). Otherwise the read falls through to global storage.
-//!   `i`'s R bit is set either way.
+//!   `i`'s R bit is set either way. A read of a record `i` has itself
+//!   written is not exposed: the engine serves it from `i`'s own cell
+//!   ([`DataBuffer::own_write`]) and leaves the R bit clear.
 //! * **Commit of function i** — its buffered writes flush to global
 //!   storage and its cells clear.
 //! * **Squash of function i** — its cells invalidate.
@@ -189,11 +191,17 @@ impl DataBuffer {
     /// True if `slot` has a buffered write of `key` (used by the stall
     /// list to see whether a producer has produced yet).
     pub fn has_write(&self, slot: SlotId, key: &str) -> bool {
-        self.rows
-            .get(key)
-            .and_then(|row| row.get(&slot))
-            .map(|c| c.written)
-            .unwrap_or(false)
+        self.own_write(slot, key).is_some()
+    }
+
+    /// `slot`'s own buffered write of `key`, if it has one (after a call
+    /// return this includes the merged callee's writes). A function that
+    /// reads back a record it wrote sees this value. [`DataBuffer::read`]
+    /// forwards only predecessors' writes, so the engine consults this
+    /// first.
+    pub fn own_write(&self, slot: SlotId, key: &str) -> Option<&Value> {
+        let cell = self.rows.get(key)?.get(&slot)?;
+        cell.value.as_ref().filter(|_| cell.written)
     }
 
     /// Commits `slot`: clears its cells and returns its buffered writes
@@ -426,12 +434,29 @@ mod tests {
     #[test]
     fn repeated_read_by_same_function_not_exposed() {
         // The paper: the Data Buffer is only accessed on *exposed* reads.
-        // A slot's own buffered write is never forwarded back to it, so
-        // re-reading after its own write forwards nothing new.
+        // A slot's own buffered write is never forwarded back to it: the
+        // engine serves that read from `own_write` instead.
         let order = vec![s(0)];
         let mut db = DataBuffer::new();
         db.write(s(0), "k", Value::Int(1), &order);
         // Own write is not a predecessor; read falls through to global.
         assert_eq!(db.read(s(0), "k", &order), ReadResult::Global);
+    }
+
+    #[test]
+    fn own_write_is_visible_to_its_writer_only() {
+        let order = vec![s(0), s(1)];
+        let mut db = DataBuffer::new();
+        db.write(s(1), "k", Value::Int(5), &order);
+        db.read(s(0), "k", &order);
+        assert_eq!(db.own_write(s(1), "k"), Some(&Value::Int(5)));
+        assert_eq!(db.own_write(s(0), "k"), None, "a read is not a write");
+        assert_eq!(db.own_write(s(1), "other"), None);
+        // Consulting it sets no R bit: a predecessor's later write of the
+        // record squashes nothing.
+        assert!(db.write(s(0), "k", Value::Int(1), &order).is_empty());
+        // A callee's write becomes its caller's own on a call return.
+        db.merge(s(1), s(0));
+        assert_eq!(db.own_write(s(0), "k"), Some(&Value::Int(5)));
     }
 }

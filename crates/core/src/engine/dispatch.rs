@@ -283,17 +283,31 @@ impl SpecCore {
         let ready: Vec<SlotId> = req
             .pipeline
             .iter()
-            .filter(|slot| {
-                slot.state == SlotState::Created
-                    && slot.input.is_some()
-                    && (!slot.non_speculative || req.pipeline.is_head(slot.id))
-                    && !slot.retry_hold
-            })
+            .filter(|slot| Self::launchable(req, slot))
             .map(|slot| slot.id)
             .collect();
         for s in ready {
-            self.launch_slot(req_id, s);
+            // A pure-function skip completes its slot inside `launch_slot`,
+            // and the completion pumps the request again, which can launch
+            // or remove slots further down this list. Launching one of
+            // those again would give its slot a second instance.
+            let still_ready = self.requests.get(&req_id).is_some_and(|req| {
+                req.pipeline
+                    .slot(s)
+                    .is_some_and(|slot| Self::launchable(req, slot))
+            });
+            if still_ready {
+                self.launch_slot(req_id, s);
+            }
         }
+    }
+
+    /// True if `slot` of `req` waits only for a launch.
+    fn launchable(req: &Req, slot: &crate::pipeline::Slot) -> bool {
+        slot.state == SlotState::Created
+            && slot.input.is_some()
+            && (!slot.non_speculative || req.pipeline.is_head(slot.id))
+            && !slot.retry_hold
     }
 
     pub(super) fn launch_slot(&mut self, req_id: RequestId, slot_id: SlotId) {

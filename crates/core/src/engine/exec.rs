@@ -84,6 +84,16 @@ impl SpecCore {
         };
         let my_func = slot.func;
 
+        // Reading back its own buffered write: no later write by another
+        // function can make this read stale, so it is not exposed (§V-C)
+        // and needs neither a stall nor the R bit.
+        if let Some(own) = req.buffer.own_write(slot_id, &key) {
+            let own = own.clone();
+            self.rt
+                .finish_kv(id, lat, "specfaas_kv_reads_total", Some(own));
+            return;
+        }
+
         // Stall-list check (§V-C): if this (producer, consumer, record)
         // has squashed before, stall instead of reading prematurely.
         if self.config.stall_optimization {

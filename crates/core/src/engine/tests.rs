@@ -786,3 +786,66 @@ fn wide_join_final_state_matches_baseline() {
         assert_eq!(sb, ss);
     }
 }
+
+/// Runs `app` on both engines from a store holding `k = 0` and returns
+/// each engine's final `out` after every input.
+fn own_write_outcomes(app: AppSpec, xs: &[i64]) -> (Vec<Option<Value>>, Vec<Option<Value>>) {
+    let app = Arc::new(app);
+    let mut base = BaselineEngine::new(Arc::clone(&app), 3);
+    let mut spec = SpecEngine::new(app, SpecConfig::full(), 3);
+    base.prewarm();
+    spec.prewarm();
+    base.kv.set("k", Value::Int(0));
+    spec.kv.set("k", Value::Int(0));
+    let (mut b, mut s) = (Vec::new(), Vec::new());
+    for &x in xs {
+        let input = Value::map([("x", Value::Int(x))]);
+        base.run_single(input.clone());
+        spec.run_single(input);
+        b.push(base.kv.peek("out").cloned());
+        s.push(spec.kv.peek("out").cloned());
+    }
+    (b, s)
+}
+
+#[test]
+fn a_function_reads_back_its_own_write() {
+    let mut reg = FunctionRegistry::new();
+    reg.register(FunctionSpec::new(
+        "rw",
+        Program::builder()
+            .set(lit("k"), field(input(), "x"))
+            .get(lit("k"), "v")
+            .set(lit("out"), var("v"))
+            .ret(var("v")),
+    ));
+    let app = AppSpec::new("OwnWrite", "Test", reg, Workflow::task("rw"));
+    let (base, spec) = own_write_outcomes(app, &[7, 7, 3]);
+    let want: Vec<_> = [7, 7, 3].map(|x| Some(Value::Int(x))).into();
+    assert_eq!(base, want, "baseline");
+    assert_eq!(spec, want, "spec");
+}
+
+#[test]
+fn a_caller_reads_back_its_consumed_callees_write() {
+    let mut reg = FunctionRegistry::new();
+    reg.register(FunctionSpec::new(
+        "writer",
+        Program::builder()
+            .set(lit("k"), field(input(), "x"))
+            .ret(field(input(), "x")),
+    ));
+    reg.register(FunctionSpec::new(
+        "root",
+        Program::builder()
+            .call("writer", make_map([("x", field(input(), "x"))]), "w")
+            .get(lit("k"), "v")
+            .set(lit("out"), var("v"))
+            .ret(var("v")),
+    ));
+    let app = AppSpec::new("CalleeWrite", "Test", reg, Workflow::task("root"));
+    let (base, spec) = own_write_outcomes(app, &[7, 7, 3]);
+    let want: Vec<_> = [7, 7, 3].map(|x| Some(Value::Int(x))).into();
+    assert_eq!(base, want, "baseline");
+    assert_eq!(spec, want, "spec");
+}

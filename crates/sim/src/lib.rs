@@ -56,7 +56,7 @@ pub use event::{EventId, QueueWork, Simulator};
 pub use fault::{FaultInjector, FaultPlan, FaultSite, RetryPolicy};
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet};
 pub use hist::LogHistogram;
-pub use rng::SimRng;
+pub use rng::{SimRng, Zipf};
 pub use time::{SimDuration, SimTime};
 pub use timeseries::{GaugeHandle, MetricsRegistry, SnapshotLog};
 pub use topk::SpaceSaving;

@@ -11,6 +11,8 @@
 //! & Vigna) seeded through SplitMix64, so the simulator carries no external
 //! RNG dependency — important because the build environment is offline.
 
+use std::sync::OnceLock;
+
 /// A deterministic random source for one simulation run.
 ///
 /// Wraps a xoshiro256++ state with the handful of draw helpers used across
@@ -164,30 +166,6 @@ impl SimRng {
         (mean + z * std_dev).clamp(min, max)
     }
 
-    /// An index in `[0, n)` drawn from a Zipf distribution with exponent
-    /// `s`, computed by inverse-CDF over the finite support.
-    ///
-    /// Used by the dataset generators: real-world keys (user ids, routes,
-    /// blobs) are heavily skewed, which is what gives the memoization
-    /// tables their high hit rates (paper §VIII-B).
-    ///
-    /// # Panics
-    /// Panics if `n == 0`.
-    pub fn zipf(&mut self, n: usize, s: f64) -> usize {
-        assert!(n > 0, "zipf support must be non-empty");
-        // Finite support: normalize sum_{k=1..n} k^-s and invert.
-        // n is small (hundreds) in all our uses, so linear scan is fine.
-        let norm: f64 = (1..=n).map(|k| (k as f64).powf(-s)).sum();
-        let mut target = self.uniform_f64() * norm;
-        for k in 1..=n {
-            target -= (k as f64).powf(-s);
-            if target <= 0.0 {
-                return k - 1;
-            }
-        }
-        n - 1
-    }
-
     /// Picks one index according to a slice of non-negative weights.
     ///
     /// # Panics
@@ -198,14 +176,7 @@ impl SimRng {
             !weights.is_empty() && total > 0.0,
             "weighted_index requires positive total weight"
         );
-        let mut target = self.uniform_f64() * total;
-        for (i, w) in weights.iter().enumerate() {
-            target -= w;
-            if target <= 0.0 {
-                return i;
-            }
-        }
-        weights.len() - 1
+        scan(weights, self.uniform_f64() * total)
     }
 
     /// Shuffles a slice in place (Fisher–Yates).
@@ -214,6 +185,99 @@ impl SimRng {
             let j = self.uniform_range(0, i as u64) as usize;
             items.swap(i, j);
         }
+    }
+}
+
+/// Inverse-CDF lookup shared by [`SimRng::weighted_index`] and
+/// [`Zipf::sample`]: subtracts the weights from `target` in order and
+/// returns the first index at which it reaches zero (the last index if
+/// rounding leaves it positive).
+fn scan(weights: &[f64], mut target: f64) -> usize {
+    for (i, w) in weights.iter().enumerate() {
+        target -= w;
+        if target <= 0.0 {
+            return i;
+        }
+    }
+    weights.len() - 1
+}
+
+/// A Zipf distribution over the indices `[0, n)`: index `k - 1` has weight
+/// `k^-s`.
+///
+/// The dataset generators draw their keys (user ids, routes, products,
+/// blobs) from it: real-world keys are heavily skewed, which is what
+/// gives the memoization tables their high hit rates (paper §VIII-B).
+///
+/// The first draw computes the `n` weights and their sum; every draw is
+/// then one [`SimRng::uniform_f64`] and an inverse-CDF scan from the head
+/// that stops at the drawn index: no `powf`, and for the skewed exponents
+/// the generators use, only the head of the table is visited. Computing
+/// the table at the first draw rather than in [`Zipf::new`] keeps
+/// generators whose inputs are never drawn free: the fleet builds every
+/// app bundle only to take its spec. The scan subtracts the weights from
+/// the scaled uniform one at a time, in index order, rather than
+/// binary-searching running sums as [`ZipfTable`](crate::ZipfTable)
+/// does: the two round differently, and the subtraction order is the one
+/// every generated workload, golden and recorded figure was drawn with.
+/// Build one per generator and share it across draws.
+///
+/// # Example
+///
+/// ```
+/// use specfaas_sim::{SimRng, Zipf};
+///
+/// let users = Zipf::new(200, 1.2);
+/// let mut rng = SimRng::seed(7);
+/// let id = users.sample(&mut rng);
+/// assert!(id < users.len());
+/// ```
+#[derive(Debug, Clone)]
+pub struct Zipf {
+    n: usize,
+    s: f64,
+    /// `k^-s` for `k = 1..=n`, and their sum added in index order.
+    table: OnceLock<(Box<[f64]>, f64)>,
+}
+
+impl Zipf {
+    /// The distribution over `[0, n)` with exponent `s`.
+    ///
+    /// # Panics
+    /// Panics if `n == 0`.
+    pub fn new(n: usize, s: f64) -> Self {
+        assert!(n > 0, "zipf support must be non-empty");
+        Zipf {
+            n,
+            s,
+            table: OnceLock::new(),
+        }
+    }
+
+    /// Draws an index in `[0, n)`.
+    pub fn sample(&self, rng: &mut SimRng) -> usize {
+        let (weights, total) = self.table();
+        scan(weights, rng.uniform_f64() * total)
+    }
+
+    /// The weights and their sum, computed on first use.
+    fn table(&self) -> (&[f64], f64) {
+        let (weights, total) = self.table.get_or_init(|| {
+            let weights: Box<[f64]> = (1..=self.n).map(|k| (k as f64).powf(-self.s)).collect();
+            let total = weights.iter().sum();
+            (weights, total)
+        });
+        (weights, *total)
+    }
+
+    /// Size `n` of the support.
+    pub fn len(&self) -> usize {
+        self.n
+    }
+
+    /// Always false: the support is non-empty by construction.
+    pub fn is_empty(&self) -> bool {
+        false
     }
 }
 
@@ -296,11 +360,103 @@ mod tests {
     #[test]
     fn zipf_is_skewed_toward_low_indices() {
         let mut rng = SimRng::seed(5);
+        let zipf = Zipf::new(10, 1.2);
         let mut counts = [0usize; 10];
         for _ in 0..10_000 {
-            counts[rng.zipf(10, 1.2)] += 1;
+            counts[zipf.sample(&mut rng)] += 1;
         }
         assert!(counts[0] > counts[9] * 3, "zipf head should dominate tail");
+    }
+
+    /// The per-draw search `Zipf` replaces, kept verbatim as the reference
+    /// it must reproduce.
+    fn reference_zipf(rng: &mut SimRng, n: usize, s: f64) -> usize {
+        assert!(n > 0, "zipf support must be non-empty");
+        // Finite support: normalize sum_{k=1..n} k^-s and invert.
+        // n is small (hundreds) in all our uses, so linear scan is fine.
+        let norm: f64 = (1..=n).map(|k| (k as f64).powf(-s)).sum();
+        let mut target = rng.uniform_f64() * norm;
+        for k in 1..=n {
+            target -= (k as f64).powf(-s);
+            if target <= 0.0 {
+                return k - 1;
+            }
+        }
+        n - 1
+    }
+
+    /// Draws `draws` indices from both and asserts that each draw returns
+    /// the same index and leaves the generator in the same state.
+    fn assert_matches_reference(n: usize, s: f64, seed: u64, draws: usize) {
+        let zipf = Zipf::new(n, s);
+        let mut a = SimRng::seed(seed);
+        let mut b = SimRng::seed(seed);
+        for i in 0..draws {
+            let want = reference_zipf(&mut a, n, s);
+            assert_eq!(
+                zipf.sample(&mut b),
+                want,
+                "n={n} s={s} seed={seed} draw {i}"
+            );
+            assert_eq!(a, b, "n={n} s={s} seed={seed}: state after draw {i}");
+        }
+        assert_eq!(a.uniform_f64().to_bits(), b.uniform_f64().to_bits());
+    }
+
+    #[test]
+    fn zipf_matches_the_per_draw_search() {
+        let mut params = SimRng::seed(0x21bf);
+        for _ in 0..40 {
+            let n = params.uniform_range(1, 6_000) as usize;
+            let s = 0.3 + 2.7 * params.uniform_f64();
+            let seed = params.uniform_u64(u64::MAX);
+            assert_matches_reference(n, s, seed, 50);
+        }
+        // The suite's own supports and exponents, the largest included.
+        for (n, s) in [(5_000, 1.1), (4_000, 1.1), (2_000, 1.1), (7, 2.0), (3, 1.5)] {
+            assert_matches_reference(n, s, 1, 200);
+        }
+        assert_matches_reference(1, 1.2, 9, 20);
+    }
+
+    #[test]
+    fn zipf_builds_its_table_at_the_first_draw() {
+        let zipf = Zipf::new(5_000, 1.1);
+        assert!(zipf.table.get().is_none(), "new must not build the table");
+        zipf.sample(&mut SimRng::seed(1));
+        assert_eq!(zipf.table.get().map(|(w, _)| w.len()), Some(5_000));
+    }
+
+    #[test]
+    fn zipf_single_point_support_always_draws_zero() {
+        let zipf = Zipf::new(1, 1.7);
+        let mut rng = SimRng::seed(4);
+        assert!((0..100).all(|_| zipf.sample(&mut rng) == 0));
+        assert_eq!(zipf.len(), 1);
+    }
+
+    #[test]
+    fn zipf_falls_through_to_the_last_index() {
+        // From this state xoshiro256++ outputs u64::MAX, so the uniform is
+        // the largest one, 1 - 2^-53. At n = 15, s = 1 rounding then leaves
+        // the target positive after every weight is subtracted, and both
+        // searches fall through to `n - 1`.
+        let rng = SimRng {
+            state: [0, 0, 0, u64::MAX],
+        };
+        let u = 1.0 - f64::EPSILON / 2.0;
+        assert_eq!(rng.clone().uniform_f64(), u);
+        let zipf = Zipf::new(15, 1.0);
+        let (weights, total) = zipf.table();
+        let remainder = weights.iter().fold(u * total, |t, w| t - w);
+        assert!(
+            remainder > 0.0,
+            "remainder {remainder} should stay positive"
+        );
+        let (mut a, mut b) = (rng.clone(), rng);
+        assert_eq!(reference_zipf(&mut a, 15, 1.0), 14);
+        assert_eq!(zipf.sample(&mut b), 14);
+        assert_eq!(a, b);
     }
 
     #[test]

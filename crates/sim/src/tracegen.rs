@@ -122,10 +122,11 @@ impl TraceConfig {
 
 /// Precomputed Zipf sampler over tenant ids with seed-stable ranks.
 ///
-/// `SimRng::zipf` recomputes the normalization sum on every draw — O(n)
-/// per sample, fine for hundreds of keys but not for 10⁴ tenants × 10⁶
-/// arrivals. This table pays the O(n) cost once (cumulative weights) and
-/// samples by binary search in O(log n).
+/// [`Zipf`](crate::Zipf) scans its weights from the head until the draw
+/// is covered, which is cheap for the dataset generators' skewed keys but
+/// walks thousands of entries for a tail tenant of a 10⁴-tenant fleet.
+/// This table stores cumulative weights once and samples by binary
+/// search in O(log n).
 ///
 /// Rank assignment: a seeded Fisher–Yates permutation maps popularity
 /// rank *r* (0 = hottest) to a tenant id, so the hot set is scattered
