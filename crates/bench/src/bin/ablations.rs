@@ -1,7 +1,8 @@
 //! Ablation studies for the design decisions called out in DESIGN.md
 //! (D1–D5) — beyond the paper's own figures:
 //!
-//! * **D1** path-history vs pathless branch prediction accuracy,
+//! * **D1** the branch-confidence window (the no-speculate band around
+//!   50 % taken): branch hit rate and speedup across window widths,
 //! * **D2** stall-list squash minimization on/off,
 //! * **D4** memoization-table capacity sweep (hit rate + speedup),
 //! * **D5** the pure-function skip the paper implements but leaves off,

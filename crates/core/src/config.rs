@@ -21,8 +21,11 @@ pub enum SquashMechanism {
     /// wastes CPU cycles (the paper's first option; Table IV's
     /// "LazySquash").
     Lazy,
-    /// Stop the whole container (~10 s, container lost — next invocation
-    /// pays a cold start). The paper's second option.
+    /// Stop the whole container: it is lost, so the next acquisition of
+    /// that function's container on the node pays a cold start. The
+    /// paper's second option. The paper quotes ~10 s to stop a container;
+    /// the model does not charge it: the handler's core frees after the
+    /// process-kill latency, as under [`SquashMechanism::ProcessKill`].
     ContainerKill,
     /// Kill only the handler process inside the container (~1 ms,
     /// container stays warm). The paper's chosen mechanism.
@@ -54,10 +57,8 @@ pub struct SpecConfig {
     /// reports at most 12 columns).
     pub max_depth: usize,
     /// Reduced speculation depth applied when cluster load exceeds
-    /// [`SpecConfig::load_threshold`] (§VI).
+    /// [`SpecConfig::LOAD_THRESHOLD`] (§VI).
     pub throttled_depth: usize,
-    /// Cluster execution-slot occupancy above which depth is throttled.
-    pub load_threshold: f64,
     /// Enable the stall-list squash-minimization optimization (§V-C):
     /// remembered producer→consumer dependences stall instead of squash.
     pub stall_optimization: bool,
@@ -72,8 +73,6 @@ pub struct SpecConfig {
     /// correct with exactly this probability — the controlled hit-rate
     /// sweep of Fig. 14 (§VII uses 0.90 for FaaSChain).
     pub forced_branch_accuracy: Option<f64>,
-    /// Hard cap on dynamic slots per request (loop-unroll safety net).
-    pub max_slots_per_request: usize,
 }
 
 impl Default for SpecConfig {
@@ -86,17 +85,21 @@ impl Default for SpecConfig {
             branch_confidence_window: 0.10,
             max_depth: 12,
             throttled_depth: 4,
-            load_threshold: 0.85,
             stall_optimization: true,
             stall_after_squashes: 2,
             pure_function_skip: false,
             forced_branch_accuracy: None,
-            max_slots_per_request: 512,
         }
     }
 }
 
 impl SpecConfig {
+    /// Cluster execution-slot occupancy above which depth is throttled.
+    pub const LOAD_THRESHOLD: f64 = 0.85;
+
+    /// Hard cap on dynamic slots per request (loop-unroll safety net).
+    pub const MAX_SLOTS_PER_REQUEST: usize = 512;
+
     /// Fig. 12 ablation step 1: branch prediction (and the Sequence-Table
     /// fast path) only.
     pub fn branch_prediction_only() -> Self {
@@ -125,7 +128,7 @@ impl SpecConfig {
 
     /// Effective speculation depth given current cluster occupancy.
     pub fn effective_depth(&self, cluster_occupancy: f64) -> usize {
-        if cluster_occupancy > self.load_threshold {
+        if cluster_occupancy > Self::LOAD_THRESHOLD {
             self.throttled_depth.min(self.max_depth)
         } else {
             self.max_depth

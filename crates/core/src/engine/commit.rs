@@ -225,7 +225,7 @@ impl SpecCore {
             // callee is an orphan — drop it (buffered writes included).
             req.buffer.squash(callee_slot);
             let callee = req.pipeline.remove(callee_slot);
-            req.functions_squashed += 1;
+            req.head.functions_squashed += 1;
             if let Some(t) = callee.run.cpu {
                 self.rt
                     .charge_squashed(req_id, callee.func, "orphan_callee", 0, t);
@@ -254,7 +254,7 @@ impl SpecCore {
             return;
         }
         req.committing = Some(head);
-        let ctrl = req.ctrl;
+        let ctrl = req.head.ctrl;
         let delay = self
             .rt
             .cluster
@@ -286,7 +286,7 @@ impl SpecCore {
             self.rt.kv.set(k, v);
         }
         let req = self.requests.get_mut(&req_id).expect("live");
-        req.committed_sequence.push(slot.func.0);
+        req.head.sequence.push(slot.func.0);
         self.rt.registry.inc("specfaas_commits_total");
         if self.rt.tracer.enabled() {
             let now = self.rt.sim.now();
@@ -432,7 +432,6 @@ impl SpecCore {
     }
 
     pub(super) fn on_complete(&mut self, req_id: RequestId) {
-        let now = self.rt.sim.now();
         let Some(req) = self.requests.remove(&req_id) else {
             return;
         };
@@ -475,15 +474,6 @@ impl SpecCore {
                 .insert(input, output, callee_inputs);
         }
         self.memo_entries = self.memos.total_entries();
-        if self.rt.tracer.enabled() {
-            self.rt.tracer.emit(
-                now,
-                TraceEventKind::Terminal {
-                    req: req_id.0,
-                    completed: true,
-                },
-            );
-        }
         if self.rt.tracer.checking() {
             // The learned-table promotion above is the only place memo
             // tables grow; re-validate capacity after every request.
@@ -492,19 +482,6 @@ impl SpecCore {
                 self.rt.tracer.check_memo_capacity(f, t.len(), t.capacity());
             }
         }
-        self.rt.metrics.functions_squashed += u64::from(req.functions_squashed);
-        self.rt.registry.inc("specfaas_requests_completed_total");
-        if req.measured {
-            self.rt.record_completion(InvocationRecord {
-                arrived: req.arrived,
-                completed: now,
-                functions_run: req.functions_run,
-                functions_squashed: req.functions_squashed,
-                sequence: req.committed_sequence,
-                outcome: RequestOutcome::Completed,
-            });
-        }
-        // Closed loop: this client immediately issues its next request.
-        harness::closed_loop_resubmit(self);
+        harness::terminate(self, req_id, req.head, RequestOutcome::Completed);
     }
 }

@@ -39,7 +39,7 @@ impl SpecCore {
                 return;
             };
             if req.pipeline.len() >= depth
-                || req.pipeline.total_created() as usize >= self.config.max_slots_per_request
+                || req.pipeline.total_created() as usize >= SpecConfig::MAX_SLOTS_PER_REQUEST
             {
                 return;
             }
@@ -355,7 +355,7 @@ impl SpecCore {
             let req = self.requests.get_mut(&req_id).expect("live");
             let slot = req.pipeline.slot_mut(slot_id).expect("live");
             slot.state = SlotState::Running;
-            (req.ctrl, slot.func, slot.input.clone().expect("input"))
+            (req.head.ctrl, slot.func, slot.input.clone().expect("input"))
         };
         let annotations = self.rt.app.registry.spec(func).annotations;
         let speculative = self
@@ -385,7 +385,7 @@ impl SpecCore {
                 let slot = req.pipeline.slot_mut(slot_id).expect("live");
                 slot.state = SlotState::Completed;
                 slot.output = Some(output);
-                req.functions_run += 1;
+                req.head.functions_run += 1;
                 self.rt.metrics.functions_started += 1;
                 self.rt.registry.inc("specfaas_functions_started_total");
                 self.rt
@@ -412,7 +412,7 @@ impl SpecCore {
         self.slot_of.insert(id, slot_id);
         let req = self.requests.get_mut(&req_id).expect("live");
         req.pipeline.slot_mut(slot_id).expect("live").run.inst = Some(id);
-        req.functions_run += 1;
+        req.head.functions_run += 1;
         if speculative && self.rt.registry.enabled() {
             self.spec_live.insert(id);
         }

@@ -362,7 +362,7 @@ impl SpecCore {
         let callee = req.pipeline.remove(callee_slot);
         let input = callee.input.expect("callee input");
         let output = callee.output.expect("completed callee");
-        req.committed_sequence.push(callee.func.0);
+        req.head.sequence.push(callee.func.0);
         let caller = req.pipeline.slot_mut(caller_slot).expect("live");
         // The caller's memo row records its *direct* calls only.
         caller

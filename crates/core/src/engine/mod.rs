@@ -19,13 +19,12 @@
 use specfaas_sim::hash::{FxHashMap, FxHashSet};
 use std::sync::Arc;
 
-use specfaas_platform::cluster::NodeId;
 use specfaas_platform::exec::{InstEv, InstanceId, InstanceState, KvOp, KvRoll, Step};
-use specfaas_platform::metrics::{InvocationRecord, RequestOutcome, RunMetrics};
+use specfaas_platform::metrics::{RequestOutcome, RunMetrics};
 use specfaas_platform::workload::RequestId;
 use specfaas_sim::trace::{Phase, SquashCause, TraceEventKind};
 use specfaas_sim::FaultSite;
-use specfaas_sim::{SimDuration, SimTime};
+use specfaas_sim::SimDuration;
 use specfaas_storage::Value;
 use specfaas_workflow::{branch_outcome, AppSpec, EntryKind, FuncId, Interp, Program};
 
@@ -36,7 +35,7 @@ use crate::pipeline::{CallRecord, Pipeline, SlotId, SlotRole, SlotState};
 use crate::predictor::{BranchPredictor, BranchSite, PathHistory, Prediction};
 use crate::seqtable::SequenceTable;
 use crate::stall::StallList;
-use specfaas_platform::harness::{self, EngineCore, Harness, Runtime, SpecGauges};
+use specfaas_platform::harness::{self, EngineCore, Harness, RequestHead, Runtime, SpecGauges};
 
 /// Events of the speculative engine. Only nameable as the
 /// [`EngineCore::Ev`] associated type.
@@ -111,9 +110,9 @@ enum Learned {
 
 #[derive(Debug)]
 struct Req {
-    arrived: SimTime,
-    ctrl: NodeId,
-    measured: bool,
+    /// What every request records whatever the engine; its sequence is
+    /// the committed one.
+    head: RequestHead,
     /// The in-flight slots, each holding its own execution state.
     pipeline: Pipeline,
     buffer: DataBuffer,
@@ -123,9 +122,6 @@ struct Req {
     /// Commit currently being processed.
     committing: Option<SlotId>,
     learned: Vec<Learned>,
-    committed_sequence: Vec<u32>,
-    functions_run: u32,
-    functions_squashed: u32,
     end_committed: bool,
     completed: bool,
 }
@@ -182,14 +178,6 @@ pub struct SpecCore {
     rt: Runtime<Ev>,
     /// Speculation policy.
     pub config: SpecConfig,
-    /// Core time a dying handler keeps its core busy between the kill and
-    /// its `SquashRelease` (the kill latency). Deliberately *not* part of
-    /// [`RunMetrics::squashed_core_time`] (which reproduces the paper's
-    /// wasted-CPU attribution at kill time); tracked here so the
-    /// conservation invariant `useful + squashed == busy` still closes.
-    squash_kill_busy: SimDuration,
-    /// `squash_kill_busy` value at tracer install / last end-of-run check.
-    kill_busy_base: SimDuration,
     /// Live instances whose launch was speculative (registry-gated).
     /// Every site that removes an instance from `rt.instances` drops it
     /// here too. Feeds the in-flight-speculation gauge without touching
@@ -244,7 +232,34 @@ impl EngineCore for SpecCore {
     }
 
     fn admit(&mut self, input: Value) -> RequestId {
-        self.submit_request(input)
+        let (id, head) = self.rt.admit_request();
+        let mut req = Req {
+            head,
+            pipeline: Pipeline::new(),
+            buffer: DataBuffer::new(),
+            stalled_reads: Vec::new(),
+            fork_joins: FxHashMap::default(),
+            committing: None,
+            learned: Vec::new(),
+            end_committed: false,
+            completed: false,
+        };
+        let start = self.seqtable.start();
+        let func = self.seqtable.func_at(start);
+        let slot =
+            req.pipeline
+                .push_back(func, SlotRole::Entry { entry: start }, PathHistory::start());
+        {
+            let s = req.pipeline.slot_mut(slot).expect("fresh slot");
+            s.input = Some(input);
+            s.non_speculative = self.rt.app.registry.spec(func).annotations.non_speculative;
+        }
+        self.requests.insert(id, req);
+        // Predict the start function's output so extension can speculate
+        // past it immediately.
+        self.refresh_prediction(id, slot);
+        self.pump(id);
+        id
     }
 
     fn dispatch(&mut self, ev: Ev) {
@@ -265,50 +280,6 @@ impl EngineCore for SpecCore {
         self.abort_request(req);
     }
 
-    fn stuck_requests(&self) -> Vec<String> {
-        let mut ids: Vec<RequestId> = self.requests.keys().copied().collect();
-        ids.sort(); // HashMap order is not deterministic
-        ids.into_iter()
-            .map(|rid| {
-                let req = &self.requests[&rid];
-                let slots: Vec<String> = req
-                    .pipeline
-                    .iter()
-                    .map(|sl| {
-                        format!(
-                            "{}:{:?}:{:?}(in={} spec={} waited={} defhttp={})",
-                            sl.id,
-                            sl.func,
-                            sl.state,
-                            sl.input.is_some(),
-                            sl.input_speculative,
-                            sl.caller_waiting,
-                            sl.run.http_deferred
-                        )
-                    })
-                    .collect();
-                format!(
-                    "req {:?}: committing={:?} end={} slots=[{}] stalls={}",
-                    rid.0,
-                    req.committing,
-                    req.end_committed,
-                    slots.join(", "),
-                    req.stalled_reads.len(),
-                )
-            })
-            .collect()
-    }
-
-    fn on_tracer_installed(&mut self) {
-        self.kill_busy_base = self.squash_kill_busy;
-    }
-
-    fn take_unattributed_squash_busy(&mut self) -> SimDuration {
-        let delta = self.squash_kill_busy - self.kill_busy_base;
-        self.kill_busy_base = self.squash_kill_busy;
-        delta
-    }
-
     fn finalize_metrics(&self, m: &mut RunMetrics) {
         m.branch_hits = self.predictor.hit_rate();
         m.memo_hits = self.memos.hit_rate();
@@ -327,8 +298,6 @@ impl SpecCore {
             memos: MemoTables::new(functions, config.memo_capacity),
             stall_list: StallList::new(config.stall_after_squashes),
             config,
-            squash_kill_busy: SimDuration::ZERO,
-            kill_busy_base: SimDuration::ZERO,
             spec_live: FxHashSet::default(),
             memo_entries: 0,
             seqtable,
@@ -377,55 +346,6 @@ impl SpecCore {
             inflight_slots: self.spec_live.len() as u64,
             memo_entries: self.memo_entries as u64,
         }));
-    }
-
-    // ------------------------------------------------------------------
-    // Request lifecycle
-    // ------------------------------------------------------------------
-
-    fn submit_request(&mut self, input: Value) -> RequestId {
-        let id = self.rt.alloc_req();
-        let ctrl = self.rt.cluster.pick_controller();
-        let now = self.rt.sim.now();
-        let mut req = Req {
-            arrived: now,
-            ctrl,
-            measured: now >= self.rt.measure_from,
-            pipeline: Pipeline::new(),
-            buffer: DataBuffer::new(),
-            stalled_reads: Vec::new(),
-            fork_joins: FxHashMap::default(),
-            committing: None,
-            learned: Vec::new(),
-            committed_sequence: Vec::new(),
-            functions_run: 0,
-            functions_squashed: 0,
-            end_committed: false,
-            completed: false,
-        };
-        let start = self.seqtable.start();
-        let func = self.seqtable.func_at(start);
-        let slot =
-            req.pipeline
-                .push_back(func, SlotRole::Entry { entry: start }, PathHistory::start());
-        {
-            let s = req.pipeline.slot_mut(slot).expect("fresh slot");
-            s.input = Some(input);
-            s.non_speculative = self.rt.app.registry.spec(func).annotations.non_speculative;
-        }
-        self.requests.insert(id, req);
-        self.rt.metrics.submitted += 1;
-        self.rt.registry.inc("specfaas_requests_submitted_total");
-        if self.rt.tracer.enabled() {
-            self.rt
-                .tracer
-                .emit(now, TraceEventKind::RequestArrival { req: id.0 });
-        }
-        // Predict the start function's output so extension can speculate
-        // past it immediately.
-        self.refresh_prediction(id, slot);
-        self.pump(id);
-        id
     }
 
     // ------------------------------------------------------------------

@@ -93,7 +93,7 @@ impl SpecCore {
             return;
         };
         let (func, wasted, inst) = (slot.func, slot.run.cpu.take(), slot.run.inst.take());
-        req.functions_squashed += 1;
+        req.head.functions_squashed += 1;
         req.buffer.squash(slot_id);
         // CPU spent on a now-squashed execution is wasted work.
         if let Some(t) = wasted {
@@ -146,7 +146,8 @@ impl SpecCore {
                 // The handler dies after the kill latency; the core frees
                 // then. Wasted-CPU attribution happens now (matching the
                 // paper's squash-cost accounting); the kill-latency window
-                // itself goes into `squash_kill_busy` at SquashRelease.
+                // itself goes into the runtime's `kill_busy` at
+                // SquashRelease.
                 let kill = self.rt.model.process_kill;
                 if let Some(s) = started {
                     self.rt
@@ -194,7 +195,7 @@ impl SpecCore {
         // the kill latency since then, which only the conservation ledger
         // sees.
         if inst.started_at.is_some() {
-            self.squash_kill_busy += self.rt.model.process_kill;
+            self.rt.kill_busy += self.rt.model.process_kill;
         }
         self.rt.release(&inst, reusable);
     }
@@ -282,24 +283,9 @@ impl SpecCore {
         // (reset in place, keeping its input) and its dependents now.
         slot.retry_hold = true;
         let (failures, func) = (slot.attempts, slot.func);
-        if failures >= self.rt.retry.max_attempts {
-            self.abort_request(req_id);
-            return;
-        }
-        self.rt.metrics.faults.retried += 1;
-        let backoff = self.rt.retry.backoff(failures);
-        if self.rt.tracer.enabled() {
-            let now = self.rt.sim.now();
-            self.rt.tracer.emit(
-                now,
-                TraceEventKind::RetryBackoff {
-                    req: req_id.0,
-                    func: func.0,
-                    attempt: failures + 1,
-                    backoff,
-                },
-            );
-        }
+        let Some(backoff) = self.rt.retry_backoff(req_id, func, failures) else {
+            return self.abort_request(req_id);
+        };
         self.squash_from(req_id, slot_id, SquashKind::Fault);
         self.rt
             .sim
@@ -334,7 +320,6 @@ impl SpecCore {
     /// global storage) stays, matching a real platform where a workflow
     /// aborts midway.
     pub(super) fn abort_request(&mut self, req_id: RequestId) {
-        let now = self.rt.sim.now();
         let Some(req) = self.requests.remove(&req_id) else {
             return;
         };
@@ -354,31 +339,6 @@ impl SpecCore {
         for (_, func, t) in wasted {
             self.rt.charge_squashed(req_id, func, "abort", 0, t);
         }
-        if self.rt.tracer.enabled() {
-            self.rt.tracer.emit(
-                now,
-                TraceEventKind::Terminal {
-                    req: req_id.0,
-                    completed: false,
-                },
-            );
-        }
-        self.rt.metrics.functions_squashed += u64::from(req.functions_squashed);
-        self.rt.registry.inc("specfaas_requests_failed_total");
-        if req.measured {
-            self.rt.metrics.record_failure(InvocationRecord {
-                arrived: req.arrived,
-                completed: now,
-                functions_run: req.functions_run,
-                functions_squashed: req.functions_squashed,
-                sequence: req.committed_sequence,
-                outcome: RequestOutcome::Failed,
-            });
-        } else {
-            self.rt.metrics.faults.aborted += 1;
-        }
-        // Closed loop: the client observes the failure and issues its
-        // next request.
-        harness::closed_loop_resubmit(self);
+        harness::terminate(self, req_id, req.head, RequestOutcome::Failed);
     }
 }

@@ -1,6 +1,6 @@
 use super::*;
 use specfaas_platform::BaselineEngine;
-use specfaas_sim::{FaultPlan, RetryPolicy, SimRng};
+use specfaas_sim::{FaultPlan, RetryPolicy, SimRng, SimTime};
 use specfaas_workflow::expr::*;
 use specfaas_workflow::{FunctionRegistry, FunctionSpec, Program, Workflow};
 

@@ -23,14 +23,12 @@ use specfaas_sim::hash::FxHashMap;
 use std::sync::Arc;
 
 use specfaas_sim::trace::{Phase, TraceEventKind};
-use specfaas_sim::SimTime;
 use specfaas_storage::Value;
 use specfaas_workflow::{branch_outcome, AppSpec, EntryKind, FuncId};
 
-use crate::cluster::NodeId;
 use crate::exec::{InstEv, InstanceId, KvOp, KvRoll, Step};
-use crate::harness::{self, EngineCore, Harness, Runtime};
-use crate::metrics::{InvocationRecord, RequestOutcome};
+use crate::harness::{self, EngineCore, Harness, RequestHead, Runtime};
+use crate::metrics::RequestOutcome;
 use crate::workload::RequestId;
 
 /// Events of the baseline engine (exposed only as the [`EngineCore::Ev`]
@@ -94,18 +92,14 @@ struct Launch {
 
 #[derive(Debug)]
 struct ReqState {
-    arrived: SimTime,
-    ctrl: NodeId,
+    /// What every request records whatever the engine.
+    head: RequestHead,
     /// Number of workflow cursors in flight (forks add, joins subtract).
     cursors: u32,
     /// Join entry → `(source entry, payload)` pairs arrived so far; sorted
     /// by source entry at merge time so the joined list follows branch
     /// declaration order.
     joins: FxHashMap<usize, Vec<(usize, Value)>>,
-    functions_run: u32,
-    sequence: Vec<u32>,
-    /// Counted toward metrics (arrived inside the measurement window)?
-    measured: bool,
 }
 
 /// The baseline (conventional OpenWhisk) engine for one application: a
@@ -194,7 +188,17 @@ impl EngineCore for BaselineCore {
     }
 
     fn admit(&mut self, input: Value) -> RequestId {
-        self.submit_request(input)
+        let (id, head) = self.rt.admit_request();
+        let state = ReqState {
+            head,
+            cursors: 1,
+            joins: FxHashMap::default(),
+        };
+        self.requests.insert(id, state);
+        let start = self.rt.app.compiled.start;
+        // The workflow start is never a join target, so `from` is moot.
+        self.launch_entry(id, start, usize::MAX, input);
+        id
     }
 
     fn dispatch(&mut self, ev: Ev) {
@@ -213,31 +217,6 @@ impl EngineCore for BaselineCore {
 
     fn abort(&mut self, req: RequestId) {
         self.abort_request(req);
-    }
-
-    fn stuck_requests(&self) -> Vec<String> {
-        self.live_requests()
-            .into_iter()
-            .map(|rid| {
-                let req = &self.requests[&rid];
-                let insts: Vec<String> = self
-                    .instances_of(rid)
-                    .into_iter()
-                    .map(|id| {
-                        let i = &self.rt.instances[&id];
-                        format!("{}:{:?}:{:?}", id.0, i.func, i.state)
-                    })
-                    .collect();
-                format!(
-                    "req {}: cursors={} run={} joins={} insts=[{}]",
-                    rid.0,
-                    req.cursors,
-                    req.functions_run,
-                    req.joins.len(),
-                    insts.join(", "),
-                )
-            })
-            .collect()
     }
 }
 
@@ -263,36 +242,6 @@ impl BaselineCore {
             .collect();
         ids.sort();
         ids
-    }
-
-    /// Submits one request at the current simulated time.
-    fn submit_request(&mut self, input: Value) -> RequestId {
-        let id = self.rt.alloc_req();
-        let ctrl = self.rt.cluster.pick_controller();
-        let now = self.rt.sim.now();
-        self.requests.insert(
-            id,
-            ReqState {
-                arrived: now,
-                ctrl,
-                cursors: 1,
-                joins: FxHashMap::default(),
-                functions_run: 0,
-                sequence: Vec::new(),
-                measured: now >= self.rt.measure_from,
-            },
-        );
-        self.rt.metrics.submitted += 1;
-        self.rt.registry.inc("specfaas_requests_submitted_total");
-        if self.rt.tracer.enabled() {
-            self.rt
-                .tracer
-                .emit(now, TraceEventKind::RequestArrival { req: id.0 });
-        }
-        let start = self.rt.app.compiled.start;
-        // The workflow start is never a join target, so `from` is moot.
-        self.launch_entry(id, start, usize::MAX, input);
-        id
     }
 
     /// Starts the platform-overhead phase for a workflow entry. `from` is
@@ -334,12 +283,12 @@ impl BaselineCore {
         attempt: u32,
     ) -> InstanceId {
         let now = self.rt.sim.now();
-        let ctrl = self.requests[&req].ctrl;
+        let ctrl = self.requests[&req].head.ctrl;
         let service = self.rt.model.controller_service;
         let id = self.rt.spawn_instance(req, ctrl, service, func, input);
         self.launches.insert(id, Launch { ctx, attempt });
         if let Some(r) = self.requests.get_mut(&req) {
-            r.functions_run += 1;
+            r.head.functions_run += 1;
         }
         if self.rt.tracer.enabled() {
             self.rt.tracer.emit(
@@ -405,7 +354,7 @@ impl BaselineCore {
             InstCtx::Entry(entry) => entry,
             InstCtx::Callee(caller) => {
                 if let Some(state) = state {
-                    state.sequence.push(inst.func.0);
+                    state.head.sequence.push(inst.func.0);
                 }
                 // RPC return hop, then resume the blocked caller.
                 let hop = self.rt.model.transfer_fixed;
@@ -416,8 +365,8 @@ impl BaselineCore {
         let Some(state) = state else {
             return;
         };
-        state.sequence.push(inst.func.0);
-        let ctrl = state.ctrl;
+        state.head.sequence.push(inst.func.0);
+        let ctrl = state.head.ctrl;
         // Conductor / transfer overhead for the next transition.
         let transfer = self.rt.model.transfer_fixed
             + self
@@ -519,24 +468,9 @@ impl BaselineCore {
         if !self.requests.contains_key(&req) {
             return; // request already aborted
         }
-        if attempt >= self.rt.retry.max_attempts {
-            self.abort_request(req);
-            return;
-        }
-        self.rt.metrics.faults.retried += 1;
-        let backoff = self.rt.retry.backoff(attempt);
-        if self.rt.tracer.enabled() {
-            let now = self.rt.sim.now();
-            self.rt.tracer.emit(
-                now,
-                TraceEventKind::RetryBackoff {
-                    req: req.0,
-                    func: inst.func.0,
-                    attempt: attempt + 1,
-                    backoff,
-                },
-            );
-        }
+        let Some(backoff) = self.rt.retry_backoff(req, inst.func, attempt) else {
+            return self.abort_request(req);
+        };
         let retry = Ev::Retry {
             req,
             ctx,
@@ -551,7 +485,6 @@ impl BaselineCore {
     /// (or it wedged with no recovery path): tears down every instance
     /// still working for it and records a [`RequestOutcome::Failed`].
     fn abort_request(&mut self, req: RequestId) {
-        let now = self.rt.sim.now();
         let Some(state) = self.requests.remove(&req) else {
             return;
         };
@@ -559,31 +492,7 @@ impl BaselineCore {
             self.rt.teardown_instance(id);
             self.launches.remove(&id);
         }
-        if self.rt.tracer.enabled() {
-            self.rt.tracer.emit(
-                now,
-                TraceEventKind::Terminal {
-                    req: req.0,
-                    completed: false,
-                },
-            );
-        }
-        self.rt.registry.inc("specfaas_requests_failed_total");
-        if state.measured {
-            self.rt.metrics.record_failure(InvocationRecord {
-                arrived: state.arrived,
-                completed: now,
-                functions_run: state.functions_run,
-                functions_squashed: 0,
-                sequence: state.sequence,
-                outcome: RequestOutcome::Failed,
-            });
-        } else {
-            self.rt.metrics.faults.aborted += 1;
-        }
-        // Closed loop: the client observes the failure and issues its
-        // next request.
-        harness::closed_loop_resubmit(self);
+        harness::terminate(self, req, state.head, RequestOutcome::Failed);
     }
 
     /// One workflow cursor reached the end of the workflow.
@@ -597,35 +506,6 @@ impl BaselineCore {
                 .sim
                 .schedule_in(self.rt.model.response_return, Ev::Complete(req));
         }
-    }
-
-    fn on_complete(&mut self, req: RequestId) {
-        let now = self.rt.sim.now();
-        let Some(state) = self.requests.remove(&req) else {
-            return;
-        };
-        if self.rt.tracer.enabled() {
-            self.rt.tracer.emit(
-                now,
-                TraceEventKind::Terminal {
-                    req: req.0,
-                    completed: true,
-                },
-            );
-        }
-        self.rt.registry.inc("specfaas_requests_completed_total");
-        if state.measured {
-            self.rt.record_completion(InvocationRecord {
-                arrived: state.arrived,
-                completed: now,
-                functions_run: state.functions_run,
-                functions_squashed: 0,
-                sequence: state.sequence,
-                outcome: RequestOutcome::Completed,
-            });
-        }
-        // Closed loop: this client immediately issues its next request.
-        harness::closed_loop_resubmit(self);
     }
 
     fn handle(&mut self, ev: Ev) {
@@ -671,7 +551,11 @@ impl BaselineCore {
                     }
                 }
             }
-            Ev::Complete(req) => self.on_complete(req),
+            Ev::Complete(req) => {
+                if let Some(state) = self.requests.remove(&req) {
+                    harness::terminate(self, req, state.head, RequestOutcome::Completed);
+                }
+            }
         }
         // Gauges observe post-event state; a disabled registry makes this
         // a single branch.
@@ -684,7 +568,7 @@ impl BaselineCore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use specfaas_sim::{FaultPlan, RetryPolicy, SimDuration};
+    use specfaas_sim::{FaultPlan, RetryPolicy, SimDuration, SimTime};
     use specfaas_workflow::expr::*;
     use specfaas_workflow::{FunctionRegistry, FunctionSpec, Program, Workflow};
 
@@ -1038,11 +922,11 @@ mod tests {
     }
 
     #[test]
-    fn stuck_report_names_hung_requests() {
+    fn hung_request_stays_live_until_aborted() {
         let mut e = BaselineEngine::new(Arc::new(chain_app()), 1);
         e.enable_faults(FaultPlan::none().with_hang(1.0), RetryPolicy::default());
         e.prewarm();
-        assert!(e.stuck_report().is_empty(), "no requests in flight yet");
+        assert!(e.live_requests().is_empty(), "no requests in flight yet");
         // Submit directly (bypassing the drivers' abort-on-drain) and
         // step the simulation dry: the injected hang wedges the request
         // with no event left to wake it.
@@ -1050,22 +934,11 @@ mod tests {
         while let Some((_, ev)) = e.sim.step() {
             e.core.dispatch(ev);
         }
-        let report = e.stuck_report();
-        assert_eq!(report.len(), 1, "one wedged request: {report:?}");
-        assert!(
-            report[0].starts_with(&format!("req {}:", req.0)),
-            "report names the request: {}",
-            report[0]
-        );
-        assert!(
-            report[0].contains("insts=["),
-            "report lists instance states: {}",
-            report[0]
-        );
+        assert_eq!(e.live_requests(), vec![req], "one wedged request");
         // Aborting the wedged request (what the drivers' drain does)
-        // records the failure and empties the report again.
+        // records the failure and leaves nothing in flight.
         e.core.abort(req);
-        assert!(e.stuck_report().is_empty());
+        assert!(e.live_requests().is_empty());
         let m = e.run_closed(0, |_| Value::Null);
         assert_eq!(m.failed, 1);
     }

@@ -471,27 +471,14 @@ impl<Ev: From<InstEv>> Runtime<Ev> {
         let (req, func) = self
             .instances
             .get(&id)
-            .map_or((RequestId(u64::MAX), u32::MAX), |i| (i.req, i.func.0));
+            .map_or((RequestId(u64::MAX), FuncId(u32::MAX)), |i| (i.req, i.func));
         self.note_fault(req, name);
-        if attempt >= self.retry.max_attempts {
+        let Some(backoff) = self.retry_backoff(req, func, attempt) else {
             return KvRoll::Exhausted;
-        }
-        let backoff = self.retry.backoff(attempt);
+        };
         if let Some(inst) = self.instances.get_mut(&id) {
             inst.breakdown.retry_backoff += backoff;
         }
-        if self.tracer.enabled() {
-            self.tracer.emit(
-                now,
-                TraceEventKind::RetryBackoff {
-                    req: req.0,
-                    func,
-                    attempt: attempt + 1,
-                    backoff,
-                },
-            );
-        }
-        self.metrics.faults.retried += 1;
         self.sim
             .schedule_in(backoff, InstEv::KvRetry(id, op, attempt + 1).into());
         KvRoll::Retrying

@@ -14,6 +14,10 @@
 //!   virtual dispatch on hot paths. The instance lifecycle beneath the
 //!   control plane (container, core, faults, watchdog) is implemented on
 //!   it once, in [`crate::exec`].
+//! * The request lifecycle every engine shares, also implemented once:
+//!   admission ([`Runtime::admit_request`], which hands the core a
+//!   [`RequestHead`]), the retry-budget decision after a fault
+//!   ([`Runtime::retry_backoff`]) and termination ([`terminate`]).
 //! * [`EngineCore`] — the per-request admit/dispatch/drain semantics a
 //!   concrete engine must provide: admit one request, dispatch one event,
 //!   report/abort live requests.
@@ -43,9 +47,9 @@ use specfaas_sim::{SimDuration, SimRng, SimTime, Simulator};
 use specfaas_storage::{KvStore, Value};
 use specfaas_workflow::{AppSpec, FuncId};
 
-use crate::cluster::Cluster;
+use crate::cluster::{Cluster, NodeId};
 use crate::exec::{FnInstance, InstanceId};
-use crate::metrics::{InvocationRecord, RunMetrics};
+use crate::metrics::{InvocationRecord, RequestOutcome, RunMetrics};
 use crate::overheads::OverheadModel;
 use crate::policy::PolicyConfig;
 use crate::scoreboard::ScoreboardRow;
@@ -92,6 +96,13 @@ pub struct Runtime<Ev> {
     /// (useful, squashed) core time already attributed when the tracer was
     /// installed — excluded from the first conservation check.
     pub attributed_base: (SimDuration, SimDuration),
+    /// Core time squashed handlers kept their cores busy between a process
+    /// kill and their release (the kill latency) since the tracer was
+    /// installed or last checked. Deliberately *not* part of
+    /// [`RunMetrics::squashed_core_time`], which reproduces the paper's
+    /// wasted-CPU attribution at kill time; the conservation invariant
+    /// `useful + squashed == busy` adds it back.
+    pub kill_busy: SimDuration,
     /// Time-series metrics registry (disabled by default; see
     /// [`Harness::set_registry`]).
     pub registry: MetricsRegistry,
@@ -145,6 +156,7 @@ impl<Ev> Runtime<Ev> {
             tracer: Tracer::disabled(),
             busy_snapshot: SimDuration::ZERO,
             attributed_base: (SimDuration::ZERO, SimDuration::ZERO),
+            kill_busy: SimDuration::ZERO,
             registry: MetricsRegistry::disabled(),
             kv_pending: BinaryHeap::new(),
             snapshots: None,
@@ -168,11 +180,59 @@ impl<Ev> Runtime<Ev> {
         id
     }
 
-    /// Allocates the next request id.
-    pub fn alloc_req(&mut self) -> RequestId {
+    /// Admits one request at the current simulated time: allocates its
+    /// id (dense and engine-independent), picks its controller, counts it
+    /// and traces its arrival. The core files the returned head in its
+    /// own request record.
+    pub fn admit_request(&mut self) -> (RequestId, RequestHead) {
         let id = RequestId(self.next_req);
         self.next_req += 1;
-        id
+        let ctrl = self.cluster.pick_controller();
+        let now = self.sim.now();
+        self.metrics.submitted += 1;
+        self.registry.inc("specfaas_requests_submitted_total");
+        if self.tracer.enabled() {
+            self.tracer
+                .emit(now, TraceEventKind::RequestArrival { req: id.0 });
+        }
+        let head = RequestHead {
+            arrived: now,
+            ctrl,
+            measured: now >= self.measure_from,
+            functions_run: 0,
+            functions_squashed: 0,
+            sequence: Vec::new(),
+        };
+        (id, head)
+    }
+
+    /// The retry-budget decision after attempt `attempt` of `func`,
+    /// working for `req`, faulted: `None` once the budget is exhausted;
+    /// otherwise the retry is counted and traced and its backoff returned.
+    pub fn retry_backoff(
+        &mut self,
+        req: RequestId,
+        func: FuncId,
+        attempt: u32,
+    ) -> Option<SimDuration> {
+        if attempt >= self.retry.max_attempts {
+            return None;
+        }
+        let backoff = self.retry.backoff(attempt);
+        self.metrics.faults.retried += 1;
+        if self.tracer.enabled() {
+            let now = self.sim.now();
+            self.tracer.emit(
+                now,
+                TraceEventKind::RetryBackoff {
+                    req: req.0,
+                    func: func.0,
+                    attempt: attempt + 1,
+                    backoff,
+                },
+            );
+        }
+        Some(backoff)
     }
 
     /// Adds `amount` to the squashed-CPU ledger (Table IV), mirroring the
@@ -212,29 +272,6 @@ impl<Ev> Runtime<Ev> {
             func,
             amount.as_micros(),
         );
-    }
-
-    /// Records a completed request into [`RunMetrics`] *and* the
-    /// streaming registry instruments: end-to-end latency into the
-    /// `specfaas_response_latency_us` histogram and the request's squash
-    /// depth into `specfaas_request_squashed_functions`. Both engines'
-    /// completion paths route through here, so the scoreboard sees the
-    /// same distributions whichever core ran — and the prewarm policy
-    /// learns the same committed function sequences whichever engine
-    /// executed them.
-    pub fn record_completion(&mut self, rec: InvocationRecord) {
-        self.cluster.observe_sequence(&rec.sequence);
-        if self.registry.enabled() {
-            self.registry.observe(
-                "specfaas_response_latency_us",
-                rec.response_time().as_micros(),
-            );
-            self.registry.observe(
-                "specfaas_request_squashed_functions",
-                rec.functions_squashed as u64,
-            );
-        }
-        self.metrics.record_completion(rec);
     }
 
     /// Adds `weight` for function `func` to the registry heavy-hitter
@@ -328,6 +365,25 @@ impl<Ev> Runtime<Ev> {
         let kv_ops = self.kv_pending.len() as u64;
         unlabeled(&mut cache.kv_ops, "specfaas_outstanding_kv_ops", kv_ops);
     }
+}
+
+/// What every request records whatever the engine: the head of both
+/// cores' request records, handed out by [`Runtime::admit_request`] and
+/// consumed by [`terminate`].
+#[derive(Debug)]
+pub struct RequestHead {
+    /// Arrival instant.
+    pub arrived: SimTime,
+    /// The controller that schedules the request's functions.
+    pub ctrl: NodeId,
+    /// Counted toward metrics (arrived inside the measurement window)?
+    pub measured: bool,
+    /// Function executions launched for the request.
+    pub functions_run: u32,
+    /// Executions squashed (mis-speculated, or faulted dependents).
+    pub functions_squashed: u32,
+    /// Committed function ids, in commit order.
+    pub sequence: Vec<u32>,
 }
 
 /// The speculative core's own per-event gauges, which
@@ -441,8 +497,7 @@ pub trait EngineCore {
     fn arrival() -> Self::Ev;
 
     /// Admits one request at the current simulated time and returns its
-    /// id. All request-id allocation goes through [`Runtime::alloc_req`],
-    /// so ids are dense and engine-independent.
+    /// id, which [`Runtime::admit_request`] allocates.
     fn admit(&mut self, input: Value) -> RequestId;
 
     /// Dispatches one event of the engine's event loop (including gauge
@@ -459,22 +514,6 @@ pub trait EngineCore {
 
     /// Terminally fails a wedged request, releasing its resources.
     fn abort(&mut self, req: RequestId);
-
-    /// Diagnostic lines describing each live (possibly stuck) request —
-    /// see [`Harness::stuck_report`].
-    fn stuck_requests(&self) -> Vec<String>;
-
-    /// Hook run after the harness installs a tracer (the speculative core
-    /// re-bases its kill-busy ledger here).
-    fn on_tracer_installed(&mut self) {}
-
-    /// Busy-core time charged to squashes since the last end-of-run check
-    /// that the core tracks *outside* `metrics.squashed_core_time` (the
-    /// speculative engine's in-kill container-busy component). Consumed —
-    /// and re-based — by the end-of-run conservation check.
-    fn take_unattributed_squash_busy(&mut self) -> SimDuration {
-        SimDuration::ZERO
-    }
 
     /// Engine-specific final fields of a run's metrics (branch/memo hit
     /// rates for the speculative engine).
@@ -507,11 +546,72 @@ pub fn handle_arrival<E: EngineCore>(core: &mut E) {
     }
 }
 
+/// Ends request `req`, which the core has just removed from its request
+/// map, with `outcome`: traces its terminal state, counts it completed or
+/// failed, files its record if it was measured (an unmeasured failure
+/// only counts as aborted), and lets a closed-loop client submit its next
+/// request. Every request of either core ends here, so the metrics,
+/// registry and scoreboard see the same distributions whichever core ran,
+/// and the prewarm policy learns the same committed sequences.
+pub fn terminate<E: EngineCore>(
+    core: &mut E,
+    req: RequestId,
+    head: RequestHead,
+    outcome: RequestOutcome,
+) {
+    let rt = core.rt_mut();
+    let now = rt.sim.now();
+    let completed = outcome == RequestOutcome::Completed;
+    if rt.tracer.enabled() {
+        rt.tracer.emit(
+            now,
+            TraceEventKind::Terminal {
+                req: req.0,
+                completed,
+            },
+        );
+    }
+    rt.metrics.functions_squashed += u64::from(head.functions_squashed);
+    rt.registry.inc(if completed {
+        "specfaas_requests_completed_total"
+    } else {
+        "specfaas_requests_failed_total"
+    });
+    if head.measured {
+        let rec = InvocationRecord {
+            arrived: head.arrived,
+            completed: now,
+            functions_run: head.functions_run,
+            functions_squashed: head.functions_squashed,
+            sequence: head.sequence,
+            outcome,
+        };
+        if completed {
+            rt.cluster.observe_sequence(&rec.sequence);
+            if rt.registry.enabled() {
+                rt.registry.observe(
+                    "specfaas_response_latency_us",
+                    rec.response_time().as_micros(),
+                );
+                rt.registry.observe(
+                    "specfaas_request_squashed_functions",
+                    rec.functions_squashed as u64,
+                );
+            }
+            rt.metrics.record_completion(rec);
+        } else {
+            rt.metrics.record_failure(rec);
+        }
+    } else if !completed {
+        rt.metrics.faults.aborted += 1;
+    }
+    closed_loop_resubmit(core);
+}
+
 /// Closed-loop client behavior: when a request terminates (completes or
 /// aborts) before the generation deadline, the freed client immediately
-/// submits its next request. Cores call this from their completion and
-/// abort paths; outside closed-loop mode it is a no-op.
-pub fn closed_loop_resubmit<E: EngineCore>(core: &mut E) {
+/// submits its next request; outside closed-loop mode it is a no-op.
+fn closed_loop_resubmit<E: EngineCore>(core: &mut E) {
     let input = {
         let rt = core.rt_mut();
         if !rt.closed_loop || rt.sim.now() > rt.gen_deadline {
@@ -607,8 +707,8 @@ impl<E: EngineCore> Harness<E> {
         let now = rt.sim.now();
         rt.busy_snapshot = rt.cluster.busy_core_time_total(now);
         rt.attributed_base = (rt.metrics.useful_core_time, rt.metrics.squashed_core_time);
+        rt.kill_busy = SimDuration::ZERO;
         rt.tracer = tracer;
-        self.core.on_tracer_installed();
     }
 
     /// The installed flight recorder.
@@ -689,31 +789,24 @@ impl<E: EngineCore> Harness<E> {
     /// Runs the end-of-run invariants over the window since the tracer
     /// was installed (or the previous check).
     fn trace_end_of_run(&mut self) {
-        if !self.core.rt().tracer.checking() {
+        let rt = self.core.rt_mut();
+        if !rt.tracer.checking() {
             return;
         }
-        let extra = self.core.take_unattributed_squash_busy();
-        let rt = self.core.rt_mut();
         let live = rt.instances.len();
         let now = rt.sim.now();
         let busy = rt.cluster.busy_core_time_total(now);
         let (base_u, base_s) = rt.attributed_base;
+        let kill_busy = std::mem::take(&mut rt.kill_busy);
         rt.tracer.check_end_of_run(
             live,
             rt.metrics.useful_core_time - base_u,
-            rt.metrics.squashed_core_time - base_s + extra,
+            rt.metrics.squashed_core_time - base_s + kill_busy,
             busy - rt.busy_snapshot,
         );
         rt.busy_snapshot = busy;
         // The driver resets the metrics (mem::take) right after this.
         rt.attributed_base = (SimDuration::ZERO, SimDuration::ZERO);
-    }
-
-    /// Diagnostic dump of live (possibly stuck) requests. Empty when no
-    /// requests are in flight.
-    #[doc(hidden)]
-    pub fn stuck_report(&self) -> Vec<String> {
-        self.core.stuck_requests()
     }
 
     /// Runs a single request to completion (or terminal failure) with no

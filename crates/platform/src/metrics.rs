@@ -225,13 +225,6 @@ impl RunMetrics {
         self.records.push(rec);
     }
 
-    /// Completed requests per second of goodput (failed requests do not
-    /// count) — identical to [`RunMetrics::throughput_rps`] today, but
-    /// named for fault-injection reports.
-    pub fn goodput_rps(&self) -> f64 {
-        self.throughput_rps()
-    }
-
     /// The records of completed requests, in completion order.
     fn completed_records(&self) -> impl Iterator<Item = &InvocationRecord> {
         self.records
@@ -277,15 +270,6 @@ impl RunMetrics {
             return 0.0;
         }
         self.completed as f64 / secs
-    }
-
-    /// Fraction of busy core-time wasted on squashed work.
-    pub fn squashed_work_fraction(&self) -> f64 {
-        let total = self.squashed_core_time + self.useful_core_time;
-        if total.is_zero() {
-            return 0.0;
-        }
-        self.squashed_core_time / total
     }
 
     /// The most frequent committed function sequence and its share of all
@@ -373,14 +357,6 @@ mod tests {
     }
 
     #[test]
-    fn squashed_fraction() {
-        let mut m = RunMetrics::new();
-        m.useful_core_time = SimDuration::from_millis(90);
-        m.squashed_core_time = SimDuration::from_millis(10);
-        assert!((m.squashed_work_fraction() - 0.1).abs() < 1e-12);
-    }
-
-    #[test]
     fn empty_metrics_edge_cases() {
         let mut m = RunMetrics::new();
         // No samples: percentiles and throughput must degrade to 0, not
@@ -388,8 +364,6 @@ mod tests {
         assert_eq!(m.p99_response_ms(), 0.0);
         assert_eq!(m.mean_response_ms(), 0.0);
         assert_eq!(m.throughput_rps(), 0.0);
-        assert_eq!(m.goodput_rps(), 0.0);
-        assert_eq!(m.squashed_work_fraction(), 0.0);
         assert!(m.most_popular_sequence().is_none());
         assert!(m.faults.is_zero());
         // A window without completions still yields zero throughput.

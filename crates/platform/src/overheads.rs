@@ -53,10 +53,10 @@ pub struct OverheadModel {
 
     // ---- Squash mechanisms (§VI, "Minimizing Squash Cost") -------------
     /// Killing the handler process inside the container (~1 ms; container
-    /// and initializer survive).
+    /// and initializer survive). The squashed handler's core frees after
+    /// this latency under every kill mechanism: a container kill also
+    /// loses the container, but its ~10 s teardown (§VI) is not charged.
     pub process_kill: SimDuration,
-    /// Stopping a whole container (~10 s; container is lost).
-    pub container_kill: SimDuration,
 
     // ---- Misc ----------------------------------------------------------
     /// Latency of an external HTTP request issued by a function.
@@ -77,7 +77,6 @@ impl Default for OverheadModel {
             spec_commit_service: SimDuration::from_micros(600),
             data_buffer_hop: SimDuration::from_micros(300),
             process_kill: SimDuration::from_micros(1_000),
-            container_kill: SimDuration::from_secs(10),
             http_latency: SimDuration::from_micros(1_000),
         }
     }
@@ -106,9 +105,8 @@ mod tests {
         // Fig. 3: container creation dominates cold start at ~1500ms.
         assert_eq!(m.container_creation, SimDuration::from_millis(1500));
         assert!(m.cold_start() > SimDuration::from_millis(1500));
-        // §VI: process kill ~1ms, container kill ~10s.
+        // §VI: process kill ~1ms.
         assert_eq!(m.process_kill, SimDuration::from_millis(1));
-        assert_eq!(m.container_kill, SimDuration::from_secs(10));
     }
 
     #[test]

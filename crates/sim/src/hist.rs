@@ -155,12 +155,6 @@ impl LogHistogram {
         self.record(d.as_micros());
     }
 
-    /// Records a raw millisecond value (rounded to whole microseconds,
-    /// clamped at zero).
-    pub fn record_ms(&mut self, ms: f64) {
-        self.record((ms * 1_000.0).round().max(0.0) as u64);
-    }
-
     /// Number of recorded values.
     pub fn count(&self) -> u64 {
         self.count

@@ -39,7 +39,6 @@ pub struct CorePool<T> {
     busy: u64,
     waiters: VecDeque<T>,
     util: UtilizationTracker,
-    peak_queue: usize,
 }
 
 impl<T> CorePool<T> {
@@ -54,7 +53,6 @@ impl<T> CorePool<T> {
             busy: 0,
             waiters: VecDeque::new(),
             util: UtilizationTracker::new(capacity),
-            peak_queue: 0,
         }
     }
 
@@ -73,11 +71,6 @@ impl<T> CorePool<T> {
         self.capacity - self.busy
     }
 
-    /// Largest queue length observed.
-    pub fn peak_queue(&self) -> usize {
-        self.peak_queue
-    }
-
     /// Attempts to take a slot immediately. Returns `true` on success; on
     /// failure the caller should [`CorePool::enqueue`] a waiter token.
     pub fn try_acquire(&mut self, now: SimTime) -> bool {
@@ -93,7 +86,6 @@ impl<T> CorePool<T> {
     /// Appends a waiter to the FIFO queue.
     pub fn enqueue(&mut self, token: T) {
         self.waiters.push_back(token);
-        self.peak_queue = self.peak_queue.max(self.waiters.len());
     }
 
     /// Removes a queued waiter (e.g. because its function got squashed
@@ -311,16 +303,6 @@ mod tests {
             SimDuration::from_millis(25)
         );
         assert_eq!(p.time_anomalies(), 0);
-    }
-
-    #[test]
-    fn pool_peak_queue() {
-        let mut p: CorePool<u32> = CorePool::new(1);
-        p.try_acquire(SimTime::ZERO);
-        p.enqueue(1);
-        p.enqueue(2);
-        p.release(SimTime::from_millis(1));
-        assert_eq!(p.peak_queue(), 2);
     }
 
     #[test]
