@@ -13,23 +13,10 @@
 
 use specfaas_bench::executor::{self, ExperimentCell};
 use specfaas_bench::report::{speedup, Table};
-use specfaas_bench::runner::{
-    baseline_single_ms, measure_baseline_concurrent_sized, measure_spec_concurrent_sized,
-    ExperimentParams,
-};
+use specfaas_bench::runner::{loaded_grid, ExperimentParams};
 use specfaas_core::{SpecConfig, SpecEngine};
-use specfaas_platform::{BaselineEngine, Load};
+use specfaas_platform::{BaselineEngine, RunMetrics};
 use specfaas_sim::{SimDuration, SimRng};
-
-fn params(quick: bool, rps: f64) -> ExperimentParams {
-    let mut p = ExperimentParams::default().at_rps(rps);
-    if quick {
-        p.duration = SimDuration::from_millis(800);
-        p.warmup = SimDuration::from_millis(100);
-        p.train_requests = 60;
-    }
-    p
-}
 
 fn main() {
     let jobs = executor::jobs_from_args();
@@ -38,52 +25,26 @@ fn main() {
 
     println!("== Fig. 11: SpecFaaS speedup over baseline (warm) ==\n");
 
-    // The client-pool sizing run depends only on `(bundle, seed)`, so it
-    // is hoisted into a first parallel stage: one sizing cell per app
-    // instead of two per {app × load} cell (a 6× cut in redundant engine
-    // builds). The sizing values are bit-identical to the ones the cells
-    // used to compute inline, so the rendered output is unchanged.
-    let seed = ExperimentParams::default().seed;
-    let sizing: Vec<ExperimentCell<f64>> = suites
-        .iter()
-        .flat_map(|suite| {
-            suite.apps.iter().map(move |bundle| {
-                ExperimentCell::new(format!("fig11-size/{}/{}", suite.name, bundle.name()), {
-                    move || baseline_single_ms(bundle, seed, 3)
-                })
-            })
-        })
-        .collect();
-    let singles = executor::run_cells(jobs, sizing);
-
-    // One cell per {app × load}: measures baseline + SpecFaaS and returns
-    // the speedup. Cells are submitted suite-major, app-minor, load-last —
-    // the same order the serial loops used — and results come back in that
-    // order, so rendering below is byte-identical for any --jobs.
-    let mut cells: Vec<ExperimentCell<f64>> = Vec::new();
-    let mut singles_it = singles.into_iter();
-    for suite in &suites {
-        for bundle in &suite.apps {
-            let single = singles_it.next().expect("one sizing value per app");
-            for load in Load::all() {
-                cells.push(ExperimentCell::new(
-                    format!("fig11/{}/{}/{:?}", suite.name, bundle.name(), load),
-                    move || {
-                        let p = params(quick, load.rps());
-                        let base = measure_baseline_concurrent_sized(bundle, p, single);
-                        let spec =
-                            measure_spec_concurrent_sized(bundle, SpecConfig::full(), p, single);
-                        base.mean_response_ms() / spec.mean_response_ms()
-                    },
-                ));
-            }
-        }
+    let mut p = ExperimentParams::default();
+    if quick {
+        p.duration = SimDuration::from_millis(800);
+        p.warmup = SimDuration::from_millis(100);
+        p.train_requests = 60;
     }
-    let results = executor::run_cells(jobs, cells);
+    let grid = loaded_grid(
+        jobs,
+        suites.iter().flat_map(|suite| &suite.apps),
+        &[SpecConfig::full()],
+        p,
+        RunMetrics::mean_response_ms,
+    );
+    let mut it = grid
+        .iter()
+        .flatten()
+        .map(|cell| cell.baseline / cell.spec[0]);
 
     let mut t = Table::new(["Suite", "App", "Low", "Medium", "High", "Avg"]);
     let mut grand = Vec::new();
-    let mut it = results.into_iter();
     for suite in &suites {
         let mut suite_speedups = vec![Vec::new(), Vec::new(), Vec::new()];
         for bundle in &suite.apps {

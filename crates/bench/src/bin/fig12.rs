@@ -3,60 +3,43 @@
 //! path), data memoization, and the squash optimization (process-kill
 //! instead of lazy squash).
 //!
-//! `--jobs N` runs the {app × config × load} grid on N worker threads;
+//! `--jobs N` runs the {app × load} grid on N worker threads;
 //! output is byte-identical to serial.
 
-use specfaas_bench::executor::{self, ExperimentCell};
+use specfaas_bench::executor;
 use specfaas_bench::report::{speedup, Table};
-use specfaas_bench::runner::{
-    measure_baseline_concurrent, measure_spec_concurrent, ExperimentParams,
-};
+use specfaas_bench::runner::{loaded_grid, ExperimentParams};
 use specfaas_core::SpecConfig;
-use specfaas_platform::Load;
+use specfaas_platform::RunMetrics;
 
 fn main() {
     let jobs = executor::jobs_from_args();
     println!("== Fig. 12: speedup breakdown (cumulative, averaged over loads) ==\n");
-    let configs: [(&str, SpecConfig); 3] = [
-        ("BranchPred", SpecConfig::branch_prediction_only()),
-        ("+Memoization", SpecConfig::without_squash_optimization()),
-        ("+SquashOpt", SpecConfig::full()),
+    let configs = [
+        SpecConfig::branch_prediction_only(),
+        SpecConfig::without_squash_optimization(),
+        SpecConfig::full(),
     ];
     let suites = specfaas_apps::all_suites();
-
-    // One cell per {app × config × load}, submitted in the serial loop
-    // order so the per-load speedups reassemble deterministically.
-    let mut cells: Vec<ExperimentCell<f64>> = Vec::new();
-    for suite in &suites {
-        for bundle in &suite.apps {
-            for (name, cfg) in &configs {
-                for load in Load::all() {
-                    let cfg = cfg.clone();
-                    cells.push(ExperimentCell::new(
-                        format!("fig12/{}/{}/{:?}", bundle.name(), name, load),
-                        move || {
-                            let p = ExperimentParams::default().at_rps(load.rps());
-                            let base = measure_baseline_concurrent(bundle, p);
-                            let spec = measure_spec_concurrent(bundle, cfg, p);
-                            base.mean_response_ms() / spec.mean_response_ms()
-                        },
-                    ));
-                }
-            }
-        }
-    }
-    let results = executor::run_cells(jobs, cells);
+    let grid = loaded_grid(
+        jobs,
+        suites.iter().flat_map(|suite| &suite.apps),
+        &configs,
+        ExperimentParams::default(),
+        RunMetrics::mean_response_ms,
+    );
 
     let mut t = Table::new(["Suite", "App", "BranchPred", "+Memoization", "+SquashOpt"]);
-    let mut it = results.into_iter();
+    let mut it = grid.iter();
     for suite in &suites {
         let mut sums = [0.0f64; 3];
         for bundle in &suite.apps {
+            let loads = it.next().expect("one result per app");
             let mut row = vec![suite.name.to_string(), bundle.name().to_string()];
-            for sum in sums.iter_mut() {
+            for (c, sum) in sums.iter_mut().enumerate() {
                 let mut acc = 0.0;
-                for _ in Load::all() {
-                    acc += it.next().expect("one result per cell");
+                for cell in loads {
+                    acc += cell.baseline / cell.spec[c];
                 }
                 let s = acc / 3.0;
                 *sum += s;

@@ -1,55 +1,41 @@
 //! Fig. 13 — P99 tail latency of SpecFaaS normalized to the baseline,
 //! per suite and load level.
 //!
-//! `--jobs N` runs the {suite × load × app} grid on N worker threads;
+//! `--jobs N` runs the {app × load} grid on N worker threads;
 //! output is byte-identical to serial.
 
-use specfaas_bench::executor::{self, ExperimentCell};
+use specfaas_bench::executor;
 use specfaas_bench::report::{f2, pct, Table};
-use specfaas_bench::runner::{
-    measure_baseline_concurrent, measure_spec_concurrent, ExperimentParams,
-};
+use specfaas_bench::runner::{loaded_grid, ExperimentParams};
 use specfaas_core::SpecConfig;
-use specfaas_platform::Load;
+use specfaas_platform::{Load, RunMetrics};
 
 fn main() {
     let jobs = executor::jobs_from_args();
     println!("== Fig. 13: normalized P99 tail latency (SpecFaaS / baseline) ==\n");
     let suites = specfaas_apps::all_suites();
-
-    // One cell per {suite × load × app}: returns that app's (baseline P99,
-    // SpecFaaS P99) pair, summed per load at assembly time.
-    let mut cells: Vec<ExperimentCell<(f64, f64)>> = Vec::new();
-    for suite in &suites {
-        for load in Load::all() {
-            for bundle in &suite.apps {
-                cells.push(ExperimentCell::new(
-                    format!("fig13/{}/{:?}/{}", suite.name, load, bundle.name()),
-                    move || {
-                        let p = ExperimentParams::default().at_rps(load.rps());
-                        let base = measure_baseline_concurrent(bundle, p);
-                        let spec = measure_spec_concurrent(bundle, SpecConfig::full(), p);
-                        (base.p99_response_ms(), spec.p99_response_ms())
-                    },
-                ));
-            }
-        }
-    }
-    let results = executor::run_cells(jobs, cells);
+    let grid = loaded_grid(
+        jobs,
+        suites.iter().flat_map(|suite| &suite.apps),
+        &[SpecConfig::full()],
+        ExperimentParams::default(),
+        RunMetrics::p99_response_ms,
+    );
 
     let mut t = Table::new(["Suite", "Low", "Medium", "High", "AvgReduction"]);
     let mut all_red = Vec::new();
-    let mut it = results.into_iter();
+    let mut rest = &grid[..];
     for suite in &suites {
+        let (apps, tail) = rest.split_at(suite.apps.len());
+        rest = tail;
         let mut row = vec![suite.name.to_string()];
         let mut ratios = Vec::new();
-        for _load in Load::all() {
+        for l in 0..Load::all().len() {
             let mut b99 = 0.0;
             let mut s99 = 0.0;
-            for _ in &suite.apps {
-                let (b, s) = it.next().expect("one result per cell");
-                b99 += b;
-                s99 += s;
+            for loads in apps {
+                b99 += loads[l].baseline;
+                s99 += loads[l].spec[0];
             }
             let ratio = s99 / b99;
             ratios.push(ratio);

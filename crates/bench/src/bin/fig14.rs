@@ -1,53 +1,39 @@
 //! Fig. 14 — sensitivity of FaaSChain speedups to the branch-prediction
 //! hit rate, using the forced-accuracy oracle at 100 / 90 / 70 / 50 %.
 //!
-//! `--jobs N` runs the {app × rate × load} grid on N worker threads;
+//! `--jobs N` runs the {app × load} grid on N worker threads;
 //! output is byte-identical to serial.
 
-use specfaas_bench::executor::{self, ExperimentCell};
+use specfaas_bench::executor;
 use specfaas_bench::report::{speedup, Table};
-use specfaas_bench::runner::{
-    measure_baseline_concurrent, measure_spec_concurrent, ExperimentParams,
-};
+use specfaas_bench::runner::{loaded_grid, ExperimentParams};
 use specfaas_core::SpecConfig;
-use specfaas_platform::Load;
+use specfaas_platform::RunMetrics;
 
 fn main() {
     let jobs = executor::jobs_from_args();
     println!("== Fig. 14: speedup vs branch-prediction hit rate (FaaSChain) ==\n");
-    let rates = [1.0, 0.9, 0.7, 0.5];
+    let configs = [1.0, 0.9, 0.7, 0.5].map(|rate| SpecConfig {
+        forced_branch_accuracy: Some(rate),
+        ..SpecConfig::full()
+    });
     let suite = specfaas_apps::suite_named("FaaSChain");
-    let suite = &suite;
-
-    let mut cells: Vec<ExperimentCell<f64>> = Vec::new();
-    for bundle in &suite.apps {
-        for rate in rates {
-            for load in Load::all() {
-                cells.push(ExperimentCell::new(
-                    format!("fig14/{}/{rate}/{:?}", bundle.name(), load),
-                    move || {
-                        let mut cfg = SpecConfig::full();
-                        cfg.forced_branch_accuracy = Some(rate);
-                        let p = ExperimentParams::default().at_rps(load.rps());
-                        let base = measure_baseline_concurrent(bundle, p);
-                        let spec = measure_spec_concurrent(bundle, cfg, p);
-                        base.mean_response_ms() / spec.mean_response_ms()
-                    },
-                ));
-            }
-        }
-    }
-    let results = executor::run_cells(jobs, cells);
+    let grid = loaded_grid(
+        jobs,
+        &suite.apps,
+        &configs,
+        ExperimentParams::default(),
+        RunMetrics::mean_response_ms,
+    );
 
     let mut t = Table::new(["App", "100%", "90%", "70%", "50%"]);
     let mut sums = [0.0f64; 4];
-    let mut it = results.into_iter();
-    for bundle in &suite.apps {
+    for (bundle, loads) in suite.apps.iter().zip(&grid) {
         let mut row = vec![bundle.name().to_string()];
-        for sum in sums.iter_mut() {
+        for (c, sum) in sums.iter_mut().enumerate() {
             let mut acc = 0.0;
-            for _ in Load::all() {
-                acc += it.next().expect("one result per cell");
+            for cell in loads {
+                acc += cell.baseline / cell.spec[c];
             }
             let s = acc / 3.0;
             *sum += s;

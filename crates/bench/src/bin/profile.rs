@@ -1,9 +1,10 @@
-//! Run profiler: time-series metrics registry + post-hoc trace analytics
-//! (DESIGN.md, "Observability").
+//! Run profiler: flight recorder, time-series metrics registry and
+//! post-hoc trace analytics (DESIGN.md, "Observability").
 //!
 //! ```text
 //! cargo run --release --bin profile -- [--app NAME] [--engine spec|baseline]
-//!     [--requests N] [--seed N] [--faults RATE] [--prom PATH] [--csv PATH]
+//!     [--requests N] [--seed N] [--faults RATE] [--trace PATH] [--prom PATH]
+//!     [--csv PATH]
 //! ```
 //!
 //! Runs one application with both the flight recorder (invariant
@@ -15,17 +16,21 @@
 //! * the speculation-depth waterfall, and
 //! * the what-if speedup bound under zero-overhead speculation.
 //!
-//! With `--prom PATH` the final counter/gauge state is written in
-//! Prometheus text exposition format; with `--csv PATH` the full gauge
-//! time series is written as CSV. Identical seeds produce byte-identical
-//! files. Any invariant violation or ledger mismatch fails the process.
+//! With `--trace PATH` the per-invocation lifecycle timeline (container
+//! acquisition, cold-start phases, speculative launches, memo hits,
+//! squashes, replays, commits) is written as Chrome-trace JSON, loadable
+//! in `chrome://tracing` or [Perfetto](https://ui.perfetto.dev). With
+//! `--prom PATH` the final counter/gauge state is written in Prometheus
+//! text exposition format; with `--csv PATH` the full gauge time series
+//! is written as CSV. Identical seeds produce byte-identical files. Any
+//! invariant violation or ledger mismatch fails the process.
 
 use specfaas_bench::analysis::{analyze, check_paths_exact, PathAggregate};
 use specfaas_bench::report::{f1, f2, pct, speedup, Table};
 use specfaas_bench::runner::{instrumented_closed, prepared_baseline, prepared_spec};
 use specfaas_core::SpecConfig;
 use specfaas_sim::timeseries::MetricsRegistry;
-use specfaas_sim::trace::Phase;
+use specfaas_sim::trace::{validate_json, Phase};
 use specfaas_sim::{FaultPlan, RetryPolicy, SimDuration};
 
 struct Args {
@@ -34,6 +39,7 @@ struct Args {
     requests: u64,
     seed: u64,
     faults: f64,
+    trace_path: Option<String>,
     prom_path: Option<String>,
     csv_path: Option<String>,
 }
@@ -41,7 +47,7 @@ struct Args {
 fn usage() -> ! {
     eprintln!(
         "usage: profile [--app NAME] [--engine spec|baseline] [--requests N] \
-         [--seed N] [--faults RATE] [--prom PATH] [--csv PATH]"
+         [--seed N] [--faults RATE] [--trace PATH] [--prom PATH] [--csv PATH]"
     );
     std::process::exit(2);
 }
@@ -53,6 +59,7 @@ fn parse_args() -> Args {
         requests: 200,
         seed: 0x7ace,
         faults: 0.0,
+        trace_path: None,
         prom_path: None,
         csv_path: None,
     };
@@ -65,6 +72,7 @@ fn parse_args() -> Args {
             "--requests" => args.requests = parse(&val("--requests")),
             "--seed" => args.seed = parse(&val("--seed")),
             "--faults" => args.faults = parse(&val("--faults")),
+            "--trace" => args.trace_path = Some(val("--trace")),
             "--prom" => args.prom_path = Some(val("--prom")),
             "--csv" => args.csv_path = Some(val("--csv")),
             _ => usage(),
@@ -148,6 +156,13 @@ fn main() {
         std::process::exit(1);
     }
     println!("invariants: ok");
+
+    if let Some(path) = args.trace_path {
+        let json = tracer.export_chrome_json();
+        validate_json(&json).expect("exporter produced invalid JSON");
+        std::fs::write(&path, &json).expect("failed to write trace file");
+        println!("wrote {} bytes of Chrome-trace JSON to {path}", json.len());
+    }
 
     let a = analyze(tracer.events());
 

@@ -7,83 +7,70 @@
 //! quantity the paper's normalized-utilization columns capture: how many
 //! extra cycles speculation costs per unit of served work.
 //!
-//! `--jobs N` runs the {rate × app × load} grid on N worker threads;
+//! `--jobs N` runs the {app × load} grid on N worker threads;
 //! output is byte-identical to serial.
 
-use specfaas_bench::executor::{self, ExperimentCell};
+use specfaas_bench::executor;
 use specfaas_bench::report::{f2, speedup, Table};
-use specfaas_bench::runner::{
-    measure_baseline_concurrent, measure_spec_concurrent, ExperimentParams,
-};
+use specfaas_bench::runner::{loaded_grid, ExperimentParams};
 use specfaas_core::{SpecConfig, SquashMechanism};
-use specfaas_platform::{Load, RunMetrics};
+use specfaas_platform::RunMetrics;
 
-fn core_ms_per_request(m: &RunMetrics) -> f64 {
-    if m.completed == 0 {
-        return f64::INFINITY;
-    }
-    (m.useful_core_time + m.squashed_core_time).as_millis_f64() / m.completed as f64
-}
-
-/// Per-cell contribution: (lazy/base CPU ratio, kill/base CPU ratio,
-/// SpecFaaS speedup).
-fn measure_cell(bundle: &specfaas_apps::AppBundle, rate: f64, load: Load) -> (f64, f64, f64) {
-    let p = ExperimentParams::default().at_rps(load.rps());
-    let base = measure_baseline_concurrent(bundle, p);
-    let base_cost = core_ms_per_request(&base);
-
-    let mut lazy_cfg = SpecConfig::full();
-    lazy_cfg.forced_branch_accuracy = Some(rate);
-    lazy_cfg.squash = SquashMechanism::Lazy;
-    lazy_cfg.stall_optimization = false;
-    let lazy = measure_spec_concurrent(bundle, lazy_cfg, p);
-
-    let mut kill_cfg = SpecConfig::full();
-    kill_cfg.forced_branch_accuracy = Some(rate);
-    let kill = measure_spec_concurrent(bundle, kill_cfg, p);
-
-    (
-        core_ms_per_request(&lazy) / base_cost,
-        core_ms_per_request(&kill) / base_cost,
-        base.mean_response_ms() / kill.mean_response_ms(),
-    )
+/// A run reduced to its mean response (ms) and its busy core-ms per
+/// completed request.
+fn mean_and_cost(m: &RunMetrics) -> (f64, f64) {
+    let cost = if m.completed == 0 {
+        f64::INFINITY
+    } else {
+        (m.useful_core_time + m.squashed_core_time).as_millis_f64() / m.completed as f64
+    };
+    (m.mean_response_ms(), cost)
 }
 
 fn main() {
     let jobs = executor::jobs_from_args();
     println!("== Table IV: normalized CPU cost per request vs speculation hit rate ==\n");
     let rates = [1.0, 0.9, 0.7, 0.5];
+    // Per rate: LazySquash (without the stall optimization), then
+    // SpecFaaS' process kill.
+    let configs: Vec<SpecConfig> = rates
+        .iter()
+        .flat_map(|&rate| {
+            let kill = SpecConfig {
+                forced_branch_accuracy: Some(rate),
+                ..SpecConfig::full()
+            };
+            let lazy = SpecConfig {
+                squash: SquashMechanism::Lazy,
+                stall_optimization: false,
+                ..kill.clone()
+            };
+            [lazy, kill]
+        })
+        .collect();
     let suite = specfaas_apps::suite_named("FaaSChain");
-    let suite = &suite;
-
-    let mut cells: Vec<ExperimentCell<(f64, f64, f64)>> = Vec::new();
-    for rate in rates {
-        for bundle in &suite.apps {
-            for load in Load::all() {
-                cells.push(ExperimentCell::new(
-                    format!("table4/{rate}/{}/{:?}", bundle.name(), load),
-                    move || measure_cell(bundle, rate, load),
-                ));
-            }
-        }
-    }
-    let results = executor::run_cells(jobs, cells);
+    let grid = loaded_grid(
+        jobs,
+        &suite.apps,
+        &configs,
+        ExperimentParams::default(),
+        mean_and_cost,
+    );
 
     let mut t = Table::new(["HitRate", "Baseline", "LazySquash", "SpecFaaS", "Speedup"]);
-    let mut it = results.into_iter();
-    for rate in rates {
+    for (r, rate) in rates.into_iter().enumerate() {
         let mut lazy_ratio = 0.0;
         let mut kill_ratio = 0.0;
         let mut sp = 0.0;
         let mut n = 0.0;
-        for _ in &suite.apps {
-            for _ in Load::all() {
-                let (l, k, s) = it.next().expect("one result per cell");
-                lazy_ratio += l;
-                kill_ratio += k;
-                sp += s;
-                n += 1.0;
-            }
+        for cell in grid.iter().flatten() {
+            let (base_ms, base_cost) = cell.baseline;
+            let (_, lazy_cost) = cell.spec[2 * r];
+            let (kill_ms, kill_cost) = cell.spec[2 * r + 1];
+            lazy_ratio += lazy_cost / base_cost;
+            kill_ratio += kill_cost / base_cost;
+            sp += base_ms / kill_ms;
+            n += 1.0;
         }
         t.row([
             format!("{:.0}%", rate * 100.0),

@@ -27,8 +27,7 @@
 //! |--------------|---------|
 //! | `ablations`  | design-decision studies (DESIGN.md D1–D5): branch confidence, stall list, memo capacity, pure-function skip, speculation depth |
 //! | `faults`     | fault-injection ablation: fault-rate and retry-budget sweeps |
-//! | `trace`      | flight recorder: invariant-checked run, `--trace` exports Chrome-trace JSON |
-//! | `profile`    | metrics registry + trace analytics: Prometheus/CSV export, critical paths, squash attribution |
+//! | `profile`    | flight recorder + metrics registry + trace analytics: invariant-checked run, critical paths, squash attribution; `--trace` exports Chrome-trace JSON, `--prom`/`--csv` the registry |
 //! | `scoreboard` | speculation-health scoreboard per app, fleet-wide histogram and top-K merge |
 //! | `policies`   | platform policies × engines; `--default-guard` byte-compares the default policy against the goldens |
 //! | `scale`      | trace-driven multi-tenant scale runs: 10⁶+ requests across {10², 10³, 10⁴} tenants, written to `BENCH_scale.json` |

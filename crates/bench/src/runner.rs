@@ -5,18 +5,37 @@
 //! trained sequence/memoization/predictor tables from prior invocations),
 //! Poisson arrivals at the configured load, and a measurement window that
 //! excludes the initial transient.
+//!
+//! The engines are compared along two paths, each written once here:
+//!
+//! * **Loaded comparison** ([`compare_loaded`], gridded by
+//!   [`loaded_grid`]; Figs. 11–14 and Table IV). For one app at one
+//!   load, the client pool is sized from the baseline's unloaded response
+//!   ([`baseline_single_ms`], [`clients_for`]). The baseline then serves
+//!   30 closed warm-up requests before the measured window; SpecFaaS is
+//!   trained on [`ExperimentParams::train_requests`] instead. Both run
+//!   against that one client pool, and the baseline is measured once per
+//!   (app, load) and shared by every SpecFaaS config. Each run is reduced
+//!   to the caller's number before the next starts.
+//! * **Paired replay** ([`paired_inputs`], [`replay`]; the equivalence
+//!   tests). Inputs are drawn outside either engine and fed to a prepared
+//!   engine one request at a time; [`Replay::mismatch`] reports the first
+//!   difference in outcomes, committed functions or final KV state.
 
 use std::sync::Arc;
 
 use specfaas_apps::AppBundle;
 use specfaas_core::{SpecConfig, SpecEngine};
 use specfaas_platform::{
-    BaselineEngine, EngineCore, Harness, PolicyConfig, RunMetrics, ScoreboardRow,
+    BaselineEngine, EngineCore, Harness, Load, PolicyConfig, RequestOutcome, RunMetrics,
+    ScoreboardRow,
 };
 use specfaas_sim::timeseries::{MetricsRegistry, SnapshotLog};
 use specfaas_sim::trace::Tracer;
 use specfaas_sim::{FaultPlan, RetryPolicy, SimDuration, SimRng};
 use specfaas_storage::Value;
+
+use crate::executor::{self, ExperimentCell};
 
 /// Parameters of one experiment run.
 #[derive(Debug, Clone, Copy)]
@@ -253,60 +272,139 @@ pub fn clients_for(rps: f64, baseline_single_ms: f64) -> u32 {
     ((rps * baseline_single_ms / 1_000.0).round() as u32).max(1)
 }
 
-/// Measures the baseline under a closed-loop client pool sized for the
-/// requested load level.
-pub fn measure_baseline_concurrent(bundle: &AppBundle, p: ExperimentParams) -> RunMetrics {
-    let single = baseline_single_ms(bundle, p.seed, 3);
-    measure_baseline_concurrent_sized(bundle, p, single)
+/// One app at one load, each run reduced to the caller's number: the
+/// baseline's, then one per SpecFaaS config in the order given.
+#[derive(Debug)]
+pub struct Loaded<R> {
+    /// The reduced baseline run.
+    pub baseline: R,
+    /// The reduced SpecFaaS runs, one per config.
+    pub spec: Vec<R>,
 }
 
-/// [`measure_baseline_concurrent`] with the unloaded single-request
-/// response precomputed by the caller. The sizing run (a full prepared
-/// baseline engine) depends only on `(bundle, seed)`, so grid drivers
-/// that fan one bundle out over many loads hoist it and compute it once
-/// instead of once per cell — the measured result is bit-identical
-/// because the sizing value is.
-pub fn measure_baseline_concurrent_sized(
+/// The loaded comparison of one app at `p.rps` (see the module doc):
+/// the baseline once, then SpecFaaS under each of `configs`, all against
+/// the client pool sized from the baseline's unloaded response.
+pub fn compare_loaded<R>(
     bundle: &AppBundle,
     p: ExperimentParams,
-    single_ms: f64,
-) -> RunMetrics {
-    let clients = clients_for(p.rps, single_ms);
+    configs: &[SpecConfig],
+    reduce: impl Fn(&RunMetrics) -> R,
+) -> Loaded<R> {
+    let clients = clients_for(p.rps, baseline_single_ms(bundle, p.seed, 3));
+    let gen = || {
+        let gen = Arc::clone(&bundle.make_input);
+        move |r: &mut SimRng| gen(r)
+    };
     let mut e = prepared_baseline(bundle, p.seed);
-    let gen = Arc::clone(&bundle.make_input);
-    e.run_closed(30, {
-        let gen = Arc::clone(&gen);
-        move |r| gen(r)
-    });
-    let gen2 = Arc::clone(&bundle.make_input);
-    e.run_concurrent(clients, p.duration, p.warmup, move |r| gen2(r))
+    e.run_closed(30, gen());
+    let baseline = reduce(&e.run_concurrent(clients, p.duration, p.warmup, gen()));
+    let spec = configs
+        .iter()
+        .map(|cfg| {
+            let mut e = prepared_spec(bundle, cfg.clone(), p.seed, p.train_requests);
+            reduce(&e.run_concurrent(clients, p.duration, p.warmup, gen()))
+        })
+        .collect();
+    Loaded { baseline, spec }
 }
 
-/// Measures SpecFaaS under the same closed-loop client pool (sized from
-/// the *baseline's* unloaded response, so both systems face the same
-/// client population).
-pub fn measure_spec_concurrent(
-    bundle: &AppBundle,
-    config: SpecConfig,
+/// [`compare_loaded`] over every app × [`Load::all`], one executor cell
+/// per (app, load) on `jobs` workers. Returns one entry per app, in the
+/// order given, indexed by load; the result is the same for any `jobs`.
+pub fn loaded_grid<'a, R: Send>(
+    jobs: usize,
+    apps: impl IntoIterator<Item = &'a AppBundle>,
+    configs: &[SpecConfig],
     p: ExperimentParams,
-) -> RunMetrics {
-    let single = baseline_single_ms(bundle, p.seed, 3);
-    measure_spec_concurrent_sized(bundle, config, p, single)
+    reduce: fn(&RunMetrics) -> R,
+) -> Vec<[Loaded<R>; 3]> {
+    let cells: Vec<ExperimentCell<Loaded<R>>> = apps
+        .into_iter()
+        .flat_map(|bundle| {
+            Load::all().map(|load| {
+                ExperimentCell::new(format!("{}/{load:?}", bundle.name()), move || {
+                    compare_loaded(bundle, p.at_rps(load.rps()), configs, reduce)
+                })
+            })
+        })
+        .collect();
+    let mut results = executor::run_cells(jobs, cells).into_iter();
+    let mut per_app = Vec::new();
+    while let (Some(low), Some(medium), Some(high)) =
+        (results.next(), results.next(), results.next())
+    {
+        per_app.push([low, medium, high]);
+    }
+    per_app
 }
 
-/// [`measure_spec_concurrent`] with the unloaded *baseline*
-/// single-request response precomputed by the caller (see
-/// [`measure_baseline_concurrent_sized`] for why grids hoist it).
-pub fn measure_spec_concurrent_sized(
-    bundle: &AppBundle,
-    config: SpecConfig,
-    p: ExperimentParams,
-    single_ms: f64,
-) -> RunMetrics {
-    let clients = clients_for(p.rps, single_ms);
-    let mut e = prepared_spec(bundle, config, p.seed, p.train_requests);
-    let gen = Arc::clone(&bundle.make_input);
-    e.run_concurrent(clients, p.duration, p.warmup, move |r| gen(r))
+/// The inputs of a paired replay: `n` draws from `SimRng::seed(seed)`,
+/// outside either engine, so neither engine's own draws can skew them.
+pub fn paired_inputs(bundle: &AppBundle, seed: u64, n: usize) -> Vec<Value> {
+    let mut rng = SimRng::seed(seed);
+    (0..n).map(|_| (bundle.make_input)(&mut rng)).collect()
+}
+
+/// What a prepared engine committed over a [`replay`].
+#[derive(Debug)]
+pub struct Replay {
+    /// The run's metrics.
+    pub metrics: RunMetrics,
+    /// The final KV-store state, sorted by key, values `Debug`-formatted.
+    pub kv: Vec<(String, String)>,
+}
+
+/// Runs `inputs` one request at a time on a prepared engine.
+pub fn replay<E: EngineCore>(e: &mut Harness<E>, inputs: &[Value]) -> Replay {
+    for input in inputs {
+        e.run_single(input.clone());
+    }
+    let metrics = e.run_closed(0, |_| Value::Null);
+    let mut kv: Vec<(String, String)> = e
+        .rt()
+        .kv
+        .iter()
+        .map(|(k, v)| (k.to_string(), format!("{v:?}")))
+        .collect();
+    kv.sort();
+    Replay { metrics, kv }
+}
+
+impl Replay {
+    /// The first difference from `other`, a replay of the same fault-free
+    /// inputs, or `None` when every request of both completed with the
+    /// same committed functions and the final KV states are equal.
+    /// Committed functions compare as multisets, because parallel-stage
+    /// siblings commit in a timing-dependent order on both engines.
+    pub fn mismatch(&self, other: &Replay) -> Option<String> {
+        let (a, b) = (&self.metrics, &other.metrics);
+        let counts = |m: &RunMetrics| (m.completed, m.failed, m.records.len());
+        if counts(a) != counts(b) {
+            return Some(format!(
+                "(completed, failed, records) diverge: {:?} vs {:?}",
+                counts(a),
+                counts(b)
+            ));
+        }
+        for (i, (ra, rb)) in a.records.iter().zip(&b.records).enumerate() {
+            if (ra.outcome, rb.outcome) != (RequestOutcome::Completed, RequestOutcome::Completed) {
+                return Some(format!(
+                    "request {i} did not complete: {:?} vs {:?}",
+                    ra.outcome, rb.outcome
+                ));
+            }
+            let (mut sa, mut sb) = (ra.sequence.clone(), rb.sequence.clone());
+            sa.sort_unstable();
+            sb.sort_unstable();
+            if sa != sb {
+                return Some(format!(
+                    "request {i} committed functions diverge: {sa:?} vs {sb:?}"
+                ));
+            }
+        }
+        (self.kv != other.kv).then(|| "final KV-store state diverges".to_string())
+    }
 }
 
 /// Finds the effective throughput (Table III): the highest request rate

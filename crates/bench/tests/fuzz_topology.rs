@@ -12,13 +12,8 @@
 //! reproducible; set `FUZZ_TOPOLOGIES=<n>` to widen or narrow the sweep
 //! (CI pins it explicitly).
 
-use std::sync::Arc;
-
-use specfaas_apps::AppBundle;
-use specfaas_core::{SpecConfig, SpecEngine};
-use specfaas_platform::{BaselineEngine, RequestOutcome, RunMetrics};
-use specfaas_sim::SimRng;
-use specfaas_storage::Value;
+use specfaas_bench::runner::{paired_inputs, prepared_baseline, prepared_spec, replay};
+use specfaas_core::SpecConfig;
 
 /// Topologies checked per run unless `FUZZ_TOPOLOGIES` overrides it.
 const DEFAULT_TOPOLOGIES: u64 = 100;
@@ -34,97 +29,35 @@ fn budget() -> u64 {
         .unwrap_or(DEFAULT_TOPOLOGIES)
 }
 
-fn inputs_for(bundle: &AppBundle, seed: u64) -> Vec<Value> {
-    let mut rng = SimRng::seed(seed);
-    (0..REQUESTS)
-        .map(|_| (bundle.make_input)(&mut rng))
-        .collect()
-}
-
-fn kv_dump(kv_pairs: Vec<(String, String)>) -> Vec<(String, String)> {
-    let mut pairs = kv_pairs;
-    pairs.sort();
-    pairs
-}
-
-fn run_baseline(
-    bundle: &AppBundle,
-    seed: u64,
-    inputs: &[Value],
-) -> (RunMetrics, Vec<(String, String)>) {
-    let mut e = BaselineEngine::new(Arc::clone(&bundle.app), seed);
-    e.prewarm();
-    let mut rng = SimRng::seed(seed ^ 0x5eed);
-    (bundle.seed)(&mut e.kv, &mut rng);
-    for input in inputs {
-        e.run_single(input.clone());
-    }
-    let m = e.run_closed(0, |_| Value::Null);
-    let dump = kv_dump(
-        e.kv.iter()
-            .map(|(k, v)| (k.to_string(), format!("{v:?}")))
-            .collect(),
-    );
-    (m, dump)
-}
-
-fn run_spec(
-    bundle: &AppBundle,
-    seed: u64,
-    inputs: &[Value],
-) -> (RunMetrics, Vec<(String, String)>) {
-    let mut e = SpecEngine::new(Arc::clone(&bundle.app), SpecConfig::full(), seed);
-    e.prewarm();
-    let mut rng = SimRng::seed(seed ^ 0x5eed);
-    (bundle.seed)(&mut e.kv, &mut rng);
-    for input in inputs {
-        e.run_single(input.clone());
-    }
-    let m = e.run_closed(0, |_| Value::Null);
-    let dump = kv_dump(
-        e.kv.iter()
-            .map(|(k, v)| (k.to_string(), format!("{v:?}")))
-            .collect(),
-    );
-    (m, dump)
-}
-
+/// Every topology under the full system and at speculation depths 1 and
+/// 2, where wide fork/joins fill the pipeline before any slot extends.
 #[test]
 fn random_topologies_commit_identically_on_both_engines() {
     let n = budget();
     assert!(n > 0, "FUZZ_TOPOLOGIES must be positive");
+    let configs = [SpecConfig::full(), shallow(1), shallow(2)];
     for t in 0..n {
         let topo_seed = SEED_BASE + t;
         let bundle = specfaas_apps::topology::random_bundle(topo_seed);
-        let label = format!("topology seed {topo_seed:#x}");
-        let inputs = inputs_for(&bundle, topo_seed);
-        let (mb, kb) = run_baseline(&bundle, topo_seed, &inputs);
-        let (ms, ks) = run_spec(&bundle, topo_seed, &inputs);
-
-        assert_eq!(mb.completed, ms.completed, "{label}: completed diverge");
-        assert_eq!(mb.failed, ms.failed, "{label}: failed diverge");
-        assert_eq!(
-            mb.records.len(),
-            ms.records.len(),
-            "{label}: record counts diverge"
-        );
-        for (i, (rb, rs)) in mb.records.iter().zip(&ms.records).enumerate() {
-            assert_eq!(rb.outcome, rs.outcome, "{label}: request {i} outcome");
-            assert_eq!(
-                rb.outcome,
-                RequestOutcome::Completed,
-                "{label}: request {i} did not complete (fault-free run)"
+        let inputs = paired_inputs(&bundle, topo_seed, REQUESTS);
+        let base = replay(&mut prepared_baseline(&bundle, topo_seed), &inputs);
+        for cfg in &configs {
+            let spec = replay(
+                &mut prepared_spec(&bundle, cfg.clone(), topo_seed, 0),
+                &inputs,
             );
-            let mut sb = rb.sequence.clone();
-            let mut ss = rs.sequence.clone();
-            sb.sort_unstable();
-            ss.sort_unstable();
-            assert_eq!(
-                sb, ss,
-                "{label}: request {i} committed-function multisets diverge"
-            );
+            if let Some(m) = base.mismatch(&spec) {
+                panic!("topology seed {topo_seed:#x}, depth {}: {m}", cfg.max_depth);
+            }
         }
-        assert_eq!(kb, ks, "{label}: final KV-store state diverges");
+    }
+}
+
+fn shallow(depth: usize) -> SpecConfig {
+    SpecConfig {
+        max_depth: depth,
+        throttled_depth: depth,
+        ..SpecConfig::full()
     }
 }
 

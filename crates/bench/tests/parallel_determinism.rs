@@ -19,6 +19,9 @@ fn stdout_of(bin: &str, args: &[&str]) -> Vec<u8> {
     out.stdout
 }
 
+/// The serial run is also the Fig. 11 golden (warm grid and cold
+/// variant, `--quick`), so any change that moves a paper number shows.
+/// Re-bless with `BLESS_GOLDEN=1` only for an intended change.
 #[test]
 fn fig11_quick_parallel_output_is_byte_identical_to_serial() {
     let bin = env!("CARGO_BIN_EXE_fig11");
@@ -32,6 +35,20 @@ fn fig11_quick_parallel_output_is_byte_identical_to_serial() {
         String::from_utf8_lossy(&serial),
         String::from_utf8_lossy(&parallel)
     );
+
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/fig11_quick.txt");
+    if std::env::var_os("BLESS_GOLDEN").is_some() {
+        std::fs::write(path, &serial).expect("failed to bless golden file");
+        return;
+    }
+    let want =
+        std::fs::read(path).expect("golden file missing; run with BLESS_GOLDEN=1 to create it");
+    assert_eq!(
+        String::from_utf8_lossy(&serial),
+        String::from_utf8_lossy(&want),
+        "fig11 --quick drifted from the golden; \
+         re-bless with BLESS_GOLDEN=1 if the change is intentional"
+    );
 }
 
 #[test]
@@ -44,11 +61,11 @@ fn table1_parallel_output_is_byte_identical_to_serial() {
 }
 
 /// The DAG suite rides the same determinism guarantee: two same-seed
-/// `trace` runs of the wide fork/join word-count app must export
-/// byte-identical Chrome-trace JSON.
+/// `profile --trace` runs of the wide fork/join word-count app must
+/// export byte-identical Chrome-trace JSON.
 #[test]
 fn trace_export_for_dag_app_is_deterministic() {
-    let bin = env!("CARGO_BIN_EXE_trace");
+    let bin = env!("CARGO_BIN_EXE_profile");
     let dir = std::env::temp_dir();
     let p1 = dir.join("specfaas_dag_trace_1.json");
     let p2 = dir.join("specfaas_dag_trace_2.json");

@@ -265,7 +265,7 @@ impl SpecCore {
     }
 
     pub(super) fn on_commit_apply(&mut self, req_id: RequestId, slot_id: SlotId) {
-        let Some(req) = self.requests.get_mut(&req_id) else {
+        let Some(mut req) = self.requests.get_mut(&req_id) else {
             return;
         };
         req.committing = None;
@@ -274,6 +274,13 @@ impl SpecCore {
         {
             self.try_commit(req_id);
             return;
+        }
+        // A head that filled the pipeline to depth was never extended,
+        // and once it leaves nothing else would create its successor.
+        let slot = req.pipeline.slot(slot_id).expect("live head");
+        if let (SlotRole::Entry { entry }, false) = (slot.role, slot.run.extended) {
+            self.extend_one(req_id, slot_id, entry);
+            req = self.requests.get_mut(&req_id).expect("live");
         }
         // Flush buffered writes to global storage.
         let flush = req.buffer.commit(slot_id);
